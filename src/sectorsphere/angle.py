@@ -302,12 +302,8 @@ def write_feature_file(path, vectors, delimiter: str = ",") -> None:
     """One vector per line; the companion index addresses each line as a record."""
     from .records import RecordIndex, write_record_file
 
-    lines = [format_feature_record(v, delimiter) for v in vectors]
-    sizes = []
-    for line in lines:
-        sizes.append(len(line) + 1)  # record includes the newline
-    data = b"".join(line + b"\n" for line in lines)
-    write_record_file(path, data, RecordIndex.from_sizes(sizes))
+    lines = [format_feature_record(v, delimiter) + b"\n" for v in vectors]
+    write_record_file(path, b"".join(lines), RecordIndex.from_sizes(map(len, lines)))
 
 
 def read_feature_file(path, delimiter: str = ",") -> list[FeatureVector]:
@@ -320,7 +316,7 @@ def read_feature_file(path, delimiter: str = ",") -> list[FeatureVector]:
 # ------------------------------------------------------------- distributed
 
 def _window_bucket(record: bytes, params: bytes) -> int:
-    p = json.loads(params.decode())
+    p = sphere.decoded_params(params, json.loads)
     v = parse_feature_record(record, p.get("delimiter", ","))
     return int(math.floor((v.timestamp - p["t0"]) / p["length"]))
 

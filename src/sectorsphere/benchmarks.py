@@ -15,18 +15,18 @@ import hashlib
 import json
 import math
 import random
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import sphere
-from .records import INDEX_SUFFIX
+from .records import INDEX_SUFFIX, RecordIndex
 
 RECORD_SIZE = 100
 KEY_SIZE = 10
 
 _GEN_CHUNK_RECORDS = 65536
-_ENTRY = struct.Struct("<QQ")
 
 
 def teragen(n_records: int, seed: int, destination) -> Path:
@@ -43,9 +43,7 @@ def teragen(n_records: int, seed: int, destination) -> Path:
         while written < n_records:
             batch = min(_GEN_CHUNK_RECORDS, n_records - written)
             data.write(rng.randbytes(batch * RECORD_SIZE))
-            idx.write(b"".join(
-                _ENTRY.pack((written + i) * RECORD_SIZE, RECORD_SIZE)
-                for i in range(batch)))
+            idx.write(RecordIndex.uniform(batch, RECORD_SIZE, written * RECORD_SIZE).to_bytes())
             written += batch
     return path
 
@@ -61,19 +59,13 @@ def record_label(record: bytes) -> int:
 
 # ------------------------------------------------------------------ sorting
 
-_boundary_cache: dict[bytes, list[bytes]] = {}
-
-
-def _boundaries_from_params(params: bytes) -> list[bytes]:
-    cached = _boundary_cache.get(params)
-    if cached is None:
-        cached = [bytes.fromhex(h) for h in json.loads(params.decode())["boundaries"]]
-        _boundary_cache[params] = cached
-    return cached
+def _boundaries_from_params(params: bytes) -> tuple[bytes, ...]:
+    return tuple(bytes.fromhex(h) for h in json.loads(params)["boundaries"])
 
 
 def _key_range_bucket(record: bytes, params: bytes) -> int:
-    return bisect.bisect_right(_boundaries_from_params(params), record[:KEY_SIZE])
+    boundaries = sphere.decoded_params(params, _boundaries_from_params)
+    return bisect.bisect_right(boundaries, record[:KEY_SIZE])
 
 
 def _sort_segment(records, params: bytes):
@@ -224,43 +216,55 @@ class SplitResult:
         })
 
 
+def _entropies(counts: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each row of non-empty class counts; 0*log(0) = 0."""
+    p = counts / counts.sum(axis=1, keepdims=True)
+    return -(p * np.log2(p, out=np.zeros_like(p), where=p > 0)).sum(axis=1)
+
+
 def terasplit_pairs(pairs) -> SplitResult:
     """Best single entropy split of a key-sorted (key, label) sequence.
 
-    One pass over the records builds per-distinct-key class counts; the
-    candidate thresholds are the midpoints between adjacent distinct keys,
-    ties broken toward the smallest threshold.
+    One pass over the records collects the distinct keys and the labels;
+    the candidate thresholds are the midpoints between adjacent distinct
+    keys, ties broken toward the smallest threshold. numpy scores every cut;
+    its log2 may round differently from math.log2, so split_gain re-scores
+    the cuts within 1e-9 of the best and decides.
     """
-    groups: list[list] = []  # [key, count0, count1]
+    keys: list[bytes] = []    # each distinct key once
+    starts: list[int] = []    # the position of its first record
+    labels: list[int] = []
     previous = None
     for key, label in pairs:
-        if previous is not None and key < previous:
-            raise ValueError("input is not sorted by key")
-        if previous is not None and key == previous:
-            groups[-1][1 + label] += 1
-        else:
-            groups.append([key, 0, 0])
-            groups[-1][1 + label] += 1
-        previous = key
-    if not groups:
+        if key != previous:
+            if previous is not None and key < previous:
+                raise ValueError("input is not sorted by key")
+            keys.append(key)
+            starts.append(len(labels))
+            previous = key
+        labels.append(label)
+    if not labels:
         raise ValueError("cannot split an empty stream")
-    total0 = sum(g[1] for g in groups)
-    total1 = sum(g[2] for g in groups)
-    if total0 == 0 or total1 == 0:
+    ones = np.cumsum(labels)  # label-1 records among the first i + 1
+    total1 = int(ones[-1])
+    total0 = len(labels) - total1
+    if total0 == 0 or total1 == 0 or len(keys) == 1:
+        # one label, or one distinct key with mixed labels: nothing to cut
         return SplitResult(None, 0.0, (0, 0), (total0, total1))
     parent = entropy((total0, total1))
+    n, n_left = len(labels), np.array(starts[1:])  # records left of each cut
+    left = np.column_stack((n_left - ones[n_left - 1], ones[n_left - 1]))
+    right = (total0, total1) - left
+    gains = parent - (n_left / n) * _entropies(left) - ((n - n_left) / n) * _entropies(right)
     best = None
-    left0 = left1 = 0
-    for i in range(len(groups) - 1):
-        left0 += groups[i][1]
-        left1 += groups[i][2]
-        gain = split_gain(parent, (left0, left1), (total0 - left0, total1 - left1))
+    for i in np.flatnonzero(gains >= gains.max() - 1e-9).tolist():
+        cut = (tuple(map(int, left[i])), tuple(map(int, right[i])))
+        gain = split_gain(parent, *cut)
         if best is None or gain > best[1]:
-            best = (midpoint_key(groups[i][0], groups[i + 1][0]), gain,
-                    (left0, left1), (total0 - left0, total1 - left1))
-    if best is None:  # single distinct key with mixed labels: nothing to cut
-        return SplitResult(None, 0.0, (0, 0), (total0, total1))
-    return SplitResult(best[0], max(best[1], 0.0), best[2], best[3])
+            best = (i, gain, cut)
+    i, gain, (left_counts, right_counts) = best
+    return SplitResult(midpoint_key(keys[i], keys[i + 1]), max(gain, 0.0),
+                       left_counts, right_counts)
 
 
 def terasplit(session, stream) -> SplitResult:
@@ -276,5 +280,5 @@ def terasplit_local(path) -> SplitResult:
     data, index = read_record_file(path)
     if index is None:
         raise ValueError("%s has no record index" % path)
-    records = slice_records(data, index.entries)
-    return terasplit_pairs((r[:KEY_SIZE], record_label(r)) for r in records)
+    return terasplit_pairs((r[:KEY_SIZE], record_label(r))
+                           for r in slice_records(data, index.entries))

@@ -127,10 +127,7 @@ class ClientSession:
         destination = Path(destination)
         last_error: SectorError = NotFoundError("%s has no replicas" % name)
         for attempt in range(2):
-            try:
-                locations = self.locate(name)
-            except NotFoundError as exc:
-                raise exc
+            locations = self.locate(name)
             for location in locations:
                 try:
                     channel = self.transport.open_channel(location)

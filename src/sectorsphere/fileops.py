@@ -10,6 +10,7 @@ from __future__ import annotations
 import uuid
 
 from .errors import IntegrityError
+from .records import ENTRY_SIZE, RecordIndex
 from .wire import MessageKind
 
 TRANSFER_CHUNK = 8 * 1024 * 1024
@@ -68,19 +69,27 @@ def _fetch_range(channel, kind, name: str, total: int, chunk: int) -> bytes:
 
 
 def read_records_over(channel, name: str, offset: int, rows: int) -> tuple[list[bytes], list]:
-    """Read a run of records from the peer, following server-side row caps."""
+    """Read a run of records from the peer, following server-side byte caps.
+    A READ reply body is `rows` .idx entries, then those records' bytes."""
     records: list[bytes] = []
     entries: list = []
     while rows > 0:
         header, body = channel.call(MessageKind.READ,
                                     {"name": name, "offset": offset, "rows": rows})
         got = header["rows"]
-        batch = header["entries"]
-        position = 0
-        for _, size in batch:
+        head = got * ENTRY_SIZE
+        if not 0 < got <= rows or head > len(body):
+            raise IntegrityError("READ of %s replied %d rows in %d bytes, asked for %d"
+                                 % (name, got, len(body), rows))
+        pairs = RecordIndex.from_bytes(body[:head]).array.tolist()
+        position = head
+        for _, size in pairs:
             records.append(body[position:position + size])
             position += size
-        entries.extend((o, s) for o, s in batch)
+        if position != len(body):
+            raise IntegrityError("READ of %s: records take %d bytes, the body has %d"
+                                 % (name, position - head, len(body) - head))
+        entries.extend(map(tuple, pairs))
         offset += got
         rows -= got
     return records, entries

@@ -15,6 +15,8 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import sphere
 from .errors import (
     AccessDeniedError,
@@ -24,8 +26,8 @@ from .errors import (
     SectorError,
     TransportError,
 )
-from .fileops import TRANSFER_CHUNK, fetch_file, new_token, push_file, read_records_over
-from .records import RecordIndex, index_path
+from .fileops import TRANSFER_CHUNK, new_token, push_file, read_records_over
+from .records import ENTRY_SIZE, RecordIndex, index_path
 from .routing import RingView
 from .transport import Transport, error_reply, reply
 from .wire import Message, MessageKind, unpack_payload
@@ -84,7 +86,7 @@ class StorageNode:
         self._meta_lock = threading.RLock()
         self._name_locks: dict[str, threading.Lock] = {}
         self._stores: dict[str, _StoreBuffer] = {}
-        self._shuffle: dict[tuple[str, int], list[tuple[int, int]]] = {}
+        self._shuffle: dict[tuple[str, int], list[np.ndarray]] = {}
         self._rng = random.Random(config.seed)
         self.spe_host = sphere.SpeHost(self, slots=config.spe_slots)
         self._stop = threading.Event()
@@ -162,18 +164,19 @@ class StorageNode:
         self._check_write_access(sender, internal)
         if index is not None:
             index.validate(len(data))
+        index_bytes = index.to_bytes() if index is not None else None
         path = self._path_for(name)
         with self._lock_for(name):
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_bytes(data)
-            if index is not None:
-                index_path(path).write_bytes(index.to_bytes())
+            if index_bytes is not None:
+                index_path(path).write_bytes(index_bytes)
             meta = FileMeta(
                 records=len(index) if index is not None else 1,
                 size=len(data),
                 indexed=index is not None,
                 origin=(origin or sender) if internal else self.address,
-                index_bytes=len(index.to_bytes()) if index is not None else 0,
+                index_bytes=len(index_bytes) if index_bytes is not None else 0,
             )
             with self._meta_lock:
                 self.files[name] = meta
@@ -239,37 +242,41 @@ class StorageNode:
                 last_error = exc
         raise last_error
 
-    def read_local(self, name: str, offset: int, rows: int,
-                    max_bytes: int | None = None) -> tuple[list[bytes], list]:
+    def _index_rows(self, name: str, offset: int, rows: int,
+                    max_bytes: int | None = None) -> tuple[Path, np.ndarray]:
+        """The (n, 2) index entries of local records [offset, offset + rows),
+        cut before the first record past max_bytes but never to zero rows."""
         meta = self.meta(name)
         path = self._path_for(name)
         if not meta.indexed:
             if offset != 0 or rows != 1:
                 raise RangeError("%s has no index; only (0, 1) reads are valid" % name)
-            data = path.read_bytes()
-            return [data], [(0, len(data))]
+            return path, RecordIndex([(0, meta.size)]).array
         if offset < 0 or rows < 0 or offset + rows > meta.records:
             raise RangeError("record range [%d, %d) outside %s's %d records"
                              % (offset, offset + rows, name, meta.records))
-        index = RecordIndex.from_bytes(index_path(path).read_bytes())
-        entries = index.slice(offset, rows)
-        if max_bytes is not None and entries:
-            kept, total = [], 0
-            for entry in entries:
-                if kept and total + entry[1] > max_bytes:
-                    break
-                kept.append(entry)
-                total += entry[1]
-            entries = tuple(kept)
-        if not entries:
+        with index_path(path).open("rb") as fh:
+            fh.seek(offset * ENTRY_SIZE)
+            entries = RecordIndex.from_bytes(fh.read(rows * ENTRY_SIZE)).array
+        if len(entries) != rows:
+            raise IntegrityError("the index of %s is truncated" % name)
+        if max_bytes is not None and rows:
+            within = int(np.searchsorted(np.cumsum(entries[:, 1]), max_bytes, side="right"))
+            entries = entries[:max(1, within)]
+        return path, entries
+
+    def read_local(self, name: str, offset: int, rows: int,
+                    max_bytes: int | None = None) -> tuple[list[bytes], list]:
+        path, entries = self._index_rows(name, offset, rows, max_bytes)
+        if not len(entries):
             return [], []
-        first = entries[0][0]
-        last = entries[-1][0] + entries[-1][1]
+        first = int(entries[0, 0])
         with path.open("rb") as fh:
             fh.seek(first)
-            span = fh.read(last - first)
-        recs = [span[o - first:o - first + s] for o, s in entries]
-        return recs, list(entries)
+            span = fh.read(int(entries[-1].sum()) - first)
+        pairs = entries.tolist()
+        recs = [span[o - first:o - first + s] for o, s in pairs]
+        return recs, list(map(tuple, pairs))
 
     # ------------------------------------------------------------ replication
 
@@ -337,13 +344,11 @@ class StorageNode:
         with self._lock_for(name):
             path.parent.mkdir(parents=True, exist_ok=True)
             with self._meta_lock:
-                entries = self._shuffle.setdefault((job, bucket), [])
+                batches = self._shuffle.setdefault((job, bucket), [])
             with path.open("ab") as fh:
                 offset = fh.tell()
                 fh.write(body)
-            for size in sizes:
-                entries.append((offset, size))
-                offset += size
+            batches.append(RecordIndex.from_sizes(sizes, start=offset).array)
 
     def finalize_job(self, job: str) -> list[dict]:
         with self._meta_lock:
@@ -354,15 +359,15 @@ class StorageNode:
             name = sphere.bucket_file_name(job, bucket)
             with self._lock_for(name):
                 with self._meta_lock:
-                    entries = self._shuffle.pop(key, [])
-                index = RecordIndex(entries)
+                    batches = self._shuffle.pop(key, [])
+                index = RecordIndex(np.concatenate(batches) if batches else ())
                 path = self._path_for(name)
                 data_len = path.stat().st_size
                 index.validate(data_len)
-                index_path(path).write_bytes(index.to_bytes())
+                index_bytes = index.to_bytes()
+                index_path(path).write_bytes(index_bytes)
                 meta = FileMeta(records=len(index), size=data_len, indexed=True,
-                                origin=self.address,
-                                index_bytes=len(index.to_bytes()))
+                                origin=self.address, index_bytes=len(index_bytes))
                 with self._meta_lock:
                     self.files[name] = meta
             self._register(name, self.address)
@@ -411,10 +416,7 @@ class StorageNode:
         if kind == MessageKind.STORE_END:
             return self._op_store_end(msg, header)
         if kind == MessageKind.READ:
-            records, entries = self.read_local(header["name"], header["offset"],
-                                                header["rows"], max_bytes=TRANSFER_CHUNK)
-            return reply(msg, MessageKind.OK,
-                         {"entries": entries, "rows": len(entries)}, b"".join(records))
+            return self._op_read(msg, header)
         if kind == MessageKind.FETCH:
             return self._op_fetch(msg, header, index_file=False)
         if kind == MessageKind.FETCH_INDEX:
@@ -433,8 +435,6 @@ class StorageNode:
             return reply(msg, MessageKind.OK, {})
         if kind == MessageKind.FINALIZE_JOB:
             return reply(msg, MessageKind.OK, {"files": self.finalize_job(header["job"])})
-        if kind == MessageKind.RING:
-            return self._op_ring(msg, header)
         raise SectorError("unsupported message kind %s" % kind)
 
     def _op_store_begin(self, origin: str, msg: Message, header: dict) -> Message:
@@ -491,6 +491,29 @@ class StorageNode:
             self._stores.pop(token, None)
         return reply(msg, MessageKind.OK, {"records": meta.records, "size": meta.size})
 
+    def _op_read(self, msg: Message, header: dict) -> Message:
+        """Index entries in the .idx layout, then the records' bytes."""
+        path, entries = self._index_rows(header["name"], header["offset"], header["rows"],
+                                         max_bytes=TRANSFER_CHUNK)
+        head = entries.tobytes()
+        body = bytearray(len(head) + int(entries[:, 1].sum()))
+        body[:len(head)] = head
+        if len(entries):
+            first = int(entries[0, 0])
+            span_length = int(entries[-1].sum()) - first
+            with path.open("rb") as fh:
+                fh.seek(first)
+                if span_length == len(body) - len(head):  # no gaps: read in place
+                    got = fh.readinto(memoryview(body)[len(head):])
+                else:
+                    span = fh.read(span_length)
+                    got = len(span)
+                    body[len(head):] = b"".join(
+                        span[o - first:o - first + s] for o, s in entries.tolist())
+            if got != span_length:
+                raise IntegrityError("%s is shorter than its index" % header["name"])
+        return reply(msg, MessageKind.OK, {"rows": len(entries)}, body)
+
     def _op_fetch(self, msg: Message, header: dict, index_file: bool) -> Message:
         meta = self.meta(header["name"])
         path = self._path_for(header["name"])
@@ -507,36 +530,3 @@ class StorageNode:
         if len(body) != length:
             raise RangeError("fetch range beyond end of %s" % header["name"])
         return reply(msg, MessageKind.OK, {}, body)
-
-    def _op_ring(self, msg: Message, header: dict) -> Message:
-        phase = header.get("phase", "prepare")
-        if phase == "prepare":
-            self.prepare_ring(RingView.from_addresses(header["addresses"]))
-        elif phase == "announce":
-            self.reannounce()
-        else:
-            raise SectorError("unknown ring phase %r" % phase)
-        return reply(msg, MessageKind.OK, {})
-
-    # ------------------------------------------------------------------ misc
-
-    def fetch_whole(self, name: str) -> tuple[bytes, RecordIndex | None]:
-        """Fetch a file wherever it lives (local fast path, else a replica)."""
-        if self.holds(name):
-            meta = self.meta(name)
-            path = self._path_for(name)
-            data = path.read_bytes()
-            index = (RecordIndex.from_bytes(index_path(path).read_bytes())
-                     if meta.indexed else None)
-            return data, index
-        for location in self.lookup(name):
-            if location == self.address:
-                continue
-            try:
-                channel = self.transport.open_channel(location)
-                data, index_bytes = fetch_file(channel, name)
-                index = RecordIndex.from_bytes(index_bytes) if index_bytes is not None else None
-                return data, index
-            except (TransportError, NotFoundError):
-                continue
-        raise NotFoundError("%s has no reachable replica" % name)

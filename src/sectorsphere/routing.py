@@ -146,15 +146,3 @@ class RingView:
         if address not in self._by_address:
             raise RoutingError("%s is not a ring member" % address)
         return RingView(m for m in self.members if m.address != address)
-
-
-def find_successor(ring: RingView, id: int) -> RingMember:
-    return ring.successor(id)
-
-
-def join(ring: RingView, address: str) -> RingView:
-    return ring.join(address)
-
-
-def leave(ring: RingView, address: str) -> RingView:
-    return ring.leave(address)

@@ -10,6 +10,7 @@ of destination nodes by bucket.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import threading
@@ -69,6 +70,13 @@ def get_bucket_fn(name: str):
 
 def operator_registered(name: str) -> bool:
     return name in _OPERATORS
+
+
+@functools.lru_cache(maxsize=64)
+def decoded_params(params: bytes, decode):
+    """decode(params), once per distinct pair; the result is shared, so
+    callers must not modify it."""
+    return decode(params)
 
 
 register_operator("identity", lambda record, params: (record,))
@@ -342,7 +350,7 @@ class SpeHost:
         target = source if output.mode == OutputMode.ORIGIN else node.address
         name = seg_file_name(job, segment.ordinal)
         data = b"".join(buffer)
-        index = RecordIndex.from_sizes(len(r) for r in buffer)
+        index = RecordIndex.from_sizes(map(len, buffer))
         node.write_output(name, data, index, target=target)
         return [{"name": name, "target": target,
                  "records": len(buffer), "size": len(data)}]

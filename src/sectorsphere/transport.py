@@ -169,10 +169,6 @@ class Transport:
             channel.close()
 
 
-def open_channel(transport: Transport, peer: str) -> Channel:
-    return transport.open_channel(peer)
-
-
 class InMemoryNetwork:
     """Registry wiring in-memory endpoints together, with rtt injection."""
 
@@ -193,10 +189,6 @@ class InMemoryNetwork:
     def unlisten(self, address: str) -> None:
         with self._lock:
             self._handlers.pop(address, None)
-
-    def is_listening(self, address: str) -> bool:
-        with self._lock:
-            return address in self._handlers
 
     def _handler_for(self, address: str):
         with self._lock:

@@ -2,7 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import exhaustive_split
 from sectorsphere.benchmarks import (
     KEY_SIZE,
     RECORD_SIZE,
@@ -157,6 +160,58 @@ def test_terasplit_equals_exhaustive_oracle(key_space, n):
         parent = entropy((mine.left_counts[0] + mine.right_counts[0],
                           mine.left_counts[1] + mine.right_counts[1]))
         assert 0.0 <= mine.gain <= parent <= 1.0
+
+
+def labelled_runs(draw_keys):
+    """Sorted (key, label) pairs from (key, label) draws."""
+    return sorted((key_of(k), label) for k, label in draw_keys)
+
+
+sorted_pairs = st.one_of(
+    # few distinct keys: many duplicates, often a single label
+    st.lists(st.tuples(st.integers(0, 6), st.integers(0, 1)), min_size=1, max_size=60)
+    .map(labelled_runs),
+    # exactly two distinct keys
+    st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=2, max_size=30)
+    .map(labelled_runs),
+    # mirrored label runs: cut i and its mirror image score the same gain up
+    # to rounding, so the tie-break decides
+    st.lists(st.integers(0, 1), min_size=1, max_size=40)
+    .map(lambda labels: [(key_of(i), label)
+                         for i, label in enumerate(labels + labels[::-1])]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sorted_pairs)
+@example([(key_of(1), 0), (key_of(2), 1), (key_of(3), 1), (key_of(4), 0)])
+@example([(key_of(5), 1)] * 3)
+@example([(key_of(5), 0), (key_of(5), 1)])
+def test_terasplit_equals_exhaustive_oracle_bit_for_bit(pairs):
+    mine = terasplit_pairs(pairs)
+    oracle = exhaustive_split(pairs)
+    assert mine.threshold == oracle.threshold
+    assert mine.gain == oracle.gain
+    assert mine.left_counts == oracle.left_counts
+    assert mine.right_counts == oracle.right_counts
+
+
+def test_terasplit_result_ignores_rounding_of_the_vector_scores(monkeypatch):
+    """numpy's log2 may round differently from math.log2; the kernel must
+    still return the scalar arithmetic's best cut, ties to the smallest key."""
+    from sectorsphere import benchmarks
+
+    exact = benchmarks._entropies
+    noise = random.Random(4)
+    monkeypatch.setattr(benchmarks, "_entropies", lambda counts: exact(counts) + [
+        noise.uniform(-1e-12, 1e-12) for _ in range(len(counts))])
+    rng = random.Random(8)
+    for trial in range(200):
+        labels = [rng.randrange(2) for _ in range(rng.randrange(1, 30))]
+        for pairs in ([(key_of(i), label) for i, label in enumerate(labels + labels[::-1])],
+                      sorted((key_of(rng.randrange(8)), label) for label in labels)):
+            mine, oracle = terasplit_pairs(pairs), exhaustive_split(pairs)
+            assert (mine.threshold, mine.gain) == (oracle.threshold, oracle.gain)
 
 
 def test_terasplit_single_pass():

@@ -1,0 +1,43 @@
+import pytest
+
+from sectorsphere.errors import IntegrityError
+from sectorsphere.fileops import read_records_over
+from sectorsphere.records import RecordIndex
+
+
+class ReplyChannel:
+    """Answers each call with the next canned (header, body) reply."""
+
+    def __init__(self, *replies):
+        self.replies = list(replies)
+        self.requests = []
+
+    def call(self, kind, header=None, body=b""):
+        self.requests.append(header)
+        return self.replies.pop(0)
+
+
+def read_reply(entries, records):
+    return {"rows": len(entries)}, RecordIndex(entries).to_bytes() + b"".join(records)
+
+
+def test_reply_body_is_decoded_and_capped_reads_continue():
+    channel = ReplyChannel(read_reply([(0, 3), (3, 2)], [b"abc", b"de"]),
+                           read_reply([(9, 1)], [b"f"]))
+    records, entries = read_records_over(channel, "f.dat", 4, 3)
+    assert records == [b"abc", b"de", b"f"]
+    assert entries == [(0, 3), (3, 2), (9, 1)]
+    assert [r["offset"] for r in channel.requests] == [4, 6]
+
+
+@pytest.mark.parametrize("header,body", [
+    ({"rows": 2}, RecordIndex([(0, 3)]).to_bytes() + b"abc"),            # entries cut short
+    ({"rows": 1}, RecordIndex([(0, 4)]).to_bytes() + b"abc"),            # short record
+    ({"rows": 1}, RecordIndex([(0, 2)]).to_bytes() + b"abc"),            # trailing bytes
+    ({"rows": 1}, RecordIndex([(0, 2**63)]).to_bytes() + b"abc"),        # absurd size
+    ({"rows": 0}, b""),                                                  # no progress
+    ({"rows": 3}, RecordIndex([(0, 1)] * 3).to_bytes() + b"abc"),        # more than asked
+])
+def test_malformed_read_reply_raises_integrity_error(header, body):
+    with pytest.raises(IntegrityError):
+        read_records_over(ReplyChannel((header, body)), "f.dat", 0, 2)

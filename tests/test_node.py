@@ -201,3 +201,85 @@ def test_lookup_reflects_replication(make_cluster):
     owner_node(cluster, "seq.dat").replicate_check()
     client.forget("seq.dat")
     assert len(client.locate("seq.dat")) == 3
+
+
+def gapped_file():
+    """Records with gaps between them, and an empty record."""
+    entries = [(0, 5), (7, 3), (12, 0), (12, 4), (20, 6)]
+    data = bytes(range(26))
+    return data, RecordIndex(entries), [data[o:o + s] for o, s in entries]
+
+
+def test_remote_read_equals_local_read_with_gaps(make_cluster):
+    cluster = make_cluster(2)
+    client = cluster.client()
+    data, index, expected = gapped_file()
+    client.upload(data, "gap.dat", index)
+    holder = owner_node(cluster, "gap.dat")
+    other = next(n for a, n in cluster.nodes.items() if a != holder.address)
+    local = holder.read_records("gap.dat", 0, 5)
+    assert local == (expected, list(index.entries))
+    assert other.read_records("gap.dat", 0, 5) == local
+    assert other.read_records("gap.dat", 1, 3) == holder.read_records("gap.dat", 1, 3)
+
+
+@pytest.mark.parametrize("gapped", [False, True])
+def test_remote_read_beyond_transfer_chunk_loops(make_cluster, monkeypatch, gapped):
+    from sectorsphere import node as node_module
+    from sectorsphere.fileops import read_records_over
+    from sectorsphere.wire import MessageKind
+
+    monkeypatch.setattr(node_module, "TRANSFER_CHUNK", 64)
+    cluster = make_cluster(2)
+    client = cluster.client()
+    rng = random.Random(3)
+    sizes = [rng.randrange(1, 30) for _ in range(40)]
+    if gapped:
+        entries, offset = [], 0
+        for size in sizes:
+            entries.append((offset, size))
+            offset += size + rng.randrange(0, 3)
+        index = RecordIndex(entries)
+        data = rng.randbytes(offset)
+    else:
+        index = RecordIndex.from_sizes(sizes)
+        data = rng.randbytes(sum(sizes))
+    client.upload(data, "big.dat", index)
+    holder = owner_node(cluster, "big.dat")
+    other = next(n for a, n in cluster.nodes.items() if a != holder.address)
+    channel = other.transport.open_channel(holder.address)
+    reads = []
+
+    class Counting:
+        def call(self, kind, header=None, body=b""):
+            reads.append(kind)
+            return channel.call(kind, header, body)
+
+    remote = read_records_over(Counting(), "big.dat", 2, 35)
+    assert remote == holder.read_local("big.dat", 2, 35)
+    assert remote[0] == [data[o:o + s] for o, s in index.slice(2, 35)]
+    assert len(reads) > 5 and set(reads) == {MessageKind.READ}
+
+
+def test_shuffle_batches_finalize_to_the_same_index_bytes(make_cluster):
+    import struct
+
+    from sectorsphere.sphere import bucket_file_name
+
+    cluster = make_cluster(1)
+    node = next(iter(cluster.nodes.values()))
+    path = node._path_for(bucket_file_name("job-x", 2))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(b"left over")  # appends start after what is there
+    rng = random.Random(11)
+    expected, offset = [], len(b"left over")
+    for batch in range(4):
+        sizes = [rng.randrange(0, 50) for _ in range(rng.randrange(1, 30))]
+        node.shuffle_append("job-x", 2, sizes, rng.randbytes(sum(sizes)))
+        for size in sizes:
+            expected.append(struct.pack("<QQ", offset, size))
+            offset += size
+    files = node.finalize_job("job-x")
+    assert files[0]["records"] == len(expected) and files[0]["size"] == offset
+    assert path.with_name(path.name + ".idx").read_bytes() == b"".join(expected)
+    assert node.meta(files[0]["name"]).index_bytes == 16 * len(expected)

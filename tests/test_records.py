@@ -58,3 +58,25 @@ def test_read_without_index(tmp_path):
     write_record_file(path, b"opaque", None)
     data, index = read_record_file(path)
     assert data == b"opaque" and index is None
+
+
+def test_validate_rejects_u64_overflow():
+    with pytest.raises(IntegrityError):
+        RecordIndex([(2**63, 2**63)]).validate(100)
+    # the end of the second entry wraps to 5, inside the file
+    with pytest.raises(IntegrityError):
+        RecordIndex([(0, 10), (2**64 - 5, 10)]).validate(2**64 - 1)
+
+
+def test_from_bytes_is_a_read_only_view():
+    blob = RecordIndex([(0, 5), (7, 3)]).to_bytes()
+    index = RecordIndex.from_bytes(blob)
+    assert index.array.shape == (2, 2) and not index.array.flags.writeable
+    assert index.entries == ((0, 5), (7, 3))
+    assert len(RecordIndex.from_bytes(b"")) == 0
+
+
+def test_from_sizes_and_uniform_start_offset():
+    assert RecordIndex.from_sizes([3, 0, 4], start=10).entries == ((10, 3), (13, 0), (13, 4))
+    assert RecordIndex.from_sizes(iter([2, 2])) == RecordIndex.uniform(2, 2)
+    assert RecordIndex.uniform(2, 100, start=200).entries == ((200, 100), (300, 100))
