@@ -286,7 +286,7 @@ def emergence_score(x, emergent_clusters) -> float:
 
 def format_feature_record(v: FeatureVector, delimiter: str = ",") -> bytes:
     parts = [v.entity, repr(float(v.timestamp))]
-    parts.extend(repr(float(x)) for x in v.values)
+    parts.extend(map(repr, v.values.tolist()))
     return delimiter.join(parts).encode()
 
 
@@ -339,8 +339,11 @@ sphere.register_operator("window-cluster", _cluster_segment, scope="segment")
 def run_pipeline_distributed(session, names, length: float, t0: float, k: int,
                              seed: int, destinations=None,
                              history_len: int = DEFAULT_HISTORY,
-                             z_threshold: float = DEFAULT_Z):
+                             z_threshold: float = DEFAULT_Z,
+                             job_id: str | None = None):
     """Window-shuffle then cluster as jobs; drift statistics on the client.
+    A given job_id names the shuffle job, and job_id + "-clusters" the
+    clustering job, so their output file names do not vary between runs.
 
     Returns (models by window index, EmergenceSeries).
     """
@@ -349,11 +352,13 @@ def run_pipeline_distributed(session, names, length: float, t0: float, k: int,
     shuffled, _ = session.run_job(
         names, "identity", params=params,
         output=sphere.OutputSpec(mode=sphere.OutputMode.SHUFFLE,
-                                 bucket="window-index", destinations=destinations))
+                                 bucket="window-index", destinations=destinations),
+        job_id=job_id)
     clustered, _ = session.run_job(
         shuffled, "window-cluster", params=params,
         output=sphere.OutputSpec(sphere.OutputMode.LOCAL),
-        limits=sphere.WHOLE_FILE_LIMITS)
+        limits=sphere.WHOLE_FILE_LIMITS,
+        job_id=(job_id + "-clusters") if job_id else None)
     models: dict[int, ClusterModel] = {}
     for name in clustered.names:
         for record in session.read_records(name, 0, session.stat(name)["records"]):
@@ -396,16 +401,18 @@ def synthetic_windows(n_windows: int, blobs: int, dim: int, per_window: int,
     rng = np.random.default_rng(seed)
     base = rng.uniform(-10.0, 10.0, size=(blobs, dim))
     vectors: list[FeatureVector] = []
+    member_center = np.arange(per_window) % len(base)
     for j in range(n_windows):
         wrng = np.random.default_rng(seed + 1000 + j)
         centers = base
         if shift_window is not None and j >= shift_window:
             centers = base.copy()
             centers[0] = base[0] + shift_offset
+        # one draw per window takes the same normals, in the same order, as
+        # one draw per vector
+        values = centers[member_center] + wrng.normal(0.0, spread, size=(per_window, dim))
         for i in range(per_window):
-            c = centers[i % len(centers)]
-            values = c + wrng.normal(0.0, spread, size=dim)
             t = j * 1.0 + (i + 0.5) / (per_window + 1)
             vectors.append(FeatureVector(entity="e%04d" % i, timestamp=t,
-                                         values=values))
+                                         values=values[i]))
     return vectors, base

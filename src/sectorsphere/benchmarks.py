@@ -81,30 +81,36 @@ def sample_boundaries(session, stream: sphere.Stream, parts: int,
     """Pick parts-1 range boundaries from key quantiles of a sample.
 
     The sample is read as up to three contiguous runs per file (head,
-    middle, tail) totalling about sample_target records.
+    middle, tail) totalling about sample_target records; the files are
+    read at once, one thread each.
     """
     if parts < 1:
         raise ValueError("need at least one partition")
     total = stream.total_records
     if total == 0 or parts == 1:
         return []
-    keys: list[bytes] = []
     per_file = max(1, sample_target // max(1, len(stream.files)))
-    for f in stream.files:
-        if f.records == 0:
-            continue
+
+    def sample(f: sphere.StreamFile) -> list[bytes]:
         quota = min(per_file, f.records)
         run = max(1, quota // 3)
         starts = sorted({0, max(0, f.records // 2 - run // 2),
                          max(0, f.records - run)})
-        taken = 0
+        keys, taken = [], 0
         for start in starts:
             if taken >= quota:
                 break
             rows = min(run, f.records - start, quota - taken)
-            for record in session.read_records(f.name, start, rows):
-                keys.append(record[:KEY_SIZE])
+            keys.extend(record[:KEY_SIZE]
+                        for record in session.read_records(f.name, start, rows))
             taken += rows
+        return keys
+
+    keys: list[bytes] = []
+    for result in sphere.call_each(sample, [f for f in stream.files if f.records]):
+        if isinstance(result, Exception):
+            raise result
+        keys.extend(result)
     keys.sort()
     boundaries = []
     for i in range(1, parts):

@@ -31,6 +31,7 @@ class ClientSession:
         self.profile = profile
         self.job_timeout = job_timeout
         self.resolved: dict[str, list[str]] = {}
+        self.stats: dict[str, dict] = {}   # name -> the STAT header its LOOKUP carried
         self.progress_events: list[dict] = []
         self._lock = threading.Lock()
         self._listening = listen
@@ -65,7 +66,8 @@ class ClientSession:
         return self.transport.open_channel(self.entry_server)
 
     def locate(self, name: str) -> list[str]:
-        """Resolve every node holding a replica, nearest (by rtt) first."""
+        """Resolve every node holding a replica, nearest (by rtt) first, and
+        keep the file's STAT header that the LOOKUP reply carries."""
         with self._lock:
             cached = self.resolved.get(name)
         if cached:
@@ -73,19 +75,26 @@ class ClientSession:
         try:
             header, _ = self._entry().call(MessageKind.LOOKUP, {"name": name})
         except NotFoundError:
-            with self._lock:
-                self.resolved.pop(name, None)
+            self.forget(name)
             raise
         locations = header["locations"]
         if self.profile is not None:
             locations.sort(key=lambda a: (self.profile.rtt(self.address, a), a))
         with self._lock:
             self.resolved[name] = list(locations)
+            if header.get("stat"):
+                self.stats[name] = header["stat"]
         return locations
 
     def forget(self, name: str) -> None:
         with self._lock:
             self.resolved.pop(name, None)
+            self.stats.pop(name, None)
+
+    def _cached_stat(self, name: str) -> dict | None:
+        with self._lock:
+            stat = self.stats.get(name)
+        return dict(stat) if stat is not None else None
 
     def owner_of(self, name: str) -> str:
         header, _ = self._entry().call(MessageKind.OWNER, {"name": name})
@@ -128,10 +137,11 @@ class ClientSession:
         last_error: SectorError = NotFoundError("%s has no replicas" % name)
         for attempt in range(2):
             locations = self.locate(name)
+            stat = self._cached_stat(name)
             for location in locations:
                 try:
                     channel = self.transport.open_channel(location)
-                    data, index_bytes = fetch_file(channel, name)
+                    data, index_bytes = fetch_file(channel, name, stat=stat)
                 except (TransportError, NotFoundError) as exc:
                     last_error = exc
                     self.transport.drop_channel(location)
@@ -148,8 +158,14 @@ class ClientSession:
         raise last_error
 
     def stat(self, name: str) -> dict:
+        """The file's STAT header: the one its LOOKUP carried, else asked of
+        a holder."""
+        locations = self.locate(name)
+        cached = self._cached_stat(name)
+        if cached is not None:
+            return cached
         last_error: SectorError = NotFoundError(name)
-        for location in self.locate(name):
+        for location in locations:
             try:
                 channel = self.transport.open_channel(location)
                 header, _ = channel.call(MessageKind.STAT, {"name": name})

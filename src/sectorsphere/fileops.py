@@ -1,6 +1,10 @@
 """Chunked file transfer over control channels.
 
-Whole files move as a store-begin / data / index / end sequence and are
+A store is one byte stream, the file's data followed by its index, cut
+into TRANSFER_CHUNK pieces that each travel as a STORE_DATA call. Every
+piece repeats the store's header and a token chosen by the sender, so a
+file that fits one chunk is stored by a single message; the reply to the
+piece that completes the stream reports the stored file. Files are
 fetched back in bounded ranges, so arbitrarily large files fit under the
 frame payload cap.
 """
@@ -20,32 +24,31 @@ def push_file(channel, name: str, data: bytes, index_bytes: bytes | None,
               internal: bool = False, origin: str | None = None,
               chunk: int = TRANSFER_CHUNK) -> dict:
     """Store a file (and optional index) on the channel's peer."""
+    index = index_bytes or b""
     header = {
         "name": name,
         "data_size": len(data),
         "index_size": len(index_bytes) if index_bytes is not None else -1,
         "internal": internal,
+        "token": new_token(),
     }
     if origin:
         header["origin"] = origin
-    begin, _ = channel.call(MessageKind.STORE_BEGIN, header)
-    token = begin["token"]
-    for offset in range(0, len(data), chunk):
-        channel.call(MessageKind.STORE_DATA,
-                     {"token": token, "offset": offset},
-                     data[offset:offset + chunk])
-    if index_bytes:
-        for offset in range(0, len(index_bytes), chunk):
-            channel.call(MessageKind.STORE_INDEX,
-                         {"token": token, "offset": offset},
-                         index_bytes[offset:offset + chunk])
-    done, _ = channel.call(MessageKind.STORE_END, {"token": token})
+    total = len(data) + len(index)
+    done: dict = {}
+    for offset in range(0, max(total, 1), chunk):
+        end = min(offset + chunk, total)
+        piece = data[offset:end] + index[max(0, offset - len(data)):max(0, end - len(data))]
+        done, _ = channel.call(MessageKind.STORE_DATA, {**header, "offset": offset}, piece)
     return done
 
 
-def fetch_file(channel, name: str, chunk: int = TRANSFER_CHUNK) -> tuple[bytes, bytes | None]:
-    """Fetch a file and its index from the channel's peer."""
-    stat, _ = channel.call(MessageKind.STAT, {"name": name})
+def fetch_file(channel, name: str, chunk: int = TRANSFER_CHUNK,
+               stat: dict | None = None) -> tuple[bytes, bytes | None]:
+    """Fetch a file and its index from the channel's peer; `stat`, the
+    file's STAT header when the caller has it, saves asking for it."""
+    if stat is None:
+        stat, _ = channel.call(MessageKind.STAT, {"name": name})
     data = _fetch_range(channel, MessageKind.FETCH, name, stat["size"], chunk)
     index_bytes = None
     if stat["indexed"]:

@@ -5,6 +5,12 @@ local data directory, answers lookups for names it owns on the ring,
 serves record reads and whole-file fetches, gates client uploads by an
 address ACL, coordinates replication for owned names, and hosts the
 compute workers that execute job segments.
+
+A holder registers each file with the name's ring owner together with
+the file's STAT header (records, size, indexed, index_bytes, origin).
+The owner keeps the last header it was sent, and a LOOKUP reply carries
+it as `stat` next to `locations`, so a client needs no STAT after a
+LOOKUP; `stat` is null when the owner has no header for the name.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 import logging
 import random
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +32,7 @@ from .errors import (
     SectorError,
     TransportError,
 )
-from .fileops import TRANSFER_CHUNK, new_token, push_file, read_records_over
+from .fileops import TRANSFER_CHUNK, push_file, read_records_over
 from .records import ENTRY_SIZE, RecordIndex, index_path
 from .routing import RingView
 from .transport import Transport, error_reply, reply
@@ -64,13 +70,17 @@ class FileMeta:
 @dataclass
 class _StoreBuffer:
     name: str
-    data: bytearray
-    index: bytearray | None
+    data_size: int
+    index_size: int      # -1: the file has no index
     sender: str          # transport origin; what access control judges
     origin: str          # file origin metadata, carried along on replication
     internal: bool
+    pieces: list = field(default_factory=list)
     received: int = 0
-    index_received: int = 0
+
+    @property
+    def total(self) -> int:
+        return self.data_size + max(self.index_size, 0)
 
 
 class StorageNode:
@@ -83,6 +93,7 @@ class StorageNode:
         self.data_dir.mkdir(parents=True, exist_ok=True)
         self.files: dict[str, FileMeta] = {}
         self.registry: dict[str, list[str]] = {}
+        self.stats: dict[str, dict] = {}   # owned name -> its last registered STAT header
         self._meta_lock = threading.RLock()
         self._name_locks: dict[str, threading.Lock] = {}
         self._stores: dict[str, _StoreBuffer] = {}
@@ -119,14 +130,15 @@ class StorageNode:
         with self._meta_lock:
             self.ring = ring
             self.registry = {}
+            self.stats = {}
 
     def reannounce(self) -> None:
         """Phase 2: re-register local holdings with their (possibly new) owners."""
         with self._meta_lock:
-            names = list(self.files)
-        for name in names:
+            held = list(self.files.items())
+        for name, meta in held:
             try:
-                self._register(name, self.address)
+                self._register(name, meta)
             except TransportError as exc:
                 log.warning("could not re-register %s: %s", name, exc)
 
@@ -180,7 +192,7 @@ class StorageNode:
             )
             with self._meta_lock:
                 self.files[name] = meta
-        self._register(name, self.address)
+        self._register(name, meta)
         return meta
 
     def _check_write_access(self, origin: str, internal: bool) -> None:
@@ -197,33 +209,44 @@ class StorageNode:
             raise AccessDeniedError(
                 "%s is not in the write ACL of %s" % (origin, self.address))
 
-    def _register(self, name: str, holder: str) -> None:
+    def _register(self, name: str, meta: FileMeta) -> None:
+        """Tell the name's owner that this node holds it, and its STAT header."""
+        stat = asdict(meta)
         owner = self.ring.owner(name)
         if owner.address == self.address:
-            self.register_holder(name, holder)
+            self.register_holder(name, self.address, stat)
         else:
             channel = self.transport.open_channel(owner.address)
-            channel.call(MessageKind.REGISTER, {"name": name, "holder": holder})
+            channel.call(MessageKind.REGISTER,
+                         {"name": name, "holder": self.address, "stat": stat})
 
-    def register_holder(self, name: str, holder: str) -> None:
+    def register_holder(self, name: str, holder: str, stat: dict | None = None) -> None:
         with self._meta_lock:
             holders = self.registry.setdefault(name, [])
             if holder not in holders:
                 holders.append(holder)
+            if stat is not None:
+                self.stats[name] = stat
 
     # ---------------------------------------------------------------- lookup
 
-    def lookup(self, name: str) -> list[str]:
+    def lookup(self, name: str, stat: dict | None = None) -> list[str]:
+        """The nodes that hold name. A given `stat` dict is filled with the
+        STAT header its owner last had registered, if the owner has one."""
         owner = self.ring.owner(name)
         if owner.address == self.address:
             with self._meta_lock:
                 holders = list(self.registry.get(name, ()))
+                known = self.stats.get(name)
             if not holders:
                 raise NotFoundError("no replica of %s is registered" % name)
-            return holders
-        channel = self.transport.open_channel(owner.address)
-        header, _ = channel.call(MessageKind.LOOKUP, {"name": name})
-        return header["locations"]
+        else:
+            channel = self.transport.open_channel(owner.address)
+            header, _ = channel.call(MessageKind.LOOKUP, {"name": name})
+            holders, known = header["locations"], header.get("stat")
+        if stat is not None and known:
+            stat.update(known)
+        return holders
 
     # ----------------------------------------------------------------- reads
 
@@ -339,6 +362,9 @@ class StorageNode:
                       origin=self.address)
 
     def shuffle_append(self, job: str, bucket: int, sizes: list[int], body: bytes) -> None:
+        if any(size < 0 for size in sizes) or sum(sizes) != len(body):
+            raise IntegrityError("shuffle batch sizes add up to %d, the body has %d bytes"
+                                 % (sum(sizes), len(body)))
         name = sphere.bucket_file_name(job, bucket)
         path = self._path_for(name)
         with self._lock_for(name):
@@ -370,7 +396,7 @@ class StorageNode:
                                 origin=self.address, index_bytes=len(index_bytes))
                 with self._meta_lock:
                     self.files[name] = meta
-            self._register(name, self.address)
+            self._register(name, meta)
             results.append({"name": name, "bucket": bucket,
                             "records": meta.records, "size": meta.size})
         return results
@@ -392,29 +418,21 @@ class StorageNode:
         if kind == MessageKind.PING:
             return reply(msg, MessageKind.OK, {"pong": True, "node": self.address})
         if kind == MessageKind.LOOKUP:
-            return reply(msg, MessageKind.OK, {"locations": self.lookup(header["name"])})
+            stat: dict = {}
+            locations = self.lookup(header["name"], stat)
+            return reply(msg, MessageKind.OK, {"locations": locations, "stat": stat or None})
         if kind == MessageKind.OWNER:
             return reply(msg, MessageKind.OK,
                          {"owner": self.ring.owner(header["name"]).address})
         if kind == MessageKind.MEMBERS:
             return reply(msg, MessageKind.OK, {"addresses": list(self.ring.addresses)})
         if kind == MessageKind.REGISTER:
-            self.register_holder(header["name"], header["holder"])
+            self.register_holder(header["name"], header["holder"], header.get("stat"))
             return reply(msg, MessageKind.OK, {})
         if kind == MessageKind.STAT:
-            meta = self.meta(header["name"])
-            return reply(msg, MessageKind.OK,
-                         {"records": meta.records, "size": meta.size,
-                          "indexed": meta.indexed, "index_bytes": meta.index_bytes,
-                          "origin": meta.origin})
-        if kind == MessageKind.STORE_BEGIN:
-            return self._op_store_begin(origin, msg, header)
+            return reply(msg, MessageKind.OK, asdict(self.meta(header["name"])))
         if kind == MessageKind.STORE_DATA:
-            return self._op_store_chunk(msg, header, body, into_index=False)
-        if kind == MessageKind.STORE_INDEX:
-            return self._op_store_chunk(msg, header, body, into_index=True)
-        if kind == MessageKind.STORE_END:
-            return self._op_store_end(msg, header)
+            return self._op_store_data(origin, msg, header, body)
         if kind == MessageKind.READ:
             return self._op_read(msg, header)
         if kind == MessageKind.FETCH:
@@ -427,9 +445,6 @@ class StorageNode:
         if kind == MessageKind.SPE_RUN:
             report = self.spe_host.run_segment(origin, header)
             return reply(msg, MessageKind.OK, report)
-        if kind == MessageKind.SPE_RELEASE:
-            self.spe_host.release(header.get("job"))
-            return reply(msg, MessageKind.OK, {})
         if kind == MessageKind.SHUFFLE_APPEND:
             self.shuffle_append(header["job"], header["bucket"], header["sizes"], body)
             return reply(msg, MessageKind.OK, {})
@@ -437,58 +452,38 @@ class StorageNode:
             return reply(msg, MessageKind.OK, {"files": self.finalize_job(header["job"])})
         raise SectorError("unsupported message kind %s" % kind)
 
-    def _op_store_begin(self, origin: str, msg: Message, header: dict) -> Message:
-        internal = bool(header.get("internal"))
-        self._check_write_access(origin, internal)
-        index_size = header["index_size"]
-        buffer = _StoreBuffer(
-            name=header["name"],
-            data=bytearray(header["data_size"]),
-            index=bytearray(index_size) if index_size >= 0 else None,
-            sender=origin,
-            origin=header.get("origin", origin),
-            internal=internal,
-        )
-        token = new_token()
-        with self._meta_lock:
-            self._stores[token] = buffer
-        return reply(msg, MessageKind.OK, {"token": token})
-
-    def _store_buffer(self, token: str) -> _StoreBuffer:
+    def _op_store_data(self, origin: str, msg: Message, header: dict, body: bytes) -> Message:
+        """One piece of a store's data-then-index stream. The first piece
+        opens the store, and the piece that completes it commits the file."""
+        token = header["token"]
         with self._meta_lock:
             buffer = self._stores.get(token)
         if buffer is None:
-            raise SectorError("unknown store token")
-        return buffer
-
-    def _op_store_chunk(self, msg: Message, header: dict, body: bytes,
-                        into_index: bool) -> Message:
-        buffer = self._store_buffer(header["token"])
-        offset = header["offset"]
-        target = buffer.index if into_index else buffer.data
-        if target is None or offset + len(body) > len(target):
-            raise IntegrityError("store chunk outside announced size")
-        target[offset:offset + len(body)] = body
-        if into_index:
-            buffer.index_received += len(body)
-        else:
-            buffer.received += len(body)
-        return reply(msg, MessageKind.OK, {})
-
-    def _op_store_end(self, msg: Message, header: dict) -> Message:
-        token = header["token"]
-        buffer = self._store_buffer(token)
-        if buffer.received != len(buffer.data):
-            raise IntegrityError("store of %s incomplete: %d of %d data bytes"
-                                 % (buffer.name, buffer.received, len(buffer.data)))
-        if buffer.index is not None and buffer.index_received != len(buffer.index):
-            raise IntegrityError("store of %s incomplete: %d of %d index bytes"
-                                 % (buffer.name, buffer.index_received, len(buffer.index)))
-        index = RecordIndex.from_bytes(bytes(buffer.index)) if buffer.index is not None else None
-        meta = self.store_file(buffer.sender, buffer.name, bytes(buffer.data),
-                               index, internal=buffer.internal, origin=buffer.origin)
+            internal = bool(header.get("internal"))
+            self._check_write_access(origin, internal)
+            if header["data_size"] < 0 or header["index_size"] < -1:
+                raise IntegrityError("store of %s announces a negative size" % header["name"])
+            buffer = _StoreBuffer(name=header["name"], data_size=header["data_size"],
+                                  index_size=header["index_size"], sender=origin,
+                                  origin=header.get("origin", origin), internal=internal)
+        if buffer.sender != origin:
+            raise AccessDeniedError("the store of %s was opened by another sender" % buffer.name)
+        if header["offset"] != buffer.received or buffer.received + len(body) > buffer.total:
+            raise IntegrityError("store piece at %d of %s is out of order or past its %d bytes"
+                                 % (header["offset"], buffer.name, buffer.total))
+        buffer.pieces.append(body)
+        buffer.received += len(body)
         with self._meta_lock:
+            if buffer.received < buffer.total:
+                self._stores[token] = buffer
+                return reply(msg, MessageKind.OK, {})
             self._stores.pop(token, None)
+        stream = b"".join(buffer.pieces)
+        index = None
+        if buffer.index_size >= 0:
+            index = RecordIndex.from_bytes(stream[buffer.data_size:])
+        meta = self.store_file(buffer.sender, buffer.name, stream[:buffer.data_size],
+                               index, internal=buffer.internal, origin=buffer.origin)
         return reply(msg, MessageKind.OK, {"records": meta.records, "size": meta.size})
 
     def _op_read(self, msg: Message, header: dict) -> Message:

@@ -239,12 +239,8 @@ class SpeHost:
     def __init__(self, node, slots: int = 1):
         self.node = node
         self.slots = threading.Semaphore(slots)
-        self.active: dict[str, set[int]] = defaultdict(set)
+        self.active: dict[str, set[int]] = defaultdict(set)  # job -> running ordinals
         self._lock = threading.Lock()
-
-    def release(self, job: str | None) -> None:
-        with self._lock:
-            self.active.pop(job, None)
 
     def run_segment(self, origin: str, header: dict) -> dict:
         job = header["job"]
@@ -265,7 +261,10 @@ class SpeHost:
         finally:
             self.slots.release()
             with self._lock:
-                self.active.get(job, set()).discard(segment.ordinal)
+                running = self.active[job]
+                running.discard(segment.ordinal)
+                if not running:
+                    del self.active[job]
         report["duration"] = time.monotonic() - started
         report["node"] = self.node.address
         report["ordinal"] = segment.ordinal
@@ -393,6 +392,28 @@ class SpeHost:
         raise last if last is not None else TransportError("no shuffle destination up")
 
 
+def call_each(fn, items) -> list:
+    """fn(item) for every item, each call in its own short-lived thread so
+    that their network waits overlap. Returns the results in item order,
+    with the exception a call raised in place of its result."""
+    items = list(items)
+    results: list = [None] * len(items)
+
+    def call(i: int, item) -> None:
+        try:
+            results[i] = fn(item)
+        except Exception as exc:
+            results[i] = exc
+
+    threads = [threading.Thread(target=call, args=pair, daemon=True)
+               for pair in enumerate(items)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    return results
+
+
 def _normalize(result) -> list[bytes]:
     if result is None:
         return []
@@ -475,34 +496,30 @@ def run_job(session, stream: Stream, operator_name: str, params: bytes = b"",
             else:
                 sched.fail(spe, task, result.get("error", "segment failed"))
 
-    threads = [threading.Thread(target=worker, args=(spe,), daemon=True) for spe in spes]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    for error in call_each(worker, spes):
+        if error is not None:
+            raise error
 
     report.events = sched.events
     report.failed = sched.failures
-    for node_address in nodes:
-        try:
-            channel = session.transport.open_channel(node_address)
-            channel.call(MessageKind.SPE_RELEASE, {"job": job_id})
-        except TransportError:
-            pass
 
     output_files: list[dict] = []
     if output.mode == OutputMode.SHUFFLE:
         # a down destination is fine: its batches were redirected, so its
         # buckets are finalized wherever they landed
-        finalize_targets = dict.fromkeys(list(output.destinations) + nodes)
-        for dest in finalize_targets:
-            try:
-                channel = session.transport.open_channel(dest)
-                header, _ = channel.call(MessageKind.FINALIZE_JOB, {"job": job_id})
-            except TransportError as exc:
-                log.warning("cannot finalize %s on %s: %s", job_id, dest, exc)
+        finalize_targets = list(dict.fromkeys(list(output.destinations) + nodes))
+
+        def finalize(dest: str) -> dict:
+            channel = session.transport.open_channel(dest)
+            return channel.call(MessageKind.FINALIZE_JOB, {"job": job_id})[0]
+
+        for dest, result in zip(finalize_targets, call_each(finalize, finalize_targets)):
+            if isinstance(result, TransportError):
+                log.warning("cannot finalize %s on %s: %s", job_id, dest, result)
                 continue
-            for info in header["files"]:
+            if isinstance(result, Exception):
+                raise result
+            for info in result["files"]:
                 output_files.append({**info, "target": dest})
         output_files.sort(key=lambda f: f["bucket"])
     else:

@@ -22,6 +22,7 @@ from sectorsphere.angle import (
     window_partition,
     write_feature_file,
 )
+from sectorsphere.records import RecordIndex, read_record_file
 
 
 def fv(t, values, entity="e"):
@@ -264,6 +265,34 @@ def test_feature_file_round_trip(tmp_path):
         assert np.array_equal(parsed.values, original.values)
 
 
+def per_vector_feature_lines(n_windows, blobs, dim, per_window, seed, shift_window,
+                             shift_offset=25.0, spread=0.05):
+    """The generator and the record format written one vector at a time."""
+    base = np.random.default_rng(seed).uniform(-10.0, 10.0, size=(blobs, dim))
+    lines = []
+    for j in range(n_windows):
+        wrng = np.random.default_rng(seed + 1000 + j)
+        centers = base.copy()
+        if j >= shift_window:
+            centers[0] = base[0] + shift_offset
+        for i in range(per_window):
+            values = centers[i % blobs] + wrng.normal(0.0, spread, size=dim)
+            t = j * 1.0 + (i + 0.5) / (per_window + 1)
+            parts = ["e%04d" % i, repr(float(t))] + [repr(float(x)) for x in values]
+            lines.append(",".join(parts).encode() + b"\n")
+    return lines
+
+
+def test_generated_feature_file_matches_the_per_vector_formula(tmp_path):
+    shape = dict(n_windows=7, blobs=3, dim=4, per_window=11, seed=4000, shift_window=5)
+    vectors, _ = synthetic_windows(**shape)
+    path = tmp_path / "features.txt"
+    write_feature_file(path, vectors)
+    lines = per_vector_feature_lines(**shape)
+    assert path.read_bytes() == b"".join(lines)
+    assert read_record_file(path)[1] == RecordIndex.from_sizes(map(len, lines))
+
+
 def test_parse_feature_record_rejects_short_lines():
     with pytest.raises(ValueError):
         parse_feature_record(b"entity,1.0")
@@ -295,3 +324,21 @@ def test_distributed_pipeline_equals_local(make_cluster, tmp_path):
         assert np.array_equal(local_models[j].weights, dist_models[j].weights)
     assert local_series.flags == dist_series.flags
     assert local_series.deltas == dist_series.deltas
+
+
+def test_pinned_job_ids_register_the_same_file_names(make_cluster, tmp_path):
+    vectors, _ = synthetic_windows(n_windows=12, blobs=2, dim=2, per_window=20,
+                                   seed=8, shift_window=10)
+    path = tmp_path / "f.txt"
+    write_feature_file(path, vectors)
+    registered = []
+    for _ in range(2):
+        cluster = make_cluster(3)
+        client = cluster.client()
+        client.upload(path, "ang/f.txt")
+        run_pipeline_distributed(client, ["ang/f.txt"], length=1.0, t0=0.0, k=2,
+                                 seed=5, job_id="pinned")
+        registered.append({name for node in cluster.nodes.values() for name in node.registry})
+    assert registered[0] == registered[1]
+    assert {name.split("/")[0] for name in registered[0]} == {"ang", "pinned",
+                                                              "pinned-clusters"}

@@ -283,3 +283,19 @@ def test_shuffle_batches_finalize_to_the_same_index_bytes(make_cluster):
     assert files[0]["records"] == len(expected) and files[0]["size"] == offset
     assert path.with_name(path.name + ".idx").read_bytes() == b"".join(expected)
     assert node.meta(files[0]["name"]).index_bytes == 16 * len(expected)
+
+
+@pytest.mark.parametrize("sizes, body", [([5], b"0123456789"), ([12], b"0123456789"),
+                                         ([-2, 12], b"0123456789")])
+def test_shuffle_batch_whose_sizes_miss_its_body_is_refused(make_cluster, sizes, body):
+    from sectorsphere.sphere import bucket_file_name
+
+    cluster = make_cluster(1)
+    node = next(iter(cluster.nodes.values()))
+    with pytest.raises(IntegrityError):
+        node.shuffle_append("job-y", 0, sizes, body)
+    path = node._path_for(bucket_file_name("job-y", 0))
+    assert not path.exists() or path.read_bytes() == b""
+    node.shuffle_append("job-y", 0, [3], b"abc")
+    files = node.finalize_job("job-y")
+    assert files[0]["records"] == 1 and files[0]["size"] == 3
