@@ -33,6 +33,7 @@ from .errors import (
     RoutingError,
     RpcTimeoutError,
     SectorError,
+    StaleError,
     TransportError,
 )
 from .node import NodeConfig, StorageNode

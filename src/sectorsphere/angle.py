@@ -360,10 +360,9 @@ def run_pipeline_distributed(session, names, length: float, t0: float, k: int,
         limits=sphere.WHOLE_FILE_LIMITS,
         job_id=(job_id + "-clusters") if job_id else None)
     models: dict[int, ClusterModel] = {}
-    for name in clustered.names:
-        for record in session.read_records(name, 0, session.stat(name)["records"]):
-            blob = json.loads(record.decode())
-            models[blob["window"]] = ClusterModel.from_json(blob["model"])
+    for record in session.iter_records(clustered.names):
+        blob = json.loads(record.decode())
+        models[blob["window"]] = ClusterModel.from_json(blob["model"])
     ordered = [models[j] for j in sorted(models)]
     series = detect_emergent(ordered, history_len=history_len, z_threshold=z_threshold)
     return models, series

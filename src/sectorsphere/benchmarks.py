@@ -81,8 +81,9 @@ def sample_boundaries(session, stream: sphere.Stream, parts: int,
     """Pick parts-1 range boundaries from key quantiles of a sample.
 
     The sample is read as up to three contiguous runs per file (head,
-    middle, tail) totalling about sample_target records; the files are
-    read at once, one thread each.
+    middle, tail) totalling about sample_target records. Files are grouped
+    by their nearest holder; each group is read in turn, and the groups at
+    once, one thread each.
     """
     if parts < 1:
         raise ValueError("need at least one partition")
@@ -91,23 +92,30 @@ def sample_boundaries(session, stream: sphere.Stream, parts: int,
         return []
     per_file = max(1, sample_target // max(1, len(stream.files)))
 
-    def sample(f: sphere.StreamFile) -> list[bytes]:
-        quota = min(per_file, f.records)
-        run = max(1, quota // 3)
-        starts = sorted({0, max(0, f.records // 2 - run // 2),
-                         max(0, f.records - run)})
-        keys, taken = [], 0
-        for start in starts:
-            if taken >= quota:
-                break
-            rows = min(run, f.records - start, quota - taken)
-            keys.extend(record[:KEY_SIZE]
-                        for record in session.read_records(f.name, start, rows))
-            taken += rows
+    def sample(files: list[sphere.StreamFile]) -> list[bytes]:
+        keys = []
+        for f in files:
+            expect = {"size": f.size, "records": f.records, "indexed": not f.file_level}
+            quota = min(per_file, f.records)
+            run = max(1, quota // 3)
+            starts = sorted({0, max(0, f.records // 2 - run // 2),
+                             max(0, f.records - run)})
+            taken = 0
+            for start in starts:
+                if taken >= quota:
+                    break
+                rows = min(run, f.records - start, quota - taken)
+                keys.extend(record[:KEY_SIZE] for record in
+                            session.read_records(f.name, start, rows, expect))
+                taken += rows
         return keys
 
+    by_holder: dict[str, list[sphere.StreamFile]] = {}
+    for f in stream.files:
+        if f.records:
+            by_holder.setdefault(f.locations[0] if f.locations else "", []).append(f)
     keys: list[bytes] = []
-    for result in sphere.call_each(sample, [f for f in stream.files if f.records]):
+    for result in sphere.call_each(sample, by_holder.values()):
         if isinstance(result, Exception):
             raise result
         keys.extend(result)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import sphere
 from .errors import JobError, NotFoundError, SectorError, TransportError
-from .fileops import fetch_file, push_file, read_records_over
+from .fileops import expectation, fetch_file, push_file, read_records_over
 from .records import INDEX_SUFFIX, RecordIndex
 from .transport import Transport, error_reply, reply
 from .wire import Message, MessageKind, unpack_payload
@@ -31,7 +31,9 @@ class ClientSession:
         self.profile = profile
         self.job_timeout = job_timeout
         self.resolved: dict[str, list[str]] = {}
-        self.stats: dict[str, dict] = {}   # name -> the STAT header its LOOKUP carried
+        # name -> the STAT header its last LOOKUP carried; a hint only, that
+        # holders confirm on every read or fetch made against it
+        self.hints: dict[str, dict] = {}
         self.progress_events: list[dict] = []
         self._lock = threading.Lock()
         self._listening = listen
@@ -66,12 +68,16 @@ class ClientSession:
         return self.transport.open_channel(self.entry_server)
 
     def locate(self, name: str) -> list[str]:
-        """Resolve every node holding a replica, nearest (by rtt) first, and
-        keep the file's STAT header that the LOOKUP reply carries."""
+        """Resolve every node holding a replica, nearest (by rtt) first."""
         with self._lock:
             cached = self.resolved.get(name)
         if cached:
             return list(cached)
+        return self._lookup(name)[0]
+
+    def _lookup(self, name: str) -> tuple[list[str], dict]:
+        """Ask the name's owner for the holders, nearest first, and for the
+        file's STAT header; both are cached."""
         try:
             header, _ = self._entry().call(MessageKind.LOOKUP, {"name": name})
         except NotFoundError:
@@ -82,19 +88,21 @@ class ClientSession:
             locations.sort(key=lambda a: (self.profile.rtt(self.address, a), a))
         with self._lock:
             self.resolved[name] = list(locations)
-            if header.get("stat"):
-                self.stats[name] = header["stat"]
-        return locations
+            self.hints[name] = header["stat"]
+        return locations, header["stat"]
+
+    def _hinted(self, name: str) -> tuple[list[str], dict]:
+        """The cached holders and header, else a LOOKUP's."""
+        with self._lock:
+            locations, hint = self.resolved.get(name), self.hints.get(name)
+        if locations and hint is not None:
+            return list(locations), hint
+        return self._lookup(name)
 
     def forget(self, name: str) -> None:
         with self._lock:
             self.resolved.pop(name, None)
-            self.stats.pop(name, None)
-
-    def _cached_stat(self, name: str) -> dict | None:
-        with self._lock:
-            stat = self.stats.get(name)
-        return dict(stat) if stat is not None else None
+            self.hints.pop(name, None)
 
     def owner_of(self, name: str) -> str:
         header, _ = self._entry().call(MessageKind.OWNER, {"name": name})
@@ -136,8 +144,7 @@ class ClientSession:
         destination = Path(destination)
         last_error: SectorError = NotFoundError("%s has no replicas" % name)
         for attempt in range(2):
-            locations = self.locate(name)
-            stat = self._cached_stat(name)
+            locations, stat = self._hinted(name)
             for location in locations:
                 try:
                     channel = self.transport.open_channel(location)
@@ -153,33 +160,26 @@ class ClientSession:
                 if index_bytes is not None:
                     Path(str(destination) + INDEX_SUFFIX).write_bytes(index_bytes)
                 return len(data)
-            # every cached location failed: refresh the cache once and retry
+            # no holder has the cached version: look it up afresh once
             self.forget(name)
         raise last_error
 
     def stat(self, name: str) -> dict:
-        """The file's STAT header: the one its LOOKUP carried, else asked of
-        a holder."""
-        locations = self.locate(name)
-        cached = self._cached_stat(name)
-        if cached is not None:
-            return cached
-        last_error: SectorError = NotFoundError(name)
-        for location in locations:
-            try:
-                channel = self.transport.open_channel(location)
-                header, _ = channel.call(MessageKind.STAT, {"name": name})
-                return header
-            except (TransportError, NotFoundError) as exc:
-                last_error = exc
-        raise last_error
+        """The file's STAT header as the name's owner has it registered.
+        Each call asks afresh: a cached header goes stale unseen when another
+        client rewrites the file, and no holder is asked here to confirm it."""
+        return self._lookup(name)[1]
 
-    def read_records(self, name: str, offset: int, rows: int) -> list[bytes]:
+    def read_records(self, name: str, offset: int, rows: int,
+                     expect: dict | None = None) -> list[bytes]:
+        """Records [offset, offset + rows) from the nearest holder that has
+        them; with `expect` (fileops.expectation), from the nearest holder
+        of that version."""
         last_error: SectorError = NotFoundError(name)
         for location in self.locate(name):
             try:
                 channel = self.transport.open_channel(location)
-                records, _ = read_records_over(channel, name, offset, rows)
+                records, _ = read_records_over(channel, name, offset, rows, expect)
                 return records
             except (TransportError, NotFoundError) as exc:
                 last_error = exc
@@ -188,13 +188,31 @@ class ClientSession:
     def iter_records(self, names, batch_rows: int = 65536):
         """Iterate records of the named files in order, batching reads."""
         for name in names:
-            info = self.stat(name)
-            offset = 0
+            info, first = self._first_batch(name, batch_rows)
+            yield from first
+            expect = expectation(info)
+            offset = len(first)
             while offset < info["records"]:
                 rows = min(batch_rows, info["records"] - offset)
-                for record in self.read_records(name, offset, rows):
+                for record in self.read_records(name, offset, rows, expect):
                     yield record
                 offset += rows
+
+    def _first_batch(self, name: str, batch_rows: int) -> tuple[dict, list[bytes]]:
+        """The file's header and its first batch of records: read against
+        the cached header when a holder confirms it, else against a fresh
+        one. A cached header of an empty file has no read to confirm it."""
+        with self._lock:
+            hint = self.hints.get(name)
+        if hint is not None and hint["records"]:
+            try:
+                return hint, self.read_records(name, 0, min(batch_rows, hint["records"]),
+                                               expectation(hint))
+            except (TransportError, NotFoundError):
+                self.forget(name)
+        info = self.stat(name)
+        return info, self.read_records(name, 0, min(batch_rows, info["records"]),
+                                       expectation(info))
 
     # ------------------------------------------------------------------ jobs
 
@@ -202,8 +220,7 @@ class ClientSession:
         """Build a job input stream from stored file names."""
         files = []
         for name in names:
-            locations = self.locate(name)
-            info = self.stat(name)
+            locations, info = self._lookup(name)
             files.append(sphere.StreamFile(
                 name=name, records=info["records"], size=info["size"],
                 locations=tuple(locations), file_level=not info["indexed"]))

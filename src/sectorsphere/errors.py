@@ -33,6 +33,11 @@ class NotFoundError(SectorError):
     code = "not-found"
 
 
+class StaleError(NotFoundError):
+    """The holder's copy is not the version the caller's header describes."""
+    code = "stale"
+
+
 class IntegrityError(SectorError):
     code = "integrity"
 
@@ -63,6 +68,7 @@ _BY_CODE = {
         FrameError,
         AccessDeniedError,
         NotFoundError,
+        StaleError,
         IntegrityError,
         RangeError,
         RoutingError,

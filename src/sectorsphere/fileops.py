@@ -7,6 +7,11 @@ file that fits one chunk is stored by a single message; the reply to the
 piece that completes the stream reports the stored file. Files are
 fetched back in bounded ranges, so arbitrarily large files fit under the
 frame payload cap.
+
+A fetch or read made against a STAT header that the caller got from
+elsewhere (a LOOKUP reply) carries the header's size, record count and
+indexed flag as `expect`; a holder whose copy differs raises StaleError
+instead of serving bytes of another version.
 """
 
 from __future__ import annotations
@@ -43,26 +48,34 @@ def push_file(channel, name: str, data: bytes, index_bytes: bytes | None,
     return done
 
 
+def expectation(stat: dict) -> dict:
+    """The part of a STAT header that a holder's copy must match."""
+    return {"size": stat["size"], "records": stat["records"], "indexed": stat["indexed"]}
+
+
 def fetch_file(channel, name: str, chunk: int = TRANSFER_CHUNK,
                stat: dict | None = None) -> tuple[bytes, bytes | None]:
-    """Fetch a file and its index from the channel's peer; `stat`, the
-    file's STAT header when the caller has it, saves asking for it."""
+    """Fetch a file and its index from the channel's peer. `stat`, the
+    file's STAT header when the caller has it, saves asking for it; the
+    peer refuses with StaleError if its copy is not the one described."""
     if stat is None:
         stat, _ = channel.call(MessageKind.STAT, {"name": name})
-    data = _fetch_range(channel, MessageKind.FETCH, name, stat["size"], chunk)
+    expect = expectation(stat)
+    data = _fetch_range(channel, MessageKind.FETCH, name, stat["size"], chunk, expect)
     index_bytes = None
     if stat["indexed"]:
         index_bytes = _fetch_range(channel, MessageKind.FETCH_INDEX, name,
-                                   stat["index_bytes"], chunk)
+                                   stat["index_bytes"], chunk, expect)
     return data, index_bytes
 
 
-def _fetch_range(channel, kind, name: str, total: int, chunk: int) -> bytes:
+def _fetch_range(channel, kind, name: str, total: int, chunk: int, expect: dict) -> bytes:
     parts = []
     offset = 0
     while offset < total:
         length = min(chunk, total - offset)
-        header, body = channel.call(kind, {"name": name, "offset": offset, "length": length})
+        header, body = channel.call(kind, {"name": name, "offset": offset,
+                                           "length": length, "expect": expect})
         if len(body) != length:
             raise IntegrityError("short fetch of %s: wanted %d bytes, got %d"
                                  % (name, length, len(body)))
@@ -71,14 +84,17 @@ def _fetch_range(channel, kind, name: str, total: int, chunk: int) -> bytes:
     return b"".join(parts)
 
 
-def read_records_over(channel, name: str, offset: int, rows: int) -> tuple[list[bytes], list]:
+def read_records_over(channel, name: str, offset: int, rows: int,
+                      expect: dict | None = None) -> tuple[list[bytes], list]:
     """Read a run of records from the peer, following server-side byte caps.
-    A READ reply body is `rows` .idx entries, then those records' bytes."""
+    A READ reply body is `rows` .idx entries, then those records' bytes.
+    With `expect` (see expectation) the peer serves only the version it
+    describes."""
     records: list[bytes] = []
     entries: list = []
     while rows > 0:
-        header, body = channel.call(MessageKind.READ,
-                                    {"name": name, "offset": offset, "rows": rows})
+        header, body = channel.call(MessageKind.READ, {"name": name, "offset": offset,
+                                                       "rows": rows, "expect": expect})
         got = header["rows"]
         head = got * ENTRY_SIZE
         if not 0 < got <= rows or head > len(body):

@@ -10,7 +10,10 @@ A holder registers each file with the name's ring owner together with
 the file's STAT header (records, size, indexed, index_bytes, origin).
 The owner keeps the last header it was sent, and a LOOKUP reply carries
 it as `stat` next to `locations`, so a client needs no STAT after a
-LOOKUP; `stat` is null when the owner has no header for the name.
+LOOKUP. A holder may keep another version of the file than the one the
+header describes (a replica not yet refreshed after a re-upload), so
+reads and fetches made against the header send it back as `expect`, and
+such a holder refuses them with StaleError.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .errors import (
     NotFoundError,
     RangeError,
     SectorError,
+    StaleError,
     TransportError,
 )
 from .fileops import TRANSFER_CHUNK, push_file, read_records_over
@@ -161,11 +165,18 @@ class StorageNode:
         with self._meta_lock:
             return name in self.files
 
-    def meta(self, name: str) -> FileMeta:
+    def meta(self, name: str, expect: dict | None = None) -> FileMeta:
+        """The local file's metadata; with `expect` (fileops.expectation),
+        StaleError unless the local copy is the version it describes."""
         with self._meta_lock:
             meta = self.files.get(name)
         if meta is None:
             raise NotFoundError("%s is not stored on %s" % (name, self.address))
+        if expect is not None and (meta.size, meta.records, meta.indexed) != (
+                expect["size"], expect["records"], expect["indexed"]):
+            raise StaleError("%s on %s has %d records in %d bytes, not %d in %d"
+                             % (name, self.address, meta.records, meta.size,
+                                expect["records"], expect["size"]))
         return meta
 
     # ----------------------------------------------------------------- store
@@ -220,19 +231,18 @@ class StorageNode:
             channel.call(MessageKind.REGISTER,
                          {"name": name, "holder": self.address, "stat": stat})
 
-    def register_holder(self, name: str, holder: str, stat: dict | None = None) -> None:
+    def register_holder(self, name: str, holder: str, stat: dict) -> None:
         with self._meta_lock:
             holders = self.registry.setdefault(name, [])
             if holder not in holders:
                 holders.append(holder)
-            if stat is not None:
-                self.stats[name] = stat
+            self.stats[name] = stat
 
     # ---------------------------------------------------------------- lookup
 
     def lookup(self, name: str, stat: dict | None = None) -> list[str]:
         """The nodes that hold name. A given `stat` dict is filled with the
-        STAT header its owner last had registered, if the owner has one."""
+        STAT header that the name's owner last had registered."""
         owner = self.ring.owner(name)
         if owner.address == self.address:
             with self._meta_lock:
@@ -243,8 +253,8 @@ class StorageNode:
         else:
             channel = self.transport.open_channel(owner.address)
             header, _ = channel.call(MessageKind.LOOKUP, {"name": name})
-            holders, known = header["locations"], header.get("stat")
-        if stat is not None and known:
+            holders, known = header["locations"], header["stat"]
+        if stat is not None:
             stat.update(known)
         return holders
 
@@ -265,11 +275,11 @@ class StorageNode:
                 last_error = exc
         raise last_error
 
-    def _index_rows(self, name: str, offset: int, rows: int,
-                    max_bytes: int | None = None) -> tuple[Path, np.ndarray]:
+    def _index_rows(self, name: str, offset: int, rows: int, max_bytes: int | None = None,
+                    expect: dict | None = None) -> tuple[Path, np.ndarray]:
         """The (n, 2) index entries of local records [offset, offset + rows),
         cut before the first record past max_bytes but never to zero rows."""
-        meta = self.meta(name)
+        meta = self.meta(name, expect)
         path = self._path_for(name)
         if not meta.indexed:
             if offset != 0 or rows != 1:
@@ -328,7 +338,6 @@ class StorageNode:
                 except (TransportError, SectorError) as exc:
                     log.warning("replica push %s -> %s failed: %s", name, dest, exc)
                     continue
-                self.register_holder(name, dest)
                 actions.append({"name": name, "source": source, "dest": dest})
         return actions
 
@@ -420,14 +429,14 @@ class StorageNode:
         if kind == MessageKind.LOOKUP:
             stat: dict = {}
             locations = self.lookup(header["name"], stat)
-            return reply(msg, MessageKind.OK, {"locations": locations, "stat": stat or None})
+            return reply(msg, MessageKind.OK, {"locations": locations, "stat": stat})
         if kind == MessageKind.OWNER:
             return reply(msg, MessageKind.OK,
                          {"owner": self.ring.owner(header["name"]).address})
         if kind == MessageKind.MEMBERS:
             return reply(msg, MessageKind.OK, {"addresses": list(self.ring.addresses)})
         if kind == MessageKind.REGISTER:
-            self.register_holder(header["name"], header["holder"], header.get("stat"))
+            self.register_holder(header["name"], header["holder"], header["stat"])
             return reply(msg, MessageKind.OK, {})
         if kind == MessageKind.STAT:
             return reply(msg, MessageKind.OK, asdict(self.meta(header["name"])))
@@ -489,7 +498,7 @@ class StorageNode:
     def _op_read(self, msg: Message, header: dict) -> Message:
         """Index entries in the .idx layout, then the records' bytes."""
         path, entries = self._index_rows(header["name"], header["offset"], header["rows"],
-                                         max_bytes=TRANSFER_CHUNK)
+                                         max_bytes=TRANSFER_CHUNK, expect=header.get("expect"))
         head = entries.tobytes()
         body = bytearray(len(head) + int(entries[:, 1].sum()))
         body[:len(head)] = head
@@ -510,7 +519,7 @@ class StorageNode:
         return reply(msg, MessageKind.OK, {"rows": len(entries)}, body)
 
     def _op_fetch(self, msg: Message, header: dict, index_file: bool) -> Message:
-        meta = self.meta(header["name"])
+        meta = self.meta(header["name"], header.get("expect"))
         path = self._path_for(header["name"])
         if index_file:
             if not meta.indexed:

@@ -528,6 +528,9 @@ def run_job(session, stream: Stream, operator_name: str, params: bytes = b"",
                 output_files.extend(seg_report["outputs"])
     report.output_files = output_files
     report.elapsed = time.monotonic() - started
+    for f in output_files:
+        # a rerun under the same job_id rewrites these names, maybe elsewhere
+        session.forget(f["name"])
 
     if report.failed:
         raise JobError("job %s failed on %d segment(s): %s"

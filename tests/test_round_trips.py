@@ -7,11 +7,12 @@ import threading
 
 import pytest
 
-from sectorsphere import scenarios, sphere
-from sectorsphere.errors import AccessDeniedError, IntegrityError
-from sectorsphere.fileops import fetch_file, push_file
+from sectorsphere import benchmarks, scenarios, sphere
+from sectorsphere.errors import AccessDeniedError, IntegrityError, StaleError
+from sectorsphere.fileops import expectation, fetch_file, push_file, read_records_over
 from sectorsphere.records import RecordIndex
 from sectorsphere.sphere import OutputMode, OutputSpec, SegmentLimits
+from sectorsphere.transport import LinkProfile
 from sectorsphere.wire import MessageKind
 
 
@@ -130,6 +131,42 @@ def test_finalize_calls_are_sent_at_once(make_cluster, monkeypatch):
     assert sum(f.records for f in out.files) == 30
 
 
+def test_job_drops_the_cached_holders_of_its_outputs(make_cluster):
+    cluster = make_cluster(3)
+    client = cluster.client()
+    upload_records(client, "in.dat", [bytes([i]) * 8 for i in range(30)])
+    out, _ = client.run_job(["in.dat"], "identity", job_id="pinned")
+    for name in out.names:
+        client.locate(name)
+    rerun, _ = client.run_job(["in.dat"], "identity", job_id="pinned")
+    assert rerun.names == out.names
+    assert not set(client.resolved) & set(rerun.names)
+
+
+def test_sample_reads_use_one_thread_per_nearest_holder(make_cluster, monkeypatch):
+    cluster = make_cluster(3)
+    client = cluster.client()
+    records = [bytes([(7 * i) % 251]) * 100 for i in range(108)]
+    names = ["s/%02d.dat" % i for i in range(12)]
+    for i, name in enumerate(names):  # 9 records a file: the three sample runs take all
+        upload_records(client, name, records[9 * i:9 * (i + 1)])
+    stream = client.resolve_stream(names)
+    batches = []
+    call_each = sphere.call_each
+
+    def recorded(fn, items):
+        items = list(items)
+        batches.append(len(items))
+        return call_each(fn, items)
+
+    monkeypatch.setattr(sphere, "call_each", recorded)
+    boundaries = benchmarks.sample_boundaries(client, stream, 4, sample_target=len(records))
+    keys = sorted(r[:benchmarks.KEY_SIZE] for r in records)
+    assert boundaries == [keys[i * len(keys) // 4] for i in range(1, 4)]
+    assert batches == [len({f.locations[0] for f in stream.files})]
+    assert batches[0] <= len(cluster.nodes)
+
+
 def test_call_each_keeps_order_and_returns_exceptions():
     def half(n):
         if n % 2:
@@ -156,7 +193,7 @@ def test_concurrent_stores_and_stats_keep_every_header(make_cluster):
     assert stored == [[cluster.ring.owner(name).address] for name in names]
     assert stats == [held_stat(cluster, name) for name in names]
     assert all(stat["size"] == 3 * len(name) for stat, name in zip(stats, names))
-    assert sorted(reader.stats) == names
+    assert sorted(reader.resolved) == names
 
 
 # ------------------------------------------------------------------ lookup
@@ -199,3 +236,64 @@ def test_lookup_carries_the_header_after_a_node_dies(make_cluster, monkeypatch):
     sent = count_messages(monkeypatch, cluster)
     assert client.stat(name) == expected
     assert sent[MessageKind.LOOKUP] >= 1 and MessageKind.STAT not in sent
+
+
+# ------------------------------------------------- headers of other versions
+
+@pytest.mark.parametrize("second", [b"a much longer second version", b"v2"])
+def test_download_after_another_client_rewrites_the_file(make_cluster, tmp_path, second):
+    cluster = make_cluster(3, acl=("client-0", "client-1"))
+    reader, writer = cluster.client(), cluster.client("client-1")
+    reader.upload(b"first version", "shared.bin")
+    assert reader.stat("shared.bin")["size"] == 13
+    reader.locate("shared.bin")
+    writer.upload(second, "shared.bin")
+    assert reader.download("shared.bin", tmp_path / "shared.bin") == len(second)
+    assert (tmp_path / "shared.bin").read_bytes() == second
+    writer.upload(second * 2, "shared.bin", RecordIndex.from_sizes([len(second)] * 2))
+    assert list(reader.iter_records(["shared.bin"])) == [second, second]
+    writer.upload(second, "shared.bin")
+    assert reader.stat("shared.bin")["size"] == len(second)
+
+
+def test_iter_records_again_sends_no_lookup(make_cluster, monkeypatch):
+    cluster = make_cluster(3)
+    client = cluster.client()
+    upload_records(client, "twice.dat", [b"one", b"two", b"three"])
+    assert list(client.iter_records(["twice.dat"])) == [b"one", b"two", b"three"]
+    sent = count_messages(monkeypatch, cluster)
+    assert list(client.iter_records(["twice.dat"], batch_rows=2)) == [b"one", b"two", b"three"]
+    assert sent == {MessageKind.READ: 2}
+
+
+def test_holder_refuses_reads_and_fetches_for_another_version(make_cluster):
+    cluster = make_cluster(2)
+    client = cluster.client()
+    upload_records(client, "v.dat", [b"one", b"two"])
+    stat = held_stat(cluster, "v.dat")
+    channel = client.transport.open_channel(client.owner_of("v.dat"))
+    with pytest.raises(StaleError):
+        read_records_over(channel, "v.dat", 0, 1, {**expectation(stat), "records": 3})
+    with pytest.raises(StaleError):
+        fetch_file(channel, "v.dat", stat={**stat, "size": 99})
+    with pytest.raises(StaleError):
+        fetch_file(channel, "v.dat", stat={**stat, "indexed": False})
+    assert read_records_over(channel, "v.dat", 0, 2, expectation(stat))[0] == [b"one", b"two"]
+
+
+def test_reads_skip_a_replica_left_at_an_old_version(make_cluster, tmp_path):
+    profile = LinkProfile()
+    cluster = make_cluster(3, replica_target=2, profile=profile)
+    client = cluster.client()
+    upload_records(client, "old.dat", [b"a" * 5, b"b" * 5])
+    cluster.replication_cycle()
+    owner = client.owner_of("old.dat")
+    stale = next(h for h in owner_node(cluster, "old.dat").registry["old.dat"] if h != owner)
+    profile.set_rtt(client.address, owner, 1.0)  # the old replica is the nearest holder
+    new = [b"c" * 7, b"d" * 7, b"e" * 7]
+    upload_records(client, "old.dat", new)
+    assert cluster.nodes[stale].read_local("old.dat", 0, 2)[0] == [b"a" * 5, b"b" * 5]
+    assert client.locate("old.dat")[0] == stale
+    assert client.download("old.dat", tmp_path / "old.dat") == 21
+    assert (tmp_path / "old.dat").read_bytes() == b"".join(new)
+    assert list(client.iter_records(["old.dat"])) == new
