@@ -49,7 +49,6 @@ from .sphere import (
     register_bucket,
     register_operator,
     segment_stream,
-    shuffle_route,
 )
 from .transport import InMemoryNetwork, LinkProfile, TcpTransport
 from .wire import Message, MessageKind, decode_message, encode_message

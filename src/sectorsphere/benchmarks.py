@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import sphere
+from .fileops import expectation
 from .records import INDEX_SUFFIX, RecordIndex
 
 RECORD_SIZE = 100
@@ -95,7 +96,8 @@ def sample_boundaries(session, stream: sphere.Stream, parts: int,
     def sample(files: list[sphere.StreamFile]) -> list[bytes]:
         keys = []
         for f in files:
-            expect = {"size": f.size, "records": f.records, "indexed": not f.file_level}
+            expect = expectation({"size": f.size, "records": f.records,
+                                  "indexed": not f.file_level})
             quota = min(per_file, f.records)
             run = max(1, quota // 3)
             starts = sorted({0, max(0, f.records // 2 - run // 2),

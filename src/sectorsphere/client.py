@@ -14,8 +14,8 @@ import threading
 from pathlib import Path
 
 from . import sphere
-from .errors import JobError, NotFoundError, SectorError, TransportError
-from .fileops import expectation, fetch_file, push_file, read_records_over
+from .errors import JobError, NotFoundError, TransportError
+from .fileops import expectation, fetch_file, first_holder, push_file, read_records_over
 from .records import INDEX_SUFFIX, RecordIndex
 from .transport import Transport, error_reply, reply
 from .wire import Message, MessageKind, unpack_payload
@@ -91,14 +91,6 @@ class ClientSession:
             self.hints[name] = header["stat"]
         return locations, header["stat"]
 
-    def _hinted(self, name: str) -> tuple[list[str], dict]:
-        """The cached holders and header, else a LOOKUP's."""
-        with self._lock:
-            locations, hint = self.resolved.get(name), self.hints.get(name)
-        if locations and hint is not None:
-            return list(locations), hint
-        return self._lookup(name)
-
     def forget(self, name: str) -> None:
         with self._lock:
             self.resolved.pop(name, None)
@@ -139,30 +131,18 @@ class ClientSession:
         return [target]
 
     def download(self, name: str, destination) -> int:
-        """Fetch a file (and its index) to a local path; tries each replica
-        once, nearest first. A failed download leaves no destination file."""
+        """Fetch a file (and its index) to a local path from the nearest
+        holder that has it. A failed download leaves no destination file."""
         destination = Path(destination)
-        last_error: SectorError = NotFoundError("%s has no replicas" % name)
-        for attempt in range(2):
-            locations, stat = self._hinted(name)
-            for location in locations:
-                try:
-                    channel = self.transport.open_channel(location)
-                    data, index_bytes = fetch_file(channel, name, stat=stat)
-                except (TransportError, NotFoundError) as exc:
-                    last_error = exc
-                    self.transport.drop_channel(location)
-                    continue
-                part = destination.with_name(destination.name + ".part")
-                destination.parent.mkdir(parents=True, exist_ok=True)
-                part.write_bytes(data)
-                part.replace(destination)
-                if index_bytes is not None:
-                    Path(str(destination) + INDEX_SUFFIX).write_bytes(index_bytes)
-                return len(data)
-            # no holder has the cached version: look it up afresh once
-            self.forget(name)
-        raise last_error
+        _, (data, index_bytes) = self._against_header(
+            name, lambda channel, stat: fetch_file(channel, name, stat=stat))
+        part = destination.with_name(destination.name + ".part")
+        destination.parent.mkdir(parents=True, exist_ok=True)
+        part.write_bytes(data)
+        part.replace(destination)
+        if index_bytes is not None:
+            Path(str(destination) + INDEX_SUFFIX).write_bytes(index_bytes)
+        return len(data)
 
     def stat(self, name: str) -> dict:
         """The file's STAT header as the name's owner has it registered.
@@ -175,20 +155,16 @@ class ClientSession:
         """Records [offset, offset + rows) from the nearest holder that has
         them; with `expect` (fileops.expectation), from the nearest holder
         of that version."""
-        last_error: SectorError = NotFoundError(name)
-        for location in self.locate(name):
-            try:
-                channel = self.transport.open_channel(location)
-                records, _ = read_records_over(channel, name, offset, rows, expect)
-                return records
-            except (TransportError, NotFoundError) as exc:
-                last_error = exc
-        raise last_error
+        _, (records, _) = first_holder(self.transport, self.locate(name), lambda channel:
+                                       read_records_over(channel, name, offset, rows, expect))
+        return records
 
     def iter_records(self, names, batch_rows: int = 65536):
         """Iterate records of the named files in order, batching reads."""
         for name in names:
-            info, first = self._first_batch(name, batch_rows)
+            info, (first, _) = self._against_header(
+                name, lambda channel, stat: read_records_over(
+                    channel, name, 0, min(batch_rows, stat["records"]), expectation(stat)))
             yield from first
             expect = expectation(info)
             offset = len(first)
@@ -198,21 +174,23 @@ class ClientSession:
                     yield record
                 offset += rows
 
-    def _first_batch(self, name: str, batch_rows: int) -> tuple[dict, list[bytes]]:
-        """The file's header and its first batch of records: read against
-        the cached header when a holder confirms it, else against a fresh
-        one. A cached header of an empty file has no read to confirm it."""
+    def _against_header(self, name: str, attempt) -> tuple[dict, object]:
+        """(header, attempt(channel, header)) at the nearest holder that
+        serves the file's cached header, else at the nearest holder of a
+        fresh LOOKUP's header. The holders confirm a header only through
+        requests that carry it, so a cached header of a file with no bytes
+        or no records, which may be answered without one, is not used."""
         with self._lock:
-            hint = self.hints.get(name)
-        if hint is not None and hint["records"]:
+            locations, stat = self.resolved.get(name), self.hints.get(name)
+        if locations and stat is not None and stat["size"] and stat["records"]:
             try:
-                return hint, self.read_records(name, 0, min(batch_rows, hint["records"]),
-                                               expectation(hint))
+                return stat, first_holder(self.transport, locations,
+                                          lambda channel: attempt(channel, stat))[1]
             except (TransportError, NotFoundError):
                 self.forget(name)
-        info = self.stat(name)
-        return info, self.read_records(name, 0, min(batch_rows, info["records"]),
-                                       expectation(info))
+        locations, stat = self._lookup(name)
+        return stat, first_holder(self.transport, locations,
+                                  lambda channel: attempt(channel, stat))[1]
 
     # ------------------------------------------------------------------ jobs
 

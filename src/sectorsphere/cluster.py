@@ -68,6 +68,18 @@ class ClusterConfig:
                 return node
         raise ConfigError("no node named %r in cluster config" % name)
 
+    def node_config(self, spec: NodeSpec) -> NodeConfig:
+        """The settings of one node: its own spec plus the cluster-wide ones."""
+        return NodeConfig(
+            address=spec.address,
+            data_dir=spec.data_dir,
+            acl_writers=frozenset(spec.acl),
+            replica_target=self.replica_target,
+            check_interval=self.check_interval,
+            spe_slots=self.spe_slots,
+            seed=node_seed(self.seed, spec.address),
+        )
+
 
 def parse_cluster_config(path) -> ClusterConfig:
     parser = configparser.ConfigParser()
@@ -117,16 +129,8 @@ class LocalCluster:
             self._build_node(spec)
 
     def _build_node(self, spec: NodeSpec) -> StorageNode:
-        node_config = NodeConfig(
-            address=spec.address,
-            data_dir=spec.data_dir,
-            acl_writers=frozenset(spec.acl),
-            replica_target=self.config.replica_target,
-            check_interval=self.config.check_interval,
-            spe_slots=self.config.spe_slots,
-            seed=node_seed(self.config.seed, spec.address),
-        )
-        node = StorageNode(node_config, self.network.endpoint(spec.address), self.ring)
+        node = StorageNode(self.config.node_config(spec),
+                           self.network.endpoint(spec.address), self.ring)
         node.start()
         self.nodes[spec.address] = node
         return node
@@ -216,15 +220,6 @@ def tcp_node(config: ClusterConfig, name: str) -> StorageNode:
     """Build and start one real-socket node from a cluster config."""
     spec = config.spec(name)
     ring = RingView.from_addresses(n.address for n in config.nodes)
-    node_config = NodeConfig(
-        address=spec.address,
-        data_dir=spec.data_dir,
-        acl_writers=frozenset(spec.acl),
-        replica_target=config.replica_target,
-        check_interval=config.check_interval,
-        spe_slots=config.spe_slots,
-        seed=node_seed(config.seed, spec.address),
-    )
-    node = StorageNode(node_config, TcpTransport(spec.address), ring)
+    node = StorageNode(config.node_config(spec), TcpTransport(spec.address), ring)
     node.start(replicate_in_background=True)
     return node

@@ -11,14 +11,15 @@ frame payload cap.
 A fetch or read made against a STAT header that the caller got from
 elsewhere (a LOOKUP reply) carries the header's size, record count and
 indexed flag as `expect`; a holder whose copy differs raises StaleError
-instead of serving bytes of another version.
+instead of serving bytes of another version. Callers that may use any
+of a file's holders try them in order through first_holder.
 """
 
 from __future__ import annotations
 
 import uuid
 
-from .errors import IntegrityError
+from .errors import IntegrityError, NotFoundError, SectorError, TransportError
 from .records import ENTRY_SIZE, RecordIndex
 from .wire import MessageKind
 
@@ -112,6 +113,20 @@ def read_records_over(channel, name: str, offset: int, rows: int,
         offset += got
         rows -= got
     return records, entries
+
+
+def first_holder(transport, holders, attempt) -> tuple:
+    """(holder, attempt(channel)) at the first of `holders` that answers.
+    A holder that cannot be reached (TransportError) or has no copy of the
+    version asked for (NotFoundError, StaleError) is skipped; any other
+    error propagates. When no holder answers, the last error is raised."""
+    error: SectorError = NotFoundError("no holder to try")
+    for holder in holders:
+        try:
+            return holder, attempt(transport.open_channel(holder))
+        except (TransportError, NotFoundError) as exc:
+            error = exc
+    raise error
 
 
 def new_token() -> str:

@@ -36,7 +36,7 @@ from .errors import (
     StaleError,
     TransportError,
 )
-from .fileops import TRANSFER_CHUNK, push_file, read_records_over
+from .fileops import TRANSFER_CHUNK, push_file
 from .records import ENTRY_SIZE, RecordIndex, index_path
 from .routing import RingView
 from .transport import Transport, error_reply, reply
@@ -259,21 +259,6 @@ class StorageNode:
         return holders
 
     # ----------------------------------------------------------------- reads
-
-    def read_records(self, name: str, offset: int, rows: int) -> tuple[list[bytes], list]:
-        """Read records locally when held, otherwise from a replica holder."""
-        if self.holds(name):
-            return self.read_local(name, offset, rows)
-        last_error: SectorError = NotFoundError("%s has no reachable replica" % name)
-        for location in self.lookup(name):
-            if location == self.address:
-                continue
-            try:
-                channel = self.transport.open_channel(location)
-                return read_records_over(channel, name, offset, rows)
-            except (TransportError, NotFoundError) as exc:
-                last_error = exc
-        raise last_error
 
     def _index_rows(self, name: str, offset: int, rows: int, max_bytes: int | None = None,
                     expect: dict | None = None) -> tuple[Path, np.ndarray]:

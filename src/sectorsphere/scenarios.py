@@ -8,7 +8,6 @@ are not.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import time
 from pathlib import Path
@@ -81,19 +80,18 @@ def _generate_and_upload(cluster, client, workdir, records_per_node: int, seed: 
 
 def _validate_sorted_output(client, names, out_stream):
     sorted_ok = True
-    previous = None
-    count = 0
-    checksum = 0
-    for record in client.iter_records(out_stream.names):
-        key = record[:benchmarks.KEY_SIZE]
-        if previous is not None and key < previous:
-            sorted_ok = False
-        previous = key
-        count += 1
-        checksum = (checksum + int.from_bytes(
-            hashlib.sha1(record).digest()[:16], "big")) % (1 << 128)
-    in_count, in_checksum = benchmarks.multiset_checksum(client.iter_records(names))
-    return sorted_ok, (count, checksum) == (in_count, in_checksum), count
+
+    def checked(records):
+        nonlocal sorted_ok
+        previous = b""
+        for record in records:
+            key = record[:benchmarks.KEY_SIZE]
+            sorted_ok = sorted_ok and key >= previous
+            previous = key
+            yield record
+
+    out = benchmarks.multiset_checksum(checked(client.iter_records(out_stream.names)))
+    return sorted_ok, out == benchmarks.multiset_checksum(client.iter_records(names)), out[0]
 
 
 def scenario_terasort_local(workdir, records_total: int = 1_000_000,

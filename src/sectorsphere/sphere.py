@@ -20,7 +20,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .errors import JobError, NotFoundError, SectorError, TransportError
-from .fileops import read_records_over
+from .fileops import first_holder, read_records_over
 from .records import RecordIndex
 from .scheduler import Scheduler, SpeHandle
 from .wire import MessageKind
@@ -216,20 +216,6 @@ def target_segment_bytes(total_size: int, n_spe: int, limits: SegmentLimits) -> 
     return min(max(total_size / n_spe, limits.s_min), limits.s_max)
 
 
-# ------------------------------------------------------------------ shuffle
-
-def shuffle_route(tagged_records, destinations) -> dict[str, list[tuple[int, bytes]]]:
-    """Map (bucket, record) pairs to destination nodes: bucket b goes to
-    destinations[b mod len(destinations)]."""
-    destinations = list(destinations)
-    if not destinations:
-        raise ValueError("no shuffle destinations")
-    batches: dict[str, list[tuple[int, bytes]]] = defaultdict(list)
-    for bucket, record in tagged_records:
-        batches[destinations[bucket % len(destinations)]].append((bucket, record))
-    return dict(batches)
-
-
 # ------------------------------------------------------------ worker (SPE)
 
 class SpeHost:
@@ -275,28 +261,16 @@ class SpeHost:
         node = self.node
         fn, scope = get_operator(operator_name)
 
-        # step 2: read the segment and its record index, locally if held
+        # step 2: read the segment and its record index, locally if held,
+        # else from the first other holder that answers
         if node.holds(segment.file):
             source = node.address
             records, _ = node.read_local(segment.file, segment.offset, segment.rows)
         else:
-            candidates = [a for a in segment.locations if a != node.address]
-            if not candidates:
-                raise NotFoundError("segment file %s has no locations" % segment.file)
-            records = None
-            source = candidates[0]
-            last_error: SectorError | None = None
-            for candidate in candidates:
-                try:
-                    channel = node.transport.open_channel(candidate)
-                    records, _ = read_records_over(channel, segment.file,
-                                                   segment.offset, segment.rows)
-                    source = candidate
-                    break
-                except (TransportError, NotFoundError) as exc:
-                    last_error = exc
-            if records is None:
-                raise last_error if last_error else NotFoundError(segment.file)
+            source, (records, _) = first_holder(
+                node.transport, [a for a in segment.locations if a != node.address],
+                lambda channel: read_records_over(channel, segment.file,
+                                                  segment.offset, segment.rows))
 
         # step 3: apply the operator into a temporary buffer, acking progress
         buffer: list[bytes] = []
@@ -378,18 +352,10 @@ class SpeHost:
         header = {"job": job, "bucket": bucket, "sizes": [len(r) for r in batch]}
         body = b"".join(batch)
         order = [dest] + [d for d in destinations if d != dest]
-        last: TransportError | None = None
-        for candidate in order:
-            try:
-                channel = self.node.transport.open_channel(candidate)
-                channel.call(MessageKind.SHUFFLE_APPEND, header, body)
-                if candidate != dest:
-                    log.warning("bucket %d redirected from %s to %s",
-                                bucket, dest, candidate)
-                return
-            except TransportError as exc:
-                last = exc
-        raise last if last is not None else TransportError("no shuffle destination up")
+        landed, _ = first_holder(self.node.transport, order, lambda channel: channel.call(
+            MessageKind.SHUFFLE_APPEND, header, body))
+        if landed != dest:
+            log.warning("bucket %d redirected from %s to %s", bucket, dest, landed)
 
 
 def call_each(fn, items) -> list:

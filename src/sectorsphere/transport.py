@@ -123,10 +123,6 @@ class Channel:
         return rheader, rbody
 
 
-def rpc(channel: Channel, request: Message, timeout: float | None = None) -> Message:
-    return channel.rpc(request, timeout=timeout)
-
-
 class Transport:
     """One endpoint's view of the network: listen for requests, open cached
     channels to peers."""
@@ -155,12 +151,6 @@ class Transport:
             channel = self._connect(peer)
             self._channels[peer] = channel
             return channel
-
-    def drop_channel(self, peer: str) -> None:
-        with self._channels_lock:
-            channel = self._channels.pop(peer, None)
-        if channel is not None:
-            channel.close()
 
     def close(self) -> None:
         with self._channels_lock:

@@ -1,7 +1,13 @@
 import pytest
 
-from sectorsphere.errors import IntegrityError
-from sectorsphere.fileops import read_records_over
+from sectorsphere.errors import (
+    AccessDeniedError,
+    IntegrityError,
+    NotFoundError,
+    StaleError,
+    TransportError,
+)
+from sectorsphere.fileops import first_holder, read_records_over
 from sectorsphere.records import RecordIndex
 
 
@@ -41,3 +47,58 @@ def test_reply_body_is_decoded_and_capped_reads_continue():
 def test_malformed_read_reply_raises_integrity_error(header, body):
     with pytest.raises(IntegrityError):
         read_records_over(ReplyChannel((header, body)), "f.dat", 0, 2)
+
+
+class Holders:
+    """A transport whose channel to each holder is the holder's name; a
+    holder mapped to an exception raises it from open_channel."""
+
+    def __init__(self, **faults):
+        self.faults = faults
+        self.opened = []
+
+    def open_channel(self, holder):
+        self.opened.append(holder)
+        if holder in self.faults:
+            raise self.faults[holder]
+        return holder
+
+
+def test_first_holder_returns_the_first_that_answers():
+    transport = Holders()
+    assert first_holder(transport, ["a", "b"], lambda channel: channel * 2) == ("a", "aa")
+    assert transport.opened == ["a"]
+
+
+def test_first_holder_skips_unreachable_missing_and_stale_holders():
+    transport = Holders(a=TransportError("down"), b=NotFoundError("gone"))
+
+    def attempt(channel):
+        if channel == "c":
+            raise StaleError("old copy")
+        return channel.upper()
+
+    assert first_holder(transport, ["a", "b", "c", "d", "e"], attempt) == ("d", "D")
+    assert transport.opened == ["a", "b", "c", "d"]
+
+
+@pytest.mark.parametrize("error", [IntegrityError("bad reply"), AccessDeniedError("no")])
+def test_first_holder_lets_other_errors_through_at_once(error):
+    transport = Holders()
+
+    def attempt(channel):
+        raise error
+
+    with pytest.raises(type(error)):
+        first_holder(transport, ["a", "b"], attempt)
+    assert transport.opened == ["a"]
+
+
+def test_first_holder_raises_the_last_error_when_no_holder_answers():
+    with pytest.raises(NotFoundError):
+        first_holder(Holders(), [], lambda channel: channel)
+    last = StaleError("old copy")
+    transport = Holders(a=TransportError("down"), b=last)
+    with pytest.raises(StaleError) as raised:
+        first_holder(transport, ["a", "b"], lambda channel: channel)
+    assert raised.value is last

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from sectorsphere.errors import AccessDeniedError, IntegrityError, NotFoundError, RangeError
+from sectorsphere.fileops import read_records_over
 from sectorsphere.records import RecordIndex
 
 CLIENT = "client-0"
@@ -72,10 +73,10 @@ def test_read_records_whole_and_single(make_cluster):
     data, index = two_record_file()
     client.upload(data, "r.dat", index)
     node = owner_node(cluster, "r.dat")
-    records, entries = node.read_records("r.dat", 0, 2)
+    records, entries = node.read_local("r.dat", 0, 2)
     assert b"".join(records) == data
     assert entries == [(0, 10), (10, 10)]
-    records, entries = node.read_records("r.dat", 1, 1)
+    records, entries = node.read_local("r.dat", 1, 1)
     assert records == [b"second----"]
     assert entries == [(10, 10)]
 
@@ -87,7 +88,7 @@ def test_read_range_overflow(make_cluster):
     client.upload(data, "r.dat", index)
     node = owner_node(cluster, "r.dat")
     with pytest.raises(RangeError):
-        node.read_records("r.dat", 1, 5)
+        node.read_local("r.dat", 1, 5)
 
 
 def test_remote_read_equals_local_read(make_cluster):
@@ -100,8 +101,9 @@ def test_remote_read_equals_local_read(make_cluster):
     client.upload(data, "rr.dat", index)
     holder = owner_node(cluster, "rr.dat")
     other = next(n for a, n in cluster.nodes.items() if a != holder.address)
-    local_records, local_entries = holder.read_records("rr.dat", 3, 17)
-    remote_records, remote_entries = other.read_records("rr.dat", 3, 17)
+    local_records, local_entries = holder.read_local("rr.dat", 3, 17)
+    channel = other.transport.open_channel(holder.address)
+    remote_records, remote_entries = read_records_over(channel, "rr.dat", 3, 17)
     assert remote_records == local_records
     assert remote_entries == local_entries
 
@@ -174,7 +176,7 @@ def test_any_replica_returns_identical_bytes(make_cluster):
     reads = set()
     for node in cluster.nodes.values():
         if node.holds("det.dat"):
-            records, _ = node.read_records("det.dat", 10, 20)
+            records, _ = node.read_local("det.dat", 10, 20)
             reads.add(b"".join(records))
     assert len(reads) == 1
 
@@ -186,10 +188,10 @@ def test_file_without_index_is_file_level(make_cluster):
     node = owner_node(cluster, "plain.bin")
     meta = node.meta("plain.bin")
     assert not meta.indexed and meta.records == 1
-    records, entries = node.read_records("plain.bin", 0, 1)
+    records, entries = node.read_local("plain.bin", 0, 1)
     assert records == [b"no index here"]
     with pytest.raises(RangeError):
-        node.read_records("plain.bin", 0, 2)
+        node.read_local("plain.bin", 0, 2)
 
 
 def test_lookup_reflects_replication(make_cluster):
@@ -217,16 +219,16 @@ def test_remote_read_equals_local_read_with_gaps(make_cluster):
     client.upload(data, "gap.dat", index)
     holder = owner_node(cluster, "gap.dat")
     other = next(n for a, n in cluster.nodes.items() if a != holder.address)
-    local = holder.read_records("gap.dat", 0, 5)
+    channel = other.transport.open_channel(holder.address)
+    local = holder.read_local("gap.dat", 0, 5)
     assert local == (expected, list(index.entries))
-    assert other.read_records("gap.dat", 0, 5) == local
-    assert other.read_records("gap.dat", 1, 3) == holder.read_records("gap.dat", 1, 3)
+    assert read_records_over(channel, "gap.dat", 0, 5) == local
+    assert read_records_over(channel, "gap.dat", 1, 3) == holder.read_local("gap.dat", 1, 3)
 
 
 @pytest.mark.parametrize("gapped", [False, True])
 def test_remote_read_beyond_transfer_chunk_loops(make_cluster, monkeypatch, gapped):
     from sectorsphere import node as node_module
-    from sectorsphere.fileops import read_records_over
     from sectorsphere.wire import MessageKind
 
     monkeypatch.setattr(node_module, "TRANSFER_CHUNK", 64)

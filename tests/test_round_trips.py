@@ -240,12 +240,19 @@ def test_lookup_carries_the_header_after_a_node_dies(make_cluster, monkeypatch):
 
 # ------------------------------------------------- headers of other versions
 
-@pytest.mark.parametrize("second", [b"a much longer second version", b"v2"])
-def test_download_after_another_client_rewrites_the_file(make_cluster, tmp_path, second):
+@pytest.mark.parametrize("first,second", [
+    pytest.param(b"first version", b"a much longer second version",
+                 id="a much longer second version"),
+    pytest.param(b"first version", b"v2", id="v2"),
+    # no request confirms the cached header of an empty file
+    pytest.param(b"", b"now with bytes", id="empty-first-version"),
+])
+def test_download_after_another_client_rewrites_the_file(make_cluster, tmp_path,
+                                                         first, second):
     cluster = make_cluster(3, acl=("client-0", "client-1"))
     reader, writer = cluster.client(), cluster.client("client-1")
-    reader.upload(b"first version", "shared.bin")
-    assert reader.stat("shared.bin")["size"] == 13
+    reader.upload(first, "shared.bin")
+    assert reader.stat("shared.bin")["size"] == len(first)
     reader.locate("shared.bin")
     writer.upload(second, "shared.bin")
     assert reader.download("shared.bin", tmp_path / "shared.bin") == len(second)

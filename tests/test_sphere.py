@@ -15,7 +15,6 @@ from sectorsphere.sphere import (
     Stream,
     StreamFile,
     segment_stream,
-    shuffle_route,
     target_segment_bytes,
 )
 
@@ -103,30 +102,6 @@ def test_clamp_is_median():
         hi = lo + rng.randrange(0, 10**6)
         target = target_segment_bytes(s, n, SegmentLimits(lo, hi))
         assert target == sorted((lo, s / n, hi))[1]
-
-
-# ------------------------------------------------------------------ shuffle
-
-def test_single_destination_takes_everything():
-    batches = shuffle_route([(i, b"r%d" % i) for i in range(20)], ["only"])
-    assert set(batches) == {"only"} and len(batches["only"]) == 20
-
-
-def test_bucket_modulo_matches_oracle():
-    rng = random.Random(2)
-    destinations = ["d0", "d1", "d2", "d3"]
-    tagged = [(rng.randrange(256), rng.randbytes(8)) for _ in range(1000)]
-    batches = shuffle_route(tagged, destinations)
-    seen = {}
-    for dest, items in batches.items():
-        for bucket, record in items:
-            seen[record] = dest
-    for bucket, record in tagged:
-        assert seen[record] == destinations[bucket % 4]  # independent recomputation
-
-
-def test_empty_output_routes_nothing():
-    assert shuffle_route([], ["a", "b"]) == {}
 
 
 # ------------------------------------------------------------ cluster jobs
@@ -412,3 +387,22 @@ def test_concurrent_rpcs_share_one_in_memory_channel(make_cluster):
         t.join()
     assert not errors
     assert client.transport.open_channel(node_address) is channel
+
+
+def test_segment_reads_from_the_next_holder_and_writes_back_there(make_cluster):
+    cluster = make_cluster(3)
+    client = cluster.client()
+    records = [b"rec-%02d" % i for i in range(12)]
+    upload_records(client, "far.dat", records)
+    holder = client.locate("far.dat")[0]
+    worker = next(n for a, n in cluster.nodes.items() if a != holder)
+    header = {"job": "j-far", "ordinal": 3, "file": "far.dat", "offset": 2, "rows": 8,
+              "locations": ["node-unreachable", holder], "operator": "identity",
+              "output": OutputSpec(mode=OutputMode.ORIGIN).to_header()}
+    report = worker.spe_host.run_segment(client.address, header)
+    assert report["status"] == "ok" and report["node"] == worker.address
+    name = sphere.seg_file_name("j-far", 3)
+    assert report["outputs"] == [{"name": name, "target": holder,
+                                  "records": 8, "size": sum(map(len, records[2:10]))}]
+    assert cluster.nodes[holder].read_local(name, 0, 8)[0] == records[2:10]
+    assert not worker.holds(name)

@@ -10,7 +10,6 @@ from sectorsphere.transport import (
     LinkProfile,
     TcpTransport,
     reply,
-    rpc,
 )
 from sectorsphere.wire import Message, MessageKind
 
@@ -31,7 +30,7 @@ def test_ping_pong_same_request_id():
     _, _, client = make_pair()
     channel = client.open_channel("srv")
     request = Message(kind=MessageKind.PING, request_id=77, payload=b"")
-    response = rpc(channel, request)
+    response = channel.rpc(request)
     assert response.request_id == 77
     assert response.kind == MessageKind.OK
 
