@@ -7,9 +7,11 @@ nearest center in the next window) flags windows whose clusters changed
 significantly. Vectors are then scored against the emergent clusters with
 a Gaussian-shaped score.
 
-The pipeline also runs distributed: windowing is a shuffle job bucketing
-records by window index and per-window clustering runs as segment
-operators, with the statistics computed back on the client.
+The pipeline also runs distributed: windowing is a shuffle job whose
+segment operator tags each record with its window index, read from the
+timestamp field alone, and per-window clustering runs as a segment
+operator that parses each record in full, with the statistics computed
+back on the client.
 """
 
 from __future__ import annotations
@@ -291,11 +293,16 @@ def format_feature_record(v: FeatureVector, delimiter: str = ",") -> bytes:
 
 
 def parse_feature_record(record: bytes, delimiter: str = ",") -> FeatureVector:
-    parts = record.decode().strip().split(delimiter)
-    if len(parts) < 3:
-        raise ValueError("feature record needs entity, timestamp, and values")
+    parts = _fields(record, delimiter)
     return FeatureVector(entity=parts[0], timestamp=float(parts[1]),
                          values=np.array([float(p) for p in parts[2:]]))
+
+
+def _fields(record: bytes, delimiter: str, maxsplit: int = -1) -> list[str]:
+    parts = record.decode().strip().split(delimiter, maxsplit)
+    if len(parts) < 3:
+        raise ValueError("feature record needs entity, timestamp, and values")
+    return parts
 
 
 def write_feature_file(path, vectors, delimiter: str = ",") -> None:
@@ -316,9 +323,23 @@ def read_feature_file(path, delimiter: str = ",") -> list[FeatureVector]:
 # ------------------------------------------------------------- distributed
 
 def _window_bucket(record: bytes, params: bytes) -> int:
+    """The reference rule for a record's window, one record at a time; the
+    window-index operator computes the same for a whole segment."""
     p = sphere.decoded_params(params, json.loads)
     v = parse_feature_record(record, p.get("delimiter", ","))
     return int(math.floor((v.timestamp - p["t0"]) / p["length"]))
+
+
+def _window_segment(records, params: bytes):
+    """The segment, each record tagged with its window index. Only the
+    timestamp field is parsed; window-cluster parses whole records."""
+    p = sphere.decoded_params(params, json.loads)
+    delimiter = p.get("delimiter", ",")
+    stamps = np.array([float(_fields(r, delimiter, 2)[1]) for r in records], dtype=float)
+    windows = np.floor((stamps - p["t0"]) / p["length"])
+    if not (np.abs(windows) < 2.0 ** 63).all():  # also false for NaN
+        raise ValueError("a record's timestamp gives no int64 window index")
+    return records.with_buckets(windows.astype(np.int64))
 
 
 def _cluster_segment(records, params: bytes):
@@ -333,6 +354,7 @@ def _cluster_segment(records, params: bytes):
 
 
 sphere.register_bucket("window-index", _window_bucket)
+sphere.register_operator("window-index", _window_segment, scope="segment")
 sphere.register_operator("window-cluster", _cluster_segment, scope="segment")
 
 
@@ -350,9 +372,8 @@ def run_pipeline_distributed(session, names, length: float, t0: float, k: int,
     params = json.dumps({"t0": t0, "length": length, "k": k, "seed": seed}).encode()
     destinations = tuple(destinations or session.members())
     shuffled, _ = session.run_job(
-        names, "identity", params=params,
-        output=sphere.OutputSpec(mode=sphere.OutputMode.SHUFFLE,
-                                 bucket="window-index", destinations=destinations),
+        names, "window-index", params=params,
+        output=sphere.OutputSpec(mode=sphere.OutputMode.SHUFFLE, destinations=destinations),
         job_id=job_id)
     clustered, _ = session.run_job(
         shuffled, "window-cluster", params=params,

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import sphere
 from .fileops import expectation
-from .records import INDEX_SUFFIX, RecordIndex
+from .records import INDEX_SUFFIX, RecordBatch, RecordIndex, read_record_file
 
 RECORD_SIZE = 100
 KEY_SIZE = 10
@@ -49,10 +49,6 @@ def teragen(n_records: int, seed: int, destination) -> Path:
     return path
 
 
-def record_key(record: bytes) -> bytes:
-    return record[:KEY_SIZE]
-
-
 def record_label(record: bytes) -> int:
     """Records label themselves: the parity of the first payload byte."""
     return record[KEY_SIZE] & 1
@@ -60,20 +56,58 @@ def record_label(record: bytes) -> int:
 
 # ------------------------------------------------------------------ sorting
 
+def key_column(records: RecordBatch, width: int = KEY_SIZE) -> np.ndarray:
+    """Each record's key, its first `width` bytes, as one fixed-width numpy
+    bytes value: the key zero-padded to `width` bytes, then its length as
+    a big-endian u16. These values order as the keys do, so a key sorts
+    after its own prefixes (b"ab" < b"ab\\0"), which plain zero padding
+    would lose. key_bytes turns a value back into its key."""
+    return _key_column(*records.heads(width))
+
+
+def _key_column(heads: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    column = np.empty((len(heads), heads.shape[1] + 2), np.uint8)
+    column[:, :-2] = heads
+    column[:, -2:] = lengths.astype(">u2").view(np.uint8).reshape(-1, 2)
+    return column.view("S%d" % column.shape[1]).reshape(-1)
+
+
+def key_bytes(column: np.ndarray, i: int) -> bytes:
+    """The key of value i of a key_column. A numpy bytes value drops its
+    trailing NULs, so the value is read as raw bytes."""
+    raw = column[i:i + 1].tobytes()
+    return raw[:int.from_bytes(raw[-2:], "big")]
+
+
 def _boundaries_from_params(params: bytes) -> tuple[bytes, ...]:
     return tuple(bytes.fromhex(h) for h in json.loads(params)["boundaries"])
 
 
+def _boundary_column(params: bytes) -> np.ndarray:
+    return key_column(RecordBatch.from_records(_boundaries_from_params(params)))
+
+
 def _key_range_bucket(record: bytes, params: bytes) -> int:
+    """The reference rule for a record's range partition, one record at a
+    time; the key-range operator computes the same for a whole segment."""
     boundaries = sphere.decoded_params(params, _boundaries_from_params)
     return bisect.bisect_right(boundaries, record[:KEY_SIZE])
 
 
-def _sort_segment(records, params: bytes):
-    return sorted(records, key=record_key)
+def _key_range_segment(records: RecordBatch, params: bytes) -> RecordBatch:
+    """The segment, each record tagged with the range its key falls in."""
+    boundaries = sphere.decoded_params(params, _boundary_column)
+    return records.with_buckets(
+        np.searchsorted(boundaries, key_column(records), side="right"))
+
+
+def _sort_segment(records: RecordBatch, params: bytes) -> RecordBatch:
+    """The segment stably sorted by key."""
+    return records.take(np.argsort(key_column(records), kind="stable"))
 
 
 sphere.register_bucket("key-range", _key_range_bucket)
+sphere.register_operator("key-range", _key_range_segment, scope="segment")
 sphere.register_operator("sort-records", _sort_segment, scope="segment")
 
 
@@ -144,10 +178,9 @@ def terasort(session, stream, destinations=None, job_id: str | None = None,
                                    sample_target=sample_target)
     params = json.dumps({"boundaries": [b.hex() for b in boundaries]}).encode()
     shuffle_spec = sphere.OutputSpec(mode=sphere.OutputMode.SHUFFLE,
-                                     bucket="key-range",
                                      destinations=tuple(destinations))
     bucketed, shuffle_report = session.run_job(
-        stream, "identity", params=params, output=shuffle_spec,
+        stream, "key-range", params=params, output=shuffle_spec,
         limits=limits or sphere.DEFAULT_LIMITS, job_id=job_id,
         spe_per_node=spe_per_node)
     if not bucketed.files:
@@ -238,37 +271,67 @@ def _entropies(counts: np.ndarray) -> np.ndarray:
     return -(p * np.log2(p, out=np.zeros_like(p), where=p > 0)).sum(axis=1)
 
 
+class KeyLabels:
+    """The keys (as a key_column) and 0/1 labels of a run of records."""
+
+    def __init__(self, keys: np.ndarray, labels):
+        self.keys = keys
+        self.labels = np.asarray(labels, dtype=np.int64)
+        if len(self.keys) != len(self.labels):
+            raise ValueError("%d keys for %d labels" % (len(self.keys), len(self.labels)))
+
+    @classmethod
+    def of_records(cls, records: RecordBatch) -> "KeyLabels":
+        """Keys and record_label of every record, from one read of each
+        record's first KEY_SIZE + 1 bytes."""
+        heads, lengths = records.heads(KEY_SIZE + 1)
+        if (lengths <= KEY_SIZE).any():
+            raise IndexError("a record of %d bytes or fewer has no label byte" % KEY_SIZE)
+        return cls(_key_column(heads[:, :KEY_SIZE], np.minimum(lengths, KEY_SIZE)),
+                   heads[:, KEY_SIZE] & 1)
+
+    @classmethod
+    def from_pairs(cls, pairs) -> "KeyLabels":
+        pairs = list(pairs)
+        keys = [key for key, _ in pairs]
+        width = max(map(len, keys), default=0)
+        return cls(key_column(RecordBatch.from_records(keys), width),
+                   [label for _, label in pairs])
+
+    @classmethod
+    def concatenate(cls, parts: list["KeyLabels"]) -> "KeyLabels":
+        if not parts:
+            return cls(np.empty(0, "S%d" % (KEY_SIZE + 2)), ())
+        return cls(np.concatenate([p.keys for p in parts]),
+                   np.concatenate([p.labels for p in parts]))
+
+
 def terasplit_pairs(pairs) -> SplitResult:
     """Best single entropy split of a key-sorted (key, label) sequence.
 
-    One pass over the records collects the distinct keys and the labels;
-    the candidate thresholds are the midpoints between adjacent distinct
-    keys, ties broken toward the smallest threshold. numpy scores every cut;
-    its log2 may round differently from math.log2, so split_gain re-scores
-    the cuts within 1e-9 of the best and decides.
+    `pairs` is an iterable of (key, label) tuples, read once, or a
+    KeyLabels of the same as arrays. The candidate thresholds are the
+    midpoints between adjacent distinct keys, ties broken toward the
+    smallest threshold. numpy scores every cut; its log2 may round
+    differently from math.log2, so split_gain re-scores the cuts within
+    1e-9 of the best and decides.
     """
-    keys: list[bytes] = []    # each distinct key once
-    starts: list[int] = []    # the position of its first record
-    labels: list[int] = []
-    previous = None
-    for key, label in pairs:
-        if key != previous:
-            if previous is not None and key < previous:
-                raise ValueError("input is not sorted by key")
-            keys.append(key)
-            starts.append(len(labels))
-            previous = key
-        labels.append(label)
-    if not labels:
+    if not isinstance(pairs, KeyLabels):
+        pairs = KeyLabels.from_pairs(pairs)
+    keys, labels = pairs.keys, pairs.labels
+    if (keys[1:] < keys[:-1]).any():
+        raise ValueError("input is not sorted by key")
+    if not len(labels):
         raise ValueError("cannot split an empty stream")
+    n_left = np.flatnonzero(keys[1:] != keys[:-1]) + 1  # records left of each cut
     ones = np.cumsum(labels)  # label-1 records among the first i + 1
     total1 = int(ones[-1])
     total0 = len(labels) - total1
-    if total0 == 0 or total1 == 0 or len(keys) == 1:
+    if total0 == 0 or total1 == 0 or not len(n_left):
         # one label, or one distinct key with mixed labels: nothing to cut
         return SplitResult(None, 0.0, (0, 0), (total0, total1))
     parent = entropy((total0, total1))
-    n, n_left = len(labels), np.array(starts[1:])  # records left of each cut
+    n = len(labels)
     left = np.column_stack((n_left - ones[n_left - 1], ones[n_left - 1]))
     right = (total0, total1) - left
     gains = parent - (n_left / n) * _entropies(left) - ((n - n_left) / n) * _entropies(right)
@@ -279,22 +342,21 @@ def terasplit_pairs(pairs) -> SplitResult:
         if best is None or gain > best[1]:
             best = (i, gain, cut)
     i, gain, (left_counts, right_counts) = best
-    return SplitResult(midpoint_key(keys[i], keys[i + 1]), max(gain, 0.0),
-                       left_counts, right_counts)
+    cut = int(n_left[i])
+    return SplitResult(midpoint_key(key_bytes(keys, cut - 1), key_bytes(keys, cut)),
+                       max(gain, 0.0), left_counts, right_counts)
 
 
 def terasplit(session, stream) -> SplitResult:
-    """Read a sorted stream into the client and compute its best split."""
+    """Read a sorted stream into the client, batch by batch, and compute
+    its best split."""
     names = stream.names if isinstance(stream, sphere.Stream) else list(stream)
-    return terasplit_pairs((record[:KEY_SIZE], record_label(record))
-                           for record in session.iter_records(names))
+    return terasplit_pairs(KeyLabels.concatenate(
+        [KeyLabels.of_records(batch) for batch in session.iter_batches(names)]))
 
 
 def terasplit_local(path) -> SplitResult:
-    from .records import read_record_file, slice_records
-
     data, index = read_record_file(path)
     if index is None:
         raise ValueError("%s has no record index" % path)
-    return terasplit_pairs((r[:KEY_SIZE], record_label(r))
-                           for r in slice_records(data, index.entries))
+    return terasplit_pairs(KeyLabels.of_records(RecordBatch(data, index)))

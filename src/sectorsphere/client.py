@@ -22,6 +22,8 @@ from .wire import Message, MessageKind, unpack_payload
 
 log = logging.getLogger(__name__)
 
+LOOKUP_LANES = 8  # at most this many lookups of one stream in flight
+
 
 class ClientSession:
     def __init__(self, transport: Transport, entry_server: str,
@@ -155,23 +157,31 @@ class ClientSession:
         """Records [offset, offset + rows) from the nearest holder that has
         them; with `expect` (fileops.expectation), from the nearest holder
         of that version."""
+        return list(self._read_batch(name, offset, rows, expect))
+
+    def _read_batch(self, name: str, offset: int, rows: int, expect: dict | None):
         _, (records, _) = first_holder(self.transport, self.locate(name), lambda channel:
                                        read_records_over(channel, name, offset, rows, expect))
         return records
 
     def iter_records(self, names, batch_rows: int = 65536):
         """Iterate records of the named files in order, batching reads."""
+        for batch in self.iter_batches(names, batch_rows):
+            yield from batch
+
+    def iter_batches(self, names, batch_rows: int = 65536):
+        """The records of the named files in order, one RecordBatch of at
+        most batch_rows records per read."""
         for name in names:
             info, (first, _) = self._against_header(
                 name, lambda channel, stat: read_records_over(
                     channel, name, 0, min(batch_rows, stat["records"]), expectation(stat)))
-            yield from first
+            yield first
             expect = expectation(info)
             offset = len(first)
             while offset < info["records"]:
                 rows = min(batch_rows, info["records"] - offset)
-                for record in self.read_records(name, offset, rows, expect):
-                    yield record
+                yield self._read_batch(name, offset, rows, expect)
                 offset += rows
 
     def _against_header(self, name: str, attempt) -> tuple[dict, object]:
@@ -195,10 +205,20 @@ class ClientSession:
     # ------------------------------------------------------------------ jobs
 
     def resolve_stream(self, names) -> sphere.Stream:
-        """Build a job input stream from stored file names."""
+        """Build a job input stream from stored file names. The names are
+        looked up in LOOKUP_LANES threads at once, each taking every
+        LOOKUP_LANES-th name in turn."""
+        names = list(names)
+        lanes = [names[i::LOOKUP_LANES] for i in range(min(len(names), LOOKUP_LANES))]
+        found: dict = {}
+        for result in sphere.call_each(
+                lambda lane: {name: self._lookup(name) for name in lane}, lanes):
+            if isinstance(result, Exception):
+                raise result
+            found.update(result)
         files = []
         for name in names:
-            locations, info = self._lookup(name)
+            locations, info = found[name]
             files.append(sphere.StreamFile(
                 name=name, records=info["records"], size=info["size"],
                 locations=tuple(locations), file_level=not info["indexed"]))

@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import uuid
 
+import numpy as np
+
 from .errors import IntegrityError, NotFoundError, SectorError, TransportError
-from .records import ENTRY_SIZE, RecordIndex
+from .records import ENTRY_SIZE, RecordBatch, RecordIndex
 from .wire import MessageKind
 
 TRANSFER_CHUNK = 8 * 1024 * 1024
@@ -86,13 +88,14 @@ def _fetch_range(channel, kind, name: str, total: int, chunk: int, expect: dict)
 
 
 def read_records_over(channel, name: str, offset: int, rows: int,
-                      expect: dict | None = None) -> tuple[list[bytes], list]:
+                      expect: dict | None = None) -> tuple[RecordBatch, RecordIndex]:
     """Read a run of records from the peer, following server-side byte caps.
+    Returns the records as one batch, and their index entries in the file.
     A READ reply body is `rows` .idx entries, then those records' bytes.
     With `expect` (see expectation) the peer serves only the version it
     describes."""
-    records: list[bytes] = []
-    entries: list = []
+    parts: list = []
+    heads: list[np.ndarray] = []
     while rows > 0:
         header, body = channel.call(MessageKind.READ, {"name": name, "offset": offset,
                                                        "rows": rows, "expect": expect})
@@ -101,18 +104,17 @@ def read_records_over(channel, name: str, offset: int, rows: int,
         if not 0 < got <= rows or head > len(body):
             raise IntegrityError("READ of %s replied %d rows in %d bytes, asked for %d"
                                  % (name, got, len(body), rows))
-        pairs = RecordIndex.from_bytes(body[:head]).array.tolist()
-        position = head
-        for _, size in pairs:
-            records.append(body[position:position + size])
-            position += size
-        if position != len(body):
-            raise IntegrityError("READ of %s: records take %d bytes, the body has %d"
-                                 % (name, position - head, len(body) - head))
-        entries.extend(map(tuple, pairs))
+        entries = RecordIndex.from_bytes(body[:head]).array
+        sizes, room = entries[:, 1], len(body) - head
+        if (sizes > room).any() or int(sizes.sum()) != room:
+            raise IntegrityError("READ of %s: the records' sizes do not add up to the "
+                                 "%d bytes after the index" % (name, room))
+        heads.append(entries)
+        parts.append(memoryview(body)[head:])
         offset += got
         rows -= got
-    return records, entries
+    index = RecordIndex(np.concatenate(heads) if heads else ())
+    return RecordBatch(b"".join(parts), RecordIndex.from_sizes(index.array[:, 1])), index
 
 
 def first_holder(transport, holders, attempt) -> tuple:

@@ -37,7 +37,7 @@ from .errors import (
     TransportError,
 )
 from .fileops import TRANSFER_CHUNK, push_file
-from .records import ENTRY_SIZE, RecordIndex, index_path
+from .records import ENTRY_SIZE, RecordBatch, RecordIndex, index_path
 from .routing import RingView
 from .transport import Transport, error_reply, reply
 from .wire import Message, MessageKind, unpack_payload
@@ -284,17 +284,26 @@ class StorageNode:
         return path, entries
 
     def read_local(self, name: str, offset: int, rows: int,
-                    max_bytes: int | None = None) -> tuple[list[bytes], list]:
-        path, entries = self._index_rows(name, offset, rows, max_bytes)
+                   max_bytes: int | None = None) -> tuple[RecordBatch, RecordIndex]:
+        """Local records [offset, offset + rows) as one batch, and their
+        index entries in the file."""
+        return self._read_rows(name, offset, rows, max_bytes)
+
+    def _read_rows(self, name: str, offset: int, rows: int, max_bytes: int | None = None,
+                   expect: dict | None = None) -> tuple[RecordBatch, RecordIndex]:
+        path, entries = self._index_rows(name, offset, rows, max_bytes, expect)
         if not len(entries):
-            return [], []
+            return RecordBatch(), RecordIndex(entries)
         first = int(entries[0, 0])
+        length = int(entries[-1].sum()) - first
         with path.open("rb") as fh:
             fh.seek(first)
-            span = fh.read(int(entries[-1].sum()) - first)
-        pairs = entries.tolist()
-        recs = [span[o - first:o - first + s] for o, s in pairs]
-        return recs, list(map(tuple, pairs))
+            span = fh.read(length)
+        if len(span) != length:
+            raise IntegrityError("%s is shorter than its index" % name)
+        within = entries.copy()
+        within[:, 0] -= first
+        return RecordBatch(span, within), RecordIndex(entries)
 
     # ------------------------------------------------------------ replication
 
@@ -356,9 +365,13 @@ class StorageNode:
                       origin=self.address)
 
     def shuffle_append(self, job: str, bucket: int, sizes: list[int], body: bytes) -> None:
-        if any(size < 0 for size in sizes) or sum(sizes) != len(body):
+        try:
+            sizes = np.array(sizes, dtype=np.int64).reshape(-1)
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise IntegrityError("shuffle batch sizes are not record sizes: %s" % exc) from exc
+        if ((sizes < 0) | (sizes > len(body))).any() or int(sizes.sum()) != len(body):
             raise IntegrityError("shuffle batch sizes add up to %d, the body has %d bytes"
-                                 % (sum(sizes), len(body)))
+                                 % (int(sizes.sum()), len(body)))
         name = sphere.bucket_file_name(job, bucket)
         path = self._path_for(name)
         with self._lock_for(name):
@@ -482,26 +495,10 @@ class StorageNode:
 
     def _op_read(self, msg: Message, header: dict) -> Message:
         """Index entries in the .idx layout, then the records' bytes."""
-        path, entries = self._index_rows(header["name"], header["offset"], header["rows"],
+        records, index = self._read_rows(header["name"], header["offset"], header["rows"],
                                          max_bytes=TRANSFER_CHUNK, expect=header.get("expect"))
-        head = entries.tobytes()
-        body = bytearray(len(head) + int(entries[:, 1].sum()))
-        body[:len(head)] = head
-        if len(entries):
-            first = int(entries[0, 0])
-            span_length = int(entries[-1].sum()) - first
-            with path.open("rb") as fh:
-                fh.seek(first)
-                if span_length == len(body) - len(head):  # no gaps: read in place
-                    got = fh.readinto(memoryview(body)[len(head):])
-                else:
-                    span = fh.read(span_length)
-                    got = len(span)
-                    body[len(head):] = b"".join(
-                        span[o - first:o - first + s] for o, s in entries.tolist())
-            if got != span_length:
-                raise IntegrityError("%s is shorter than its index" % header["name"])
-        return reply(msg, MessageKind.OK, {"rows": len(entries)}, body)
+        return reply(msg, MessageKind.OK, {"rows": len(index)},
+                     index.to_bytes() + records.pack()[0])
 
     def _op_fetch(self, msg: Message, header: dict, index_file: bool) -> Message:
         meta = self.meta(header["name"], header.get("expect"))

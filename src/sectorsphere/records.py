@@ -7,6 +7,10 @@ Index entries are 16 bytes each: offset and size as little-endian u64.
 A READ reply uses the same layout. Its header gives `rows`, and its body
 is `rows` index entries (16 bytes each, as in ".idx") followed by the
 bytes of those records, back to back in index order.
+
+A run of records in memory is a RecordBatch: one buffer plus the (n, 2)
+entries of its records in that buffer, so reading, reordering and
+slicing records needs no Python object per record.
 """
 
 from __future__ import annotations
@@ -53,7 +57,10 @@ class RecordIndex:
     def from_sizes(cls, sizes, start: int = 0) -> "RecordIndex":
         """Records laid back to back from byte `start` on."""
         try:
-            sizes = np.fromiter(sizes, dtype=_U64)
+            if isinstance(sizes, np.ndarray):
+                sizes = sizes.astype(_U64, copy=False)
+            else:
+                sizes = np.fromiter(sizes, dtype=_U64)
         except OverflowError as exc:
             raise IntegrityError("record size outside the u64 range: %s" % exc) from exc
         return cls(np.column_stack((np.cumsum(sizes) - sizes + start, sizes)))
@@ -88,6 +95,100 @@ class RecordIndex:
         return cls(np.frombuffer(blob, dtype=_U64))
 
 
+class RecordBatch:
+    """Records held as one buffer: `data` (bytes) and `entries`, an (n, 2)
+    u64 array of each record's (offset, size) in `data`, in record order.
+    Iterating a batch yields its records as bytes. A batch bound for a
+    shuffle carries `buckets`, one int64 bucket id per record."""
+
+    def __init__(self, data: bytes = b"", entries=None, buckets=None):
+        if isinstance(entries, RecordIndex):
+            entries = entries.array
+        self.data = data
+        self.entries = RecordIndex(() if entries is None else entries).array
+        self.buckets = None
+        if buckets is not None:
+            self.buckets = np.asarray(buckets, dtype=np.int64).reshape(-1)
+            if len(self.buckets) != len(self.entries):
+                raise ValueError("%d bucket ids for %d records"
+                                 % (len(self.buckets), len(self.entries)))
+
+    @classmethod
+    def from_records(cls, records) -> "RecordBatch":
+        """The records of an iterable of bytes, packed back to back."""
+        records = records if isinstance(records, (list, tuple)) else list(records)
+        return cls(b"".join(records), RecordIndex.from_sizes(map(len, records)))
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __iter__(self):
+        data = self.data
+        for offset, size in self.entries.tolist():
+            yield data[offset:offset + size]
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return self.entries[:, 1]
+
+    def with_buckets(self, buckets) -> "RecordBatch":
+        """The same records, tagged with one bucket id each."""
+        return RecordBatch(self.data, self.entries, buckets)
+
+    def pack(self) -> tuple[bytes, RecordIndex]:
+        """The records' bytes back to back, and their index in those bytes."""
+        offsets, sizes = self.entries[:, 0], self.entries[:, 1]
+        index = RecordIndex.from_sizes(sizes)
+        if not len(sizes):
+            return b"", index
+        if (offsets == index.array[:, 0]).all() and int(offsets[-1] + sizes[-1]) == len(self.data):
+            return self.data, index
+        return self.take(np.arange(len(sizes))).data, index
+
+    def take(self, order) -> "RecordBatch":
+        """A packed batch of the records at positions `order`, in that order."""
+        order = np.asarray(order, dtype=np.int64)
+        sizes = self.entries[order, 1]
+        buckets = None if self.buckets is None else self.buckets[order]
+        size = int(self.entries[0, 1]) if len(self.entries) else 0
+        if not len(order):
+            data = b""
+        elif size and self._fixed_stride(size):
+            # equal records at a fixed stride: one gather of size-byte items
+            rows = np.frombuffer(self.data, "V%d" % size, len(self.entries),
+                                 int(self.entries[0, 0]))
+            data = np.take(rows, order).tobytes()
+        else:
+            # one slice per run of records that lie back to back in `data`
+            offsets = self.entries[order, 0].astype(np.int64)
+            ends = offsets + sizes.astype(np.int64)
+            breaks = np.flatnonzero(offsets[1:] != ends[:-1]) + 1
+            starts = offsets[np.concatenate(([0], breaks))].tolist()
+            stops = ends[np.concatenate((breaks - 1, [len(order) - 1]))].tolist()
+            source = self.data
+            data = b"".join(source[a:b] for a, b in zip(starts, stops))
+        return RecordBatch(data, RecordIndex.from_sizes(sizes), buckets)
+
+    def _fixed_stride(self, size: int) -> bool:
+        offsets, sizes = self.entries[:, 0], self.entries[:, 1]
+        return bool((sizes == size).all() and (np.diff(offsets) == size).all())
+
+    def heads(self, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """The first `width` bytes of every record as an (n, width) u8
+        array, zero-padded past a record's end, and how many of them are
+        the record's own: min(size, width)."""
+        offsets = self.entries[:, 0].astype(np.int64)
+        lengths = np.minimum(self.entries[:, 1], width).astype(np.int64)
+        positions = offsets[:, None] + np.arange(width)
+        data = np.frombuffer(self.data, np.uint8)
+        if (lengths == width).all():
+            return data[positions], lengths
+        heads = np.zeros((len(offsets), width), np.uint8)
+        inside = np.arange(width) < lengths[:, None]
+        heads[inside] = data[positions[inside]]
+        return heads, lengths
+
+
 def index_path(data_path) -> Path:
     path = Path(data_path)
     return path.with_name(path.name + INDEX_SUFFIX)
@@ -110,7 +211,3 @@ def read_record_file(path) -> tuple[bytes, RecordIndex | None]:
     if index is not None:
         index.validate(len(data))
     return data, index
-
-
-def slice_records(data: bytes, entries) -> list[bytes]:
-    return [data[offset:offset + size] for offset, size in entries]

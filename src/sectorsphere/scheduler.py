@@ -3,8 +3,10 @@
 Assignment policy, in priority order: workers prefer segments whose file
 has a replica on their own node; two segments of one file do not run
 concurrently unless the only alternative is an idle worker; no worker
-idles while an assignable segment is pending. Retried segments carry an
-excluded node so the second attempt lands on a different machine.
+idles while an assignable segment is pending, except that a worker with
+nothing local waits rather than take a segment that an idle worker on
+one of its replica nodes may take. Retried segments carry an excluded
+node so the second attempt lands on a different machine.
 
 Every decision is captured in an event log with a snapshot of the state
 it was made against, so schedules (live or simulated) can be validated
@@ -27,7 +29,6 @@ class SpeHandle:
     slot: int = 0
     state: str = "idle"
     current: int | None = None
-    progress: int = 0
 
     @property
     def key(self) -> tuple[str, int]:
@@ -83,21 +84,24 @@ class Scheduler:
         if local:
             choice = local[0]
         else:
-            # nothing local here: avoid stealing work an idle co-located
-            # worker could still run in place
-            idle_nodes = {s.node for s in self._spes
-                          if s is not spe and s.key not in self._running}
-            unclaimed = [t for t in pool
-                         if not (idle_nodes & set(t.segment.locations))]
-            choice = (unclaimed or pool)[0]
+            # nothing local here: leave a segment to an idle worker on one
+            # of its replica nodes that may run it in place, and wait if
+            # every segment has such a worker
+            idle = [s for s in self._spes if s is not spe and s.key not in self._running]
+            unclaimed = [t for t in pool if not any(
+                s.node in t.segment.locations and self._allowed(t, s) for s in idle)]
+            if not unclaimed:
+                return None
+            choice = unclaimed[0]
         self._record_assign(spe, choice, exception=not permitted)
         self._pending.remove(choice)
         self._running[spe.key] = choice
         self._running_files[choice.segment.file] += 1
         spe.state = "busy"
         spe.current = choice.segment.ordinal
-        spe.progress = 0
         choice.attempts += 1
+        # a worker waiting on this one's idleness may now take what is left
+        self._cond.notify_all()
         return choice
 
     def _record_assign(self, spe: SpeHandle, task: SegmentTask, exception: bool) -> None:
@@ -272,17 +276,26 @@ def simulate_schedule(segments, spes, duration_fn, seed_events=None):
     def feed(spe):
         nonlocal counter
         task = sched.try_next(spe)
-        if task is not None:
-            counter += 1
-            heapq.heappush(heap, (clock["now"] + duration_fn(task.segment, spe),
-                                  counter, spe, task))
+        if task is None:
+            return False
+        counter += 1
+        heapq.heappush(heap, (clock["now"] + duration_fn(task.segment, spe),
+                              counter, spe, task))
+        return True
 
-    for spe in spes:
-        feed(spe)
+    def settle():
+        # a worker that waited for an idle one may take work once that one
+        # is busy, so offer work until a pass over the idle workers assigns none
+        assigned = True
+        while assigned:
+            assigned = False
+            for idle_spe in [s for s in spes if s.state == "idle"]:
+                assigned = feed(idle_spe) or assigned
+
+    settle()
     while heap:
         finish, _, spe, task = heapq.heappop(heap)
         clock["now"] = finish
         sched.complete(spe, task)
-        for idle_spe in [s for s in spes if s.state == "idle"]:
-            feed(idle_spe)
+        settle()
     return sched.events

@@ -6,6 +6,14 @@ are scheduled onto per-node processing elements with locality preference,
 each element runs the accept / read / apply / write loop, and outputs are
 routed back to the data's origin, written locally, or shuffled to a list
 of destination nodes by bucket.
+
+Segments stay columnar through the engine. A segment is read as one
+RecordBatch (its bytes plus an (n, 2) entry array); a segment-scope
+operator gets that batch whole and may set each output record's bucket
+id, and record-scope output is packed into a batch once. A shuffle then
+groups the batch by bucket with one stable argsort and sends slices of
+it, so no step of the engine handles records one Python object at a
+time unless a record-scope operator or bucket function asks for it.
 """
 
 from __future__ import annotations
@@ -19,9 +27,11 @@ import uuid
 from collections import defaultdict
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import JobError, NotFoundError, SectorError, TransportError
 from .fileops import first_holder, read_records_over
-from .records import RecordIndex
+from .records import RecordBatch
 from .scheduler import Scheduler, SpeHandle
 from .wire import MessageKind
 
@@ -40,9 +50,14 @@ def register_operator(name: str, fn, scope: str = "record") -> None:
     """Register a user-defined function.
 
     Record scope: fn(record, params) -> iterable of output records (or one
-    record, or None). Segment scope: fn(records, params) -> iterable of
-    output records; used for computations that need a whole segment, such
-    as a local sort.
+    record, or None), called once per record; the segment acks its
+    progress every tenth of its rows. Segment scope: fn(records, params),
+    called once per segment with the segment as a RecordBatch (iterating
+    it yields the records), returns a RecordBatch or an iterable of output
+    records, and acks once. A returned RecordBatch that carries buckets
+    gives each output record's shuffle bucket, so the job needs no bucket
+    function; used for range partitioning, local sorts and per-window
+    clustering.
     """
     if scope not in ("record", "segment"):
         raise ValueError("operator scope must be 'record' or 'segment'")
@@ -50,7 +65,8 @@ def register_operator(name: str, fn, scope: str = "record") -> None:
 
 
 def register_bucket(name: str, fn) -> None:
-    """Register a bucket function fn(record, params) -> non-negative int."""
+    """Register a bucket function fn(record, params) -> non-negative int,
+    applied per output record of a shuffle whose operator sets no buckets."""
     _BUCKET_FNS[name] = fn
 
 
@@ -152,11 +168,8 @@ class OutputSpec:
     def __post_init__(self):
         if self.mode not in (OutputMode.ORIGIN, OutputMode.LOCAL, OutputMode.SHUFFLE):
             raise ValueError("unknown output mode %r" % self.mode)
-        if self.mode == OutputMode.SHUFFLE:
-            if not self.destinations:
-                raise ValueError("shuffle output needs a destination list")
-            if not self.bucket:
-                raise ValueError("shuffle output needs a bucket function name")
+        if self.mode == OutputMode.SHUFFLE and not self.destinations:
+            raise ValueError("shuffle output needs a destination list")
 
     def to_header(self) -> dict:
         return {"mode": self.mode, "bucket": self.bucket,
@@ -261,8 +274,8 @@ class SpeHost:
         node = self.node
         fn, scope = get_operator(operator_name)
 
-        # step 2: read the segment and its record index, locally if held,
-        # else from the first other holder that answers
+        # step 2: read the segment as one batch, locally if held, else from
+        # the first other holder that answers
         if node.holds(segment.file):
             source = node.address
             records, _ = node.read_local(segment.file, segment.offset, segment.rows)
@@ -272,19 +285,28 @@ class SpeHost:
                 lambda channel: read_records_over(channel, segment.file,
                                                   segment.offset, segment.rows))
 
-        # step 3: apply the operator into a temporary buffer, acking progress
-        buffer: list[bytes] = []
+        # step 3: apply the operator into one output batch, acking progress
         acks: list[int] = []
-        every = max(1, segment.rows // 10)
         try:
             if scope == "segment":
-                buffer.extend(_normalize(fn(records, segment.params)))
+                out = fn(records, segment.params)
+                if not isinstance(out, RecordBatch):
+                    out = RecordBatch.from_records(() if out is None else out)
                 self._ack(acks, client, job, segment, len(records))
             else:
+                produced: list = []
+                every = max(1, segment.rows // 10)
                 for i, record in enumerate(records, 1):
-                    buffer.extend(_normalize(fn(record, segment.params)))
+                    result = fn(record, segment.params)
+                    if isinstance(result, (bytes, bytearray)):
+                        produced.append(result)
+                    elif result is not None:
+                        produced.extend(result)
                     if i % every == 0 or i == len(records):
                         self._ack(acks, client, job, segment, i)
+                out = RecordBatch.from_records(produced)
+            if output.mode == OutputMode.SHUFFLE and out.buckets is None:
+                out = out.with_buckets(_bucket_ids(out, output, segment.params))
         except Exception as exc:
             log.warning("operator %r failed on segment %d of %s: %s",
                         operator_name, segment.ordinal, segment.file, exc)
@@ -292,10 +314,10 @@ class SpeHost:
                     "rows": segment.rows, "acks": acks, "outputs": []}
 
         # step 4: final acknowledgment, then write results where they belong
-        outputs = self._write_outputs(job, segment, buffer, output, source)
+        outputs = self._write_outputs(job, segment, out, output, source)
         return {"status": "ok", "rows": segment.rows, "acks": acks,
                 "final_ack": segment.rows, "outputs": outputs,
-                "produced": len(buffer)}
+                "produced": len(out)}
 
     def _ack(self, acks: list[int], client: str | None, job: str,
              segment: DataSegment, processed: int) -> None:
@@ -310,52 +332,89 @@ class SpeHost:
             except TransportError:
                 pass
 
-    def _write_outputs(self, job: str, segment: DataSegment, buffer: list[bytes],
+    def _write_outputs(self, job: str, segment: DataSegment, out: RecordBatch,
                        output: OutputSpec, source: str) -> list[dict]:
         node = self.node
         if output.mode == OutputMode.SHUFFLE:
-            bucket_fn = get_bucket_fn(output.bucket)
-            tagged = [(bucket_fn(record, segment.params), record) for record in buffer]
-            self._send_shuffle(job, tagged, output.destinations)
+            self._send_shuffle(job, TaggedRecords(out), output.destinations)
             return []
-        if not buffer:
+        if not len(out):
             return []
         target = source if output.mode == OutputMode.ORIGIN else node.address
         name = seg_file_name(job, segment.ordinal)
-        data = b"".join(buffer)
-        index = RecordIndex.from_sizes(map(len, buffer))
+        data, index = out.pack()
         node.write_output(name, data, index, target=target)
         return [{"name": name, "target": target,
-                 "records": len(buffer), "size": len(data)}]
+                 "records": len(out), "size": len(data)}]
 
-    def _send_shuffle(self, job: str, tagged, destinations) -> None:
-        by_bucket: dict[int, list[bytes]] = defaultdict(list)
-        for bucket, record in tagged:
-            by_bucket[bucket].append(record)
+    def _send_shuffle(self, job: str, tagged: "TaggedRecords", destinations) -> None:
+        """Send each bucket's records, in output order, to the bucket's
+        destination in batches cut after the record that brings a batch to
+        SHUFFLE_BATCH_BYTES. Each destination's batches go in order. When
+        calls to the destinations wait on a network, the destinations are
+        sent to at once; otherwise one after another, since threads then
+        save no time (one interpreter lock) and each costs memory."""
+        if not len(tagged.batch):
+            return
+        order = np.argsort(tagged.batch.buckets, kind="stable")
+        grouped = tagged.batch.take(order)
+        buckets, sizes = grouped.buckets, grouped.sizes
+        ends = np.cumsum(sizes, dtype=np.int64)  # end of each record in grouped.data
+        firsts = np.flatnonzero(np.diff(buckets)) + 1
         destinations = list(destinations)
-        for bucket in sorted(by_bucket):
-            records = by_bucket[bucket]
+        body = memoryview(grouped.data)
+        sends: dict[str, list[tuple]] = {}
+        for lo, hi in zip([0, *firsts.tolist()], [*firsts.tolist(), len(buckets)]):
+            bucket = int(buckets[lo])
             start = destinations[bucket % len(destinations)]
-            batch: list[bytes] = []
-            size = 0
-            for record in records:
-                batch.append(record)
-                size += len(record)
-                if size >= SHUFFLE_BATCH_BYTES:
-                    self._flush_batch(job, bucket, batch, start, destinations)
-                    batch, size = [], 0
-            if batch:
-                self._flush_batch(job, bucket, batch, start, destinations)
+            while lo < hi:
+                begin = int(ends[lo - 1]) if lo else 0
+                stop = min(hi, int(np.searchsorted(ends, begin + SHUFFLE_BATCH_BYTES)) + 1)
+                sends.setdefault(start, []).append(
+                    (bucket, sizes[lo:stop].tolist(), body[begin:int(ends[stop - 1])]))
+                lo = stop
 
-    def _flush_batch(self, job: str, bucket: int, batch: list[bytes],
+        def send(dest: str) -> None:
+            for bucket, batch_sizes, batch in sends[dest]:
+                self._flush_batch(job, bucket, batch_sizes, batch, dest, destinations)
+
+        if not any(map(self.node.transport.waits_on, sends)):
+            for dest in sends:
+                send(dest)
+            return
+        for error in call_each(send, sends):
+            if error is not None:
+                raise error
+
+    def _flush_batch(self, job: str, bucket: int, sizes: list[int], body,
                      dest: str, destinations: list[str]) -> None:
-        header = {"job": job, "bucket": bucket, "sizes": [len(r) for r in batch]}
-        body = b"".join(batch)
+        header = {"job": job, "bucket": bucket, "sizes": sizes}
         order = [dest] + [d for d in destinations if d != dest]
         landed, _ = first_holder(self.node.transport, order, lambda channel: channel.call(
             MessageKind.SHUFFLE_APPEND, header, body))
         if landed != dest:
             log.warning("bucket %d redirected from %s to %s", bucket, dest, landed)
+
+
+class TaggedRecords:
+    """A shuffle's output batch with its bucket ids. The engine reads
+    `batch`; iterating yields (bucket, record) pairs, for observers."""
+
+    def __init__(self, batch: RecordBatch):
+        self.batch = batch
+
+    def __iter__(self):
+        return zip(self.batch.buckets.tolist(), self.batch)
+
+
+def _bucket_ids(out: RecordBatch, output: OutputSpec, params: bytes) -> np.ndarray:
+    """Bucket ids from the job's bucket function, one call per record."""
+    if output.bucket is None:
+        raise SectorError("shuffle output needs bucket ids from the operator "
+                          "or a bucket function")
+    bucket_fn = get_bucket_fn(output.bucket)
+    return np.fromiter((bucket_fn(record, params) for record in out),
+                       dtype=np.int64, count=len(out))
 
 
 def call_each(fn, items) -> list:
@@ -378,14 +437,6 @@ def call_each(fn, items) -> list:
     for t in threads:
         t.join()
     return results
-
-
-def _normalize(result) -> list[bytes]:
-    if result is None:
-        return []
-    if isinstance(result, (bytes, bytearray)):
-        return [bytes(result)]
-    return [bytes(r) for r in result]
 
 
 # --------------------------------------------------------------- job client
@@ -416,7 +467,7 @@ def run_job(session, stream: Stream, operator_name: str, params: bytes = b"",
     """
     if not operator_registered(operator_name):
         raise JobError("operator %r is not registered" % operator_name)
-    if output.mode == OutputMode.SHUFFLE and output.bucket not in _BUCKET_FNS:
+    if output.bucket is not None and output.bucket not in _BUCKET_FNS:
         raise JobError("bucket function %r is not registered" % output.bucket)
     job_id = job_id or "job-%s" % uuid.uuid4().hex[:10]
     nodes = session.members()

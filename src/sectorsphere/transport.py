@@ -141,16 +141,28 @@ class Transport:
     def _connect(self, peer: str) -> Channel:
         raise NotImplementedError
 
+    def waits_on(self, peer: str) -> bool:
+        """Whether a call to peer waits on a network, so that overlapping
+        calls saves time."""
+        return True
+
     def open_channel(self, peer: str) -> Channel:
         if not peer:
             raise TransportError("empty peer address")
         with self._channels_lock:
             cached = self._channels.get(peer)
-            if cached is not None and cached.is_open:
-                return cached
-            channel = self._connect(peer)
-            self._channels[peer] = channel
-            return channel
+        if cached is not None and cached.is_open:
+            return cached
+        # connect outside the lock, so that connecting to one peer does not
+        # hold up the channels to others; the first channel made is kept
+        channel = self._connect(peer)
+        with self._channels_lock:
+            cached = self._channels.get(peer)
+            if cached is None or not cached.is_open:
+                self._channels[peer] = cached = channel
+        if cached is not channel:
+            channel.close()
+        return cached
 
     def close(self) -> None:
         with self._channels_lock:
@@ -253,6 +265,9 @@ class InMemoryTransport(Transport):
     def _connect(self, peer: str) -> Channel:
         self.network.connect(self.address, peer)
         return InMemoryChannel(self.network, self.address, peer)
+
+    def waits_on(self, peer: str) -> bool:
+        return self.network.profile.rtt(self.address, peer) > 0
 
     def close(self) -> None:
         self.stop_listening()

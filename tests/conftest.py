@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from sectorsphere.cluster import quick_cluster
+
+# CI runs with --hypothesis-profile=ci, so a failing example found there is
+# found again by the same command; local runs stay random.
+settings.register_profile("ci", derandomize=True)
 
 
 @pytest.fixture

@@ -31,8 +31,8 @@ def test_reply_body_is_decoded_and_capped_reads_continue():
     channel = ReplyChannel(read_reply([(0, 3), (3, 2)], [b"abc", b"de"]),
                            read_reply([(9, 1)], [b"f"]))
     records, entries = read_records_over(channel, "f.dat", 4, 3)
-    assert records == [b"abc", b"de", b"f"]
-    assert entries == [(0, 3), (3, 2), (9, 1)]
+    assert list(records) == [b"abc", b"de", b"f"]
+    assert entries.entries == ((0, 3), (3, 2), (9, 1))
     assert [r["offset"] for r in channel.requests] == [4, 6]
 
 

@@ -75,10 +75,10 @@ def test_read_records_whole_and_single(make_cluster):
     node = owner_node(cluster, "r.dat")
     records, entries = node.read_local("r.dat", 0, 2)
     assert b"".join(records) == data
-    assert entries == [(0, 10), (10, 10)]
+    assert entries.entries == ((0, 10), (10, 10))
     records, entries = node.read_local("r.dat", 1, 1)
-    assert records == [b"second----"]
-    assert entries == [(10, 10)]
+    assert list(records) == [b"second----"]
+    assert entries.entries == ((10, 10),)
 
 
 def test_read_range_overflow(make_cluster):
@@ -104,7 +104,7 @@ def test_remote_read_equals_local_read(make_cluster):
     local_records, local_entries = holder.read_local("rr.dat", 3, 17)
     channel = other.transport.open_channel(holder.address)
     remote_records, remote_entries = read_records_over(channel, "rr.dat", 3, 17)
-    assert remote_records == local_records
+    assert list(remote_records) == list(local_records)
     assert remote_entries == local_entries
 
 
@@ -189,7 +189,7 @@ def test_file_without_index_is_file_level(make_cluster):
     meta = node.meta("plain.bin")
     assert not meta.indexed and meta.records == 1
     records, entries = node.read_local("plain.bin", 0, 1)
-    assert records == [b"no index here"]
+    assert list(records) == [b"no index here"]
     with pytest.raises(RangeError):
         node.read_local("plain.bin", 0, 2)
 
@@ -220,10 +220,14 @@ def test_remote_read_equals_local_read_with_gaps(make_cluster):
     holder = owner_node(cluster, "gap.dat")
     other = next(n for a, n in cluster.nodes.items() if a != holder.address)
     channel = other.transport.open_channel(holder.address)
-    local = holder.read_local("gap.dat", 0, 5)
-    assert local == (expected, list(index.entries))
-    assert read_records_over(channel, "gap.dat", 0, 5) == local
-    assert read_records_over(channel, "gap.dat", 1, 3) == holder.read_local("gap.dat", 1, 3)
+    def read(reader, *args):
+        records, entries = reader(*args)
+        return list(records), entries
+
+    assert read(holder.read_local, "gap.dat", 0, 5) == (expected, index)
+    assert read(read_records_over, channel, "gap.dat", 0, 5) == (expected, index)
+    assert read(read_records_over, channel, "gap.dat", 1, 3) == read(
+        holder.read_local, "gap.dat", 1, 3)
 
 
 @pytest.mark.parametrize("gapped", [False, True])
@@ -258,8 +262,9 @@ def test_remote_read_beyond_transfer_chunk_loops(make_cluster, monkeypatch, gapp
             return channel.call(kind, header, body)
 
     remote = read_records_over(Counting(), "big.dat", 2, 35)
-    assert remote == holder.read_local("big.dat", 2, 35)
-    assert remote[0] == [data[o:o + s] for o, s in index.slice(2, 35)]
+    local = holder.read_local("big.dat", 2, 35)
+    assert remote[1] == local[1]
+    assert list(remote[0]) == list(local[0]) == [data[o:o + s] for o, s in index.slice(2, 35)]
     assert len(reads) > 5 and set(reads) == {MessageKind.READ}
 
 

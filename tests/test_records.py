@@ -2,10 +2,10 @@ import pytest
 
 from sectorsphere.errors import IntegrityError, RangeError
 from sectorsphere.records import (
+    RecordBatch,
     RecordIndex,
     index_path,
     read_record_file,
-    slice_records,
     write_record_file,
 )
 
@@ -50,7 +50,7 @@ def test_write_and_read_record_file(tmp_path):
     back_data, back_index = read_record_file(path)
     assert back_data == data
     assert back_index == index
-    assert slice_records(back_data, back_index.entries) == [b"aaaa", b"bbbb", b"cc"]
+    assert list(RecordBatch(back_data, back_index)) == [b"aaaa", b"bbbb", b"cc"]
 
 
 def test_read_without_index(tmp_path):

@@ -50,7 +50,7 @@ def test_upload_that_fits_one_chunk_is_one_store_message(make_cluster, monkeypat
     upload_records(client, "one.dat", [b"alpha", b"beta", b"gamma"])
     assert sent == {MessageKind.OWNER: 1, MessageKind.STORE_DATA: 1}
     node = owner_node(cluster, "one.dat")
-    assert node.read_local("one.dat", 0, 3)[0] == [b"alpha", b"beta", b"gamma"]
+    assert list(node.read_local("one.dat", 0, 3)[0]) == [b"alpha", b"beta", b"gamma"]
 
 
 @pytest.mark.parametrize("chunk", [1, 16, 50, 97, 98, 4096])
@@ -96,7 +96,7 @@ def test_store_piece_from_another_sender_is_refused(make_cluster):
     with pytest.raises(IntegrityError):  # pieces must arrive in order
         mine.call(MessageKind.STORE_DATA, {**header, "offset": 6}, b"6789")
     mine.call(MessageKind.STORE_DATA, {**header, "offset": 5}, b"56789")
-    assert cluster.nodes[owner].read_local("shared.bin", 0, 1)[0] == [b"0123456789"]
+    assert list(cluster.nodes[owner].read_local("shared.bin", 0, 1)[0]) == [b"0123456789"]
 
 
 # -------------------------------------------------------------------- jobs
@@ -165,6 +165,29 @@ def test_sample_reads_use_one_thread_per_nearest_holder(make_cluster, monkeypatc
     assert boundaries == [keys[i * len(keys) // 4] for i in range(1, 4)]
     assert batches == [len({f.locations[0] for f in stream.files})]
     assert batches[0] <= len(cluster.nodes)
+
+
+def test_stream_names_are_looked_up_in_a_bounded_number_of_lanes(make_cluster, monkeypatch):
+    from sectorsphere.client import LOOKUP_LANES
+
+    cluster = make_cluster(2)
+    client = cluster.client()
+    names = ["lanes/%02d.dat" % i for i in range(LOOKUP_LANES + 5)]
+    for i, name in enumerate(names):
+        upload_records(client, name, [b"r"] * (i + 1))
+    lanes = []
+    call_each = sphere.call_each
+
+    def recorded(fn, items):
+        items = list(items)
+        lanes.append(len(items))
+        return call_each(fn, items)
+
+    monkeypatch.setattr(sphere, "call_each", recorded)
+    stream = client.resolve_stream(names)
+    assert stream.names == tuple(names)
+    assert [f.records for f in stream.files] == list(range(1, len(names) + 1))
+    assert lanes == [LOOKUP_LANES]
 
 
 def test_call_each_keeps_order_and_returns_exceptions():
@@ -285,7 +308,8 @@ def test_holder_refuses_reads_and_fetches_for_another_version(make_cluster):
         fetch_file(channel, "v.dat", stat={**stat, "size": 99})
     with pytest.raises(StaleError):
         fetch_file(channel, "v.dat", stat={**stat, "indexed": False})
-    assert read_records_over(channel, "v.dat", 0, 2, expectation(stat))[0] == [b"one", b"two"]
+    assert list(read_records_over(channel, "v.dat", 0, 2, expectation(stat))[0]) == [
+        b"one", b"two"]
 
 
 def test_reads_skip_a_replica_left_at_an_old_version(make_cluster, tmp_path):
@@ -299,7 +323,7 @@ def test_reads_skip_a_replica_left_at_an_old_version(make_cluster, tmp_path):
     profile.set_rtt(client.address, owner, 1.0)  # the old replica is the nearest holder
     new = [b"c" * 7, b"d" * 7, b"e" * 7]
     upload_records(client, "old.dat", new)
-    assert cluster.nodes[stale].read_local("old.dat", 0, 2)[0] == [b"a" * 5, b"b" * 5]
+    assert list(cluster.nodes[stale].read_local("old.dat", 0, 2)[0]) == [b"a" * 5, b"b" * 5]
     assert client.locate("old.dat")[0] == stale
     assert client.download("old.dat", tmp_path / "old.dat") == 21
     assert (tmp_path / "old.dat").read_bytes() == b"".join(new)

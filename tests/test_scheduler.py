@@ -142,3 +142,41 @@ def test_worker_without_local_work_leaves_local_segments_to_idle_peers():
     assert validate_schedule(events, spes) == []
     who_ran = {ev.file: ev.spe_node for ev in events if ev.kind == "assign"}
     assert who_ran == {"b-local": "nodeB", "nowhere": "nodeA"}
+
+
+def test_worker_waits_instead_of_taking_an_idle_peers_local_segment():
+    segments = make_segments([("b-local", ("nodeB",), 2)])
+    spes = [SpeHandle("nodeA"), SpeHandle("nodeB")]
+    sched = Scheduler(segments, spes)
+    # nodeB's worker is idle and may run both in place, so nodeA's waits
+    assert sched.try_next(spes[0]) is None
+    first = sched.try_next(spes[1])
+    assert first.segment.ordinal == 0
+    # with nodeB's worker busy, the rest goes to the worker that would idle
+    second = sched.try_next(spes[0])
+    assert second.segment.ordinal == 1
+    events = sched.events
+    assert [(ev.spe_node, ev.local) for ev in events] == [("nodeB", True), ("nodeA", False)]
+    assert validate_schedule(events, spes) == []
+
+
+def test_worker_takes_a_retry_that_its_idle_local_peer_is_excluded_from():
+    segments = make_segments([("b-local", ("nodeB",), 1)])
+    spes = [SpeHandle("nodeA"), SpeHandle("nodeB")]
+    sched = Scheduler(segments, spes)
+    task = sched.try_next(spes[1])
+    assert sched.fail(spes[1], task, "boom") is True
+    # nodeB's worker is idle but may not run the retry: waiting for it
+    # would never end
+    retried = sched.try_next(spes[0])
+    assert retried is task and retried.excluded == "nodeB"
+
+
+def test_waiting_schedules_stay_work_conserving():
+    segments = make_segments([("b", ("nodeB",), 5), ("c", ("nodeC",), 1)])
+    spes = [SpeHandle("nodeA"), SpeHandle("nodeB"), SpeHandle("nodeC")]
+    events = simulate_schedule(segments, spes, constant_duration)
+    assert validate_schedule(events, spes) == []
+    assert check_work_conservation(events, spes, segments) == []
+    first = [(ev.spe_node, ev.file) for ev in events if ev.kind == "assign" and ev.time == 0]
+    assert ("nodeB", "b") in first and ("nodeC", "c") in first and len(first) == 3

@@ -404,5 +404,103 @@ def test_segment_reads_from_the_next_holder_and_writes_back_there(make_cluster):
     name = sphere.seg_file_name("j-far", 3)
     assert report["outputs"] == [{"name": name, "target": holder,
                                   "records": 8, "size": sum(map(len, records[2:10]))}]
-    assert cluster.nodes[holder].read_local(name, 0, 8)[0] == records[2:10]
+    assert list(cluster.nodes[holder].read_local(name, 0, 8)[0]) == records[2:10]
     assert not worker.holds(name)
+
+
+def test_segment_operator_sets_buckets_and_acks_once(make_cluster):
+    cluster = make_cluster(2)
+    client = cluster.client()
+
+    def by_first_byte(records, params):
+        return records.with_buckets([r[0] % 3 for r in records])
+
+    sphere.register_operator("test-first-byte-mod3", by_first_byte, scope="segment")
+    rng = random.Random(21)
+    records = [rng.randbytes(rng.randrange(1, 30)) for _ in range(150)]
+    upload_records(client, "tagged.dat", records)
+    out, report = client.run_job(
+        ["tagged.dat"], "test-first-byte-mod3",
+        output=OutputSpec(mode=OutputMode.SHUFFLE, destinations=tuple(sorted(cluster.nodes))),
+        limits=sphere.WHOLE_FILE_LIMITS)
+    assert report.ok and [s["acks"] for s in report.segments] == [[150]]
+    got = {}
+    for f in out.files:
+        got[int(f.name.rsplit("_", 1)[1].split(".")[0])] = client.read_records(f.name, 0, f.records)
+    assert got == {b: [r for r in records if r[0] % 3 == b] for b in range(3)}
+
+
+def test_shuffle_without_bucket_ids_or_bucket_function_fails(make_cluster):
+    cluster = make_cluster(1)
+    client = cluster.client()
+    upload_records(client, "plain.dat", [b"a", b"b"])
+    with pytest.raises(JobError):
+        client.run_job(["plain.dat"], "identity",
+                       output=OutputSpec(mode=OutputMode.SHUFFLE,
+                                         destinations=tuple(cluster.nodes)))
+
+
+def test_shuffle_batches_cut_after_the_record_that_fills_them(make_cluster, monkeypatch):
+    from sectorsphere.node import StorageNode
+
+    monkeypatch.setattr(sphere, "SHUFFLE_BATCH_BYTES", 40)
+    sent = collections.defaultdict(list)
+    append = StorageNode.shuffle_append
+
+    def recording(node, job, bucket, sizes, body):
+        sent[bucket].append(list(sizes))
+        return append(node, job, bucket, sizes, body)
+
+    monkeypatch.setattr(StorageNode, "shuffle_append", recording)
+    cluster = make_cluster(2)
+    client = cluster.client()
+    sphere.register_bucket("test-parity", lambda record, params: record[0] % 2)
+    rng = random.Random(6)
+    records = [rng.randbytes(rng.randrange(1, 25)) for _ in range(120)]
+    upload_records(client, "cuts.dat", records)
+    client.run_job(["cuts.dat"], "identity",
+                   output=OutputSpec(mode=OutputMode.SHUFFLE, bucket="test-parity",
+                                     destinations=tuple(sorted(cluster.nodes))),
+                   limits=sphere.WHOLE_FILE_LIMITS)
+    for bucket in (0, 1):
+        expected, batch, size = [], [], 0
+        for record in (r for r in records if r[0] % 2 == bucket):
+            batch.append(len(record))
+            size += len(record)
+            if size >= 40:
+                expected.append(batch)
+                batch, size = [], 0
+        expected += [batch] if batch else []
+        assert sent[bucket] == expected
+
+
+@pytest.mark.parametrize("rtt_ms", [0.0, 2.0])
+def test_shuffle_sends_at_once_only_over_links_that_wait(make_cluster, monkeypatch, rtt_ms):
+    from sectorsphere.transport import LinkProfile
+
+    profile = LinkProfile()
+    profile.set_rtt("node-0", "node-1", rtt_ms)
+    cluster = make_cluster(2, profile=profile)
+    client = cluster.client()
+    sends = []
+    call_each = sphere.call_each
+
+    def recorded(fn, items):
+        items = list(items)
+        if fn.__name__ == "send":
+            sends.append(sorted(items))
+        return call_each(fn, items)
+
+    monkeypatch.setattr(sphere, "call_each", recorded)
+    sphere.register_bucket("test-parity-at-once", lambda record, params: record[0] % 2)
+    rng = random.Random(9)
+    records = [rng.randbytes(rng.randrange(1, 20)) for _ in range(80)]
+    upload_records(client, "once.dat", records)
+    out, report = client.run_job(
+        ["once.dat"], "identity",
+        output=OutputSpec(mode=OutputMode.SHUFFLE, bucket="test-parity-at-once",
+                          destinations=("node-0", "node-1")),
+        limits=sphere.WHOLE_FILE_LIMITS)
+    assert report.ok
+    assert sorted(read_stream_records(client, out)) == sorted(records)
+    assert sends == ([["node-0", "node-1"]] if rtt_ms else [])
