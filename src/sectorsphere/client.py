@@ -230,7 +230,7 @@ class ClientSession:
                 job_id: str | None = None, spe_per_node: int = 1):
         if not sphere.operator_registered(operator_name):
             raise JobError("operator %r is not registered" % operator_name)
-        if isinstance(stream, (list, tuple)) and stream and isinstance(stream[0], str):
+        if not isinstance(stream, sphere.Stream):
             stream = self.resolve_stream(stream)
         return sphere.run_job(self, stream, operator_name, params=params,
                               output=output, limits=limits, job_id=job_id,

@@ -41,7 +41,6 @@ class ClusterConfig:
     nodes: list[NodeSpec]
     replica_target: int = 3
     link_profile: str | None = None
-    clock: str = "real"
     transport: str = "memory"
     spe_slots: int = 1
     seed: int = 0
@@ -104,7 +103,6 @@ def parse_cluster_config(path) -> ClusterConfig:
         nodes=nodes,
         replica_target=int(cluster.get("replica_target", 3)),
         link_profile=cluster.get("link_profile") or None,
-        clock=cluster.get("clock", "real"),
         transport=cluster.get("transport", "memory"),
         spe_slots=int(cluster.get("spe_slots", 1)),
         seed=int(cluster.get("seed", 0)),

@@ -8,9 +8,10 @@ nothing local waits rather than take a segment that an idle worker on
 one of its replica nodes may take. Retried segments carry an excluded
 node so the second attempt lands on a different machine.
 
-Every decision is captured in an event log with a snapshot of the state
-it was made against, so schedules (live or simulated) can be validated
-after the fact.
+Every decision goes into an event log, one small event each; an assign
+names its segment's replica nodes. Replaying the log rebuilds the state
+each decision was made in, so schedules (live or simulated) can be
+validated after the fact in memory linear in the number of segments.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ class SpeHandle:
     """One processing element: a (node, slot) pair executing one segment at a time."""
     node: str
     slot: int = 0
-    state: str = "idle"
-    current: int | None = None
 
     @property
     def key(self) -> tuple[str, int]:
@@ -42,7 +41,7 @@ class SegmentTask:
     excluded: str | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class ScheduleEvent:
     kind: str  # assign | complete | fail
     time: float
@@ -52,8 +51,7 @@ class ScheduleEvent:
     file: str
     local: bool = False
     exception: bool = False  # same-file rule yielded to work conservation
-    pending: tuple = ()      # (ordinal, file, locations, excluded) incl. the chosen one
-    running_files: tuple = ()
+    locations: tuple = ()    # assign only: the segment's replica nodes
 
 
 class Scheduler:
@@ -62,7 +60,7 @@ class Scheduler:
         self._spes = list(spes)
         self._single_node = len({s.node for s in spes}) <= 1
         self._now = now
-        self._running: dict[tuple, SegmentTask] = {}
+        self._running: set[tuple] = set()  # keys of the busy workers
         self._running_files: Counter = Counter()
         self._outstanding = len(self._pending)
         self._failures: list[dict] = []
@@ -71,11 +69,13 @@ class Scheduler:
 
     # -------------------------------------------------------------- picking
 
-    def _allowed(self, task: SegmentTask, spe: SpeHandle) -> bool:
-        return self._single_node or task.excluded != spe.node
+    def idle(self) -> list[SpeHandle]:
+        """The workers with no segment running, in the order they were given."""
+        with self._cond:
+            return [s for s in self._spes if s.key not in self._running]
 
     def _pick(self, spe: SpeHandle) -> SegmentTask | None:
-        allowed = [t for t in self._pending if self._allowed(t, spe)]
+        allowed = [t for t in self._pending if self._single_node or t.excluded != spe.node]
         if not allowed:
             return None
         permitted = [t for t in allowed if not self._running_files[t.segment.file]]
@@ -87,34 +87,27 @@ class Scheduler:
             # nothing local here: leave a segment to an idle worker on one
             # of its replica nodes that may run it in place, and wait if
             # every segment has such a worker
-            idle = [s for s in self._spes if s is not spe and s.key not in self._running]
+            idle = [s for s in self.idle() if s is not spe]
             unclaimed = [t for t in pool if not any(
-                s.node in t.segment.locations and self._allowed(t, s) for s in idle)]
+                s.node in t.segment.locations and (self._single_node or t.excluded != s.node)
+                for s in idle)]
             if not unclaimed:
                 return None
             choice = unclaimed[0]
-        self._record_assign(spe, choice, exception=not permitted)
+        self._record("assign", spe, choice, local=bool(local), exception=not permitted,
+                     locations=choice.segment.locations)
         self._pending.remove(choice)
-        self._running[spe.key] = choice
+        self._running.add(spe.key)
         self._running_files[choice.segment.file] += 1
-        spe.state = "busy"
-        spe.current = choice.segment.ordinal
         choice.attempts += 1
         # a worker waiting on this one's idleness may now take what is left
         self._cond.notify_all()
         return choice
 
-    def _record_assign(self, spe: SpeHandle, task: SegmentTask, exception: bool) -> None:
-        snapshot = tuple((t.segment.ordinal, t.segment.file,
-                          tuple(t.segment.locations), t.excluded)
-                         for t in self._pending)
-        running = tuple(f for f, n in self._running_files.items() if n > 0)
+    def _record(self, kind: str, spe: SpeHandle, task: SegmentTask, **extra) -> None:
         self.events.append(ScheduleEvent(
-            kind="assign", time=self._now(),
-            spe_node=spe.node, spe_slot=spe.slot,
-            ordinal=task.segment.ordinal, file=task.segment.file,
-            local=spe.node in task.segment.locations,
-            exception=exception, pending=snapshot, running_files=running))
+            kind=kind, time=self._now(), spe_node=spe.node, spe_slot=spe.slot,
+            ordinal=task.segment.ordinal, file=task.segment.file, **extra))
 
     # ------------------------------------------------------------- blocking
 
@@ -136,13 +129,9 @@ class Scheduler:
             return self._pick(spe)
 
     def _finish(self, spe: SpeHandle, task: SegmentTask, kind: str) -> None:
-        self._running.pop(spe.key, None)
+        self._running.discard(spe.key)
         self._running_files[task.segment.file] -= 1
-        spe.state = "idle"
-        spe.current = None
-        self.events.append(ScheduleEvent(
-            kind=kind, time=self._now(), spe_node=spe.node, spe_slot=spe.slot,
-            ordinal=task.segment.ordinal, file=task.segment.file))
+        self._record(kind, spe, task)
 
     def complete(self, spe: SpeHandle, task: SegmentTask) -> None:
         with self._cond:
@@ -174,53 +163,83 @@ class Scheduler:
 
 # ------------------------------------------------------------------ validate
 
-def validate_schedule(events, spes) -> list[str]:
-    """Check a schedule log against the three assignment rules.
-
-    Replays the log, cross-checks each assign snapshot, and returns a list
-    of violation descriptions (empty when the schedule is clean).
-    """
-    violations = []
-    nodes = {s.node for s in spes}
-    single_node = len(nodes) <= 1
+def _replay(events, segments=()):
+    """Rebuild the scheduler's state from its log: yield (event, pending,
+    running_files, busy) before each event and (None, ...) after the last.
+    pending maps ordinal -> (ordinal, file, locations, excluded); it starts
+    with `segments` and every segment the log assigns, and a failed one
+    returns, excluding its node, only if the log assigns it again."""
+    known = {s.ordinal: (s.file, tuple(s.locations)) for s in segments}
+    assigns_left: Counter = Counter()
+    for ev in events:
+        if ev.kind == "assign":
+            known.setdefault(ev.ordinal, (ev.file, tuple(ev.locations)))
+            assigns_left[ev.ordinal] += 1
+    pending = {o: (o, f, locs, None) for o, (f, locs) in known.items()}
     running_files: Counter = Counter()
     busy: dict[tuple, int] = {}
-
-    for i, ev in enumerate(events):
+    for ev in events:
+        yield ev, pending, running_files, busy
         key = (ev.spe_node, ev.spe_slot)
         if ev.kind == "assign":
-            replay = tuple(f for f, n in running_files.items() if n > 0)
-            if set(replay) != set(ev.running_files):
-                violations.append("event %d: snapshot disagrees with replay" % i)
-            if key in busy:
-                violations.append("event %d: SPE %s assigned while busy" % (i, key))
-            chosen = next((t for t in ev.pending if t[0] == ev.ordinal), None)
-            if chosen is None:
-                violations.append("event %d: assigned segment missing from snapshot" % i)
-            elif chosen[3] == ev.spe_node and not single_node:
-                violations.append(
-                    "event %d: segment %d reassigned to excluded node %s"
-                    % (i, ev.ordinal, ev.spe_node))
-            pending = [t for t in ev.pending
-                       if single_node or t[3] != ev.spe_node]
-            permitted = [t for t in pending if t[1] not in ev.running_files]
-            pool = permitted or pending
-            if ev.file in ev.running_files and permitted:
-                violations.append(
-                    "event %d: segment %d runs file %r concurrently without need"
-                    % (i, ev.ordinal, ev.file))
-            if not ev.local:
-                local_available = [t for t in pool if ev.spe_node in t[2]]
-                if local_available:
-                    violations.append(
-                        "event %d: SPE on %s took remote segment %d while local %s pending"
-                        % (i, ev.spe_node, ev.ordinal,
-                           [t[0] for t in local_available]))
+            pending.pop(ev.ordinal, None)
+            assigns_left[ev.ordinal] -= 1
             running_files[ev.file] += 1
             busy[key] = ev.ordinal
-        else:
-            running_files[ev.file] -= 1
-            busy.pop(key, None)
+            continue
+        running_files[ev.file] -= 1
+        busy.pop(key, None)
+        if ev.kind == "fail" and assigns_left[ev.ordinal] > 0:
+            pending[ev.ordinal] = (ev.ordinal, ev.file, known[ev.ordinal][1], ev.spe_node)
+    yield None, pending, running_files, busy
+
+
+def validate_schedule(events, spes) -> list[str]:
+    """Check each decision of a schedule log against the state the replay
+    rebuilds for it, by the rules above plus one segment per worker and
+    only pending segments run. Returns the violations (empty if clean)."""
+    violations = []
+    spes = list(spes)
+    single_node = len({s.node for s in spes}) <= 1
+    for i, (ev, pending, running_files, busy) in enumerate(_replay(events)):
+        if ev is None:
+            break
+        key = (ev.spe_node, ev.spe_slot)
+        if ev.kind != "assign":
+            if busy.get(key) != ev.ordinal:
+                violations.append("event %d: SPE %s ends segment %d, which it does not run"
+                                  % (i, key, ev.ordinal))
+            continue
+        if key in busy:
+            violations.append("event %d: SPE %s assigned while busy" % (i, key))
+        chosen = pending.get(ev.ordinal)
+        if chosen is None:
+            violations.append("event %d: segment %d assigned while not pending" % (i, ev.ordinal))
+            continue
+        if ev.local != (ev.spe_node in chosen[2]):
+            violations.append("event %d: segment %d has a wrong local flag" % (i, ev.ordinal))
+        if chosen[3] == ev.spe_node and not single_node:
+            violations.append("event %d: segment %d reassigned to excluded node %s"
+                              % (i, ev.ordinal, ev.spe_node))
+            continue
+        allowed = [t for t in pending.values() if single_node or t[3] != ev.spe_node]
+        permitted = [t for t in allowed if not running_files[t[1]]]
+        if running_files[ev.file] and permitted:
+            violations.append("event %d: segment %d runs file %r concurrently without need"
+                              % (i, ev.ordinal, ev.file))
+        if ev.exception != (not permitted):
+            violations.append("event %d: segment %d has a wrong exception flag" % (i, ev.ordinal))
+        if ev.spe_node in chosen[2]:
+            continue
+        local = [t[0] for t in permitted or allowed if ev.spe_node in t[2]]
+        if local:
+            violations.append("event %d: SPE on %s took remote segment %d while local %s pending"
+                              % (i, ev.spe_node, ev.ordinal, local))
+        idle_there = [s.key for s in spes if s.key != key and s.key not in busy
+                      and s.node in chosen[2] and (single_node or chosen[3] != s.node)]
+        if idle_there:
+            violations.append("event %d: SPE on %s took remote segment %d that idle %s may run"
+                              % (i, ev.spe_node, ev.ordinal, idle_there))
     return violations
 
 
@@ -231,43 +250,25 @@ def check_work_conservation(events, spes, segments) -> list[str]:
     violations = []
     spes = list(spes)
     single_node = len({s.node for s in spes}) <= 1
-    idle = {s.key for s in spes}
-    pending = {s.ordinal: (s.ordinal, s.file, tuple(s.locations), None)
-               for s in segments}
-
-    def settled(when):
-        for spe in spes:
-            if spe.key not in idle:
-                continue
-            takeable = [t for t in pending.values()
-                        if single_node or t[3] != spe.node]
-            if takeable:
-                violations.append(
-                    "at t=%.3f worker %s idles with assignable segments %s"
-                    % (when, spe.key, sorted(t[0] for t in takeable)))
-
-    for i, ev in enumerate(events):
-        key = (ev.spe_node, ev.spe_slot)
-        if ev.kind == "assign":
-            pending.pop(ev.ordinal, None)
-            idle.discard(key)
-        else:
-            idle.add(key)
-            if ev.kind == "fail":
-                pending[ev.ordinal] = (ev.ordinal, ev.file, (), ev.spe_node)
+    last = None
+    for ev, pending, _, busy in _replay(events, segments):
         # a burst of same-time events settles when the timestamp changes
-        if i + 1 == len(events) or events[i + 1].time > ev.time:
-            settled(ev.time)
+        if last is not None and (ev is None or ev.time > last.time):
+            for spe in (s for s in spes if s.key not in busy):
+                takeable = sorted(t[0] for t in pending.values()
+                                  if single_node or t[3] != spe.node)
+                if takeable:
+                    violations.append("at t=%.3f worker %s idles with assignable segments %s"
+                                      % (last.time, spe.key, takeable))
+        last = ev
     return violations
 
 
 # ------------------------------------------------------------------ simulate
 
-def simulate_schedule(segments, spes, duration_fn, seed_events=None):
-    """Run the scheduling policy under virtual time; returns the event log.
-
-    duration_fn(segment, spe) gives each execution's virtual duration.
-    """
+def simulate_schedule(segments, spes, duration_fn):
+    """Run the scheduling policy under virtual time and return the event log;
+    duration_fn(segment, spe) gives each execution's virtual duration."""
     clock = {"now": 0.0}
     sched = Scheduler(segments, spes, now=lambda: clock["now"])
     heap: list[tuple[float, int, SpeHandle, SegmentTask]] = []
@@ -286,11 +287,8 @@ def simulate_schedule(segments, spes, duration_fn, seed_events=None):
     def settle():
         # a worker that waited for an idle one may take work once that one
         # is busy, so offer work until a pass over the idle workers assigns none
-        assigned = True
-        while assigned:
-            assigned = False
-            for idle_spe in [s for s in spes if s.state == "idle"]:
-                assigned = feed(idle_spe) or assigned
+        while any([feed(spe) for spe in sched.idle()]):
+            pass
 
     settle()
     while heap:

@@ -28,20 +28,15 @@ class MessageKind(enum.IntEnum):
     MEMBERS = 5
     REGISTER = 6
     STAT = 7
-    STORE_BEGIN = 8
     STORE_DATA = 9
-    STORE_INDEX = 10
-    STORE_END = 11
     READ = 12
     FETCH = 13
     FETCH_INDEX = 14
     REPLICATE = 15
     SPE_RUN = 16
-    SPE_RELEASE = 17
     PROGRESS = 18
     SHUFFLE_APPEND = 19
     FINALIZE_JOB = 20
-    RING = 21
 
 
 @dataclass

@@ -149,6 +149,15 @@ def test_submit_identity_job_over_sockets(tmp_path, tcp_cluster, capsys):
     assert "node " in out  # per-node timings printed
 
 
+def test_submit_with_no_files_exits_with_an_error(tmp_path, tcp_cluster, capsys):
+    addresses, _ = tcp_cluster
+    descriptor = tmp_path / "empty.json"
+    descriptor.write_text(json.dumps({
+        "server": addresses[0], "files": [], "operator": "identity"}))
+    assert cli.main(["submit", "--job", str(descriptor)]) == 1
+    assert "cannot segment an empty stream" in capsys.readouterr().err
+
+
 def test_submit_unknown_operator_is_job_error(tmp_path, tcp_cluster):
     addresses, _ = tcp_cluster
     descriptor = tmp_path / "bad.json"

@@ -136,3 +136,10 @@ def test_locate_only_returns_serving_nodes(make_cluster):
     for location in client.locate("serve.dat"):
         records, _ = cluster.nodes[location].read_local("serve.dat", 0, 3)
         assert b"".join(records) == data
+
+
+@pytest.mark.parametrize("names", [[], ()])
+def test_run_job_on_no_files_is_a_sector_error(make_cluster, names):
+    client = make_cluster(2).client()
+    with pytest.raises(SectorError, match="empty stream"):
+        client.run_job(names, "identity")

@@ -108,7 +108,8 @@ def test_job_sends_no_release_and_leaves_no_active_segments(make_cluster, monkey
     sent = count_messages(monkeypatch, cluster)
     client.run_job(["rel.dat"], "identity", limits=SegmentLimits(100, 100))
     assert sent[MessageKind.SPE_RUN] > 3
-    assert MessageKind.SPE_RELEASE not in sent
+    # no release kind exists, and count_messages fails on a kind it cannot name
+    assert "SPE_RELEASE" not in MessageKind.__members__
     for node in cluster.nodes.values():
         assert not node.spe_host.active
 

@@ -1,6 +1,11 @@
 import random
+import tracemalloc
+from dataclasses import replace
+
+import pytest
 
 from sectorsphere.scheduler import (
+    ScheduleEvent,
     Scheduler,
     SpeHandle,
     check_work_conservation,
@@ -23,6 +28,15 @@ def make_segments(spec):
 
 def constant_duration(segment, spe):
     return 1.0
+
+
+def assign(time, node, segment):
+    return ScheduleEvent("assign", time, node, 0, segment.ordinal, segment.file,
+                         local=node in segment.locations, locations=segment.locations)
+
+
+def finish(time, node, segment, kind="complete"):
+    return ScheduleEvent(kind, time, node, 0, segment.ordinal, segment.file)
 
 
 def test_colocated_spes_get_their_local_files():
@@ -52,10 +66,11 @@ def test_exception_only_when_no_other_file_pending():
     spes = [SpeHandle("n1"), SpeHandle("n2")]
     events = simulate_schedule(segments, spes, constant_duration)
     assert validate_schedule(events, spes) == []
-    for ev in events:
-        if ev.kind == "assign" and ev.exception:
-            pending_files = {t[1] for t in ev.pending}
-            assert pending_files <= set(ev.running_files)
+    assert not any(ev.exception for ev in events)
+    # an exception claimed while another file's segment is pending is flagged
+    tampered = [replace(events[0], exception=True)] + events[1:]
+    assert validate_schedule(tampered, spes) == [
+        "event 0: segment 0 has a wrong exception flag"]
 
 
 def random_instance(rng):
@@ -95,14 +110,68 @@ def test_validator_catches_bad_logs():
     spes = [SpeHandle("n1"), SpeHandle("n2")]
     events = simulate_schedule(segments, spes, constant_duration)
     assert validate_schedule(events, spes) == []
-    # claim a remote assignment while a local segment was pending
-    tampered = [ev for ev in events]
-    for i, ev in enumerate(tampered):
-        if ev.kind == "assign" and ev.local and len(ev.pending) > 1:
-            from dataclasses import replace
-            tampered[i] = replace(ev, local=False)
-            break
-    assert validate_schedule(tampered, spes) != []
+    # claim a remote assignment for a segment on the worker's own node
+    tampered = [replace(events[0], local=False)] + events[1:]
+    assert validate_schedule(tampered, spes) == ["event 0: segment 0 has a wrong local flag"]
+
+
+A0, A1, B, C = make_segments([("a", ("n1", "n2"), 2), ("b", ("n2",), 1), ("c", ("n1",), 1)])
+
+
+@pytest.mark.parametrize("log, violations", [
+    ([assign(0, "n2", A1), assign(0, "n1", B), finish(1, "n2", A1), finish(1, "n1", B),
+      assign(1, "n1", C), finish(2, "n1", C)],
+     ["event 1: SPE on n1 took remote segment 2 while local [3] pending"]),
+    ([assign(0, "n1", A0), assign(0, "n2", A1), finish(1, "n1", A0), finish(1, "n2", A1),
+      assign(1, "n2", B), finish(2, "n2", B)],
+     ["event 1: segment 1 runs file 'a' concurrently without need"]),
+    ([assign(0, "n1", A0), finish(1, "n1", A0, "fail"), assign(1, "n1", A0),
+      finish(2, "n1", A0)],
+     ["event 2: segment 0 reassigned to excluded node n1"]),
+    ([assign(0, "n1", B), finish(1, "n1", B)],
+     ["event 0: SPE on n1 took remote segment 2 that idle [('n2', 0)] may run"]),
+    # a worker on the node a retry excludes is no reason to wait
+    ([assign(0, "n2", B), finish(1, "n2", B, "fail"), assign(1, "n1", B), finish(2, "n1", B)],
+     []),
+], ids=["locality", "same-file", "excluded-node", "wait", "wait-not-for-excluded"])
+def test_validator_checks_each_rule_on_a_hand_written_log(log, violations):
+    assert validate_schedule(log, [SpeHandle("n1"), SpeHandle("n2")]) == violations
+
+
+def test_no_idle_violation_after_a_final_failure():
+    segments = make_segments([("a", ("n1", "n2"), 1), ("b", ("n1", "n2"), 1)])
+    spes = [SpeHandle("n1"), SpeHandle("n2")]
+    clock = [0.0]
+    sched = Scheduler(segments, spes, now=lambda: clock[0])
+    first, other = sched.try_next(spes[0]), sched.try_next(spes[1])
+    clock[0] = 1.0
+    assert sched.fail(spes[0], first, "boom") is True
+    assert sched.try_next(spes[0]) is None  # the retry excludes n1
+    clock[0] = 2.0
+    sched.complete(spes[1], other)
+    assert sched.try_next(spes[1]) is first
+    clock[0] = 3.0
+    assert sched.fail(spes[1], first, "boom again") is False
+    assert sched.try_next(spes[0]) is None
+    assert validate_schedule(sched.events, spes) == []
+    assert check_work_conservation(sched.events, spes, segments) == []
+
+
+def test_schedule_log_memory_is_linear_in_segments():
+    rng = random.Random(1)
+    nodes = ["n%d" % i for i in range(8)]
+    spec = [("f%d" % f, tuple(rng.sample(nodes, 2)), 10) for f in range(100)]
+    segments = make_segments(spec)
+    spes = [SpeHandle(n) for n in nodes]
+    tracemalloc.start()
+    try:
+        events = simulate_schedule(segments, spes, constant_duration)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(events) == 2 * len(segments)
+    # a copy of the pending queue in every event would take about 40 MiB
+    assert peak < 2 * 1024 * 1024
 
 
 def test_retry_excluded_node_respected():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sectorsphere import sphere
 from sectorsphere.errors import JobError, NotFoundError, SectorError
 from sectorsphere.records import RecordIndex
+from sectorsphere.scheduler import SpeHandle, validate_schedule
 from sectorsphere.sphere import (
     OutputMode,
     OutputSpec,
@@ -254,6 +255,9 @@ def test_failed_segment_retries_on_different_node(make_cluster):
     assert len(tries) == 2
     assert tries[0]["status"] == "failed" and tries[1]["status"] == "ok"
     assert tries[0]["node"] != tries[1]["node"]
+    spes = [SpeHandle(node) for node in cluster.nodes]
+    assert [ev.kind for ev in report.events] == ["assign", "fail", "assign", "complete"]
+    assert validate_schedule(report.events, spes) == []
 
 
 def test_replicated_files_execute_on_both_nodes(make_cluster):
