@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import sphere
+from .client import LOOKUP_LANES
 from .fileops import expectation
 from .records import INDEX_SUFFIX, RecordBatch, RecordIndex, read_record_file
 
@@ -116,9 +117,10 @@ def sample_boundaries(session, stream: sphere.Stream, parts: int,
     """Pick parts-1 range boundaries from key quantiles of a sample.
 
     The sample is read as up to three contiguous runs per file (head,
-    middle, tail) totalling about sample_target records. Files are grouped
-    by their nearest holder; each group is read in turn, and the groups at
-    once, one thread each.
+    middle, tail) totalling about sample_target records. The runs are
+    dealt into LOOKUP_LANES lanes, each read in turn; the lanes go at once
+    when a call to one of the files' nearest holders waits on a network
+    (sphere.overlap), and one after another otherwise.
     """
     if parts < 1:
         raise ValueError("need at least one partition")
@@ -126,32 +128,28 @@ def sample_boundaries(session, stream: sphere.Stream, parts: int,
     if total == 0 or parts == 1:
         return []
     per_file = max(1, sample_target // max(1, len(stream.files)))
-
-    def sample(files: list[sphere.StreamFile]) -> list[bytes]:
-        keys = []
-        for f in files:
-            expect = expectation({"size": f.size, "records": f.records,
-                                  "indexed": not f.file_level})
-            quota = min(per_file, f.records)
-            run = max(1, quota // 3)
-            starts = sorted({0, max(0, f.records // 2 - run // 2),
-                             max(0, f.records - run)})
-            taken = 0
-            for start in starts:
-                if taken >= quota:
-                    break
-                rows = min(run, f.records - start, quota - taken)
-                keys.extend(record[:KEY_SIZE] for record in
-                            session.read_records(f.name, start, rows, expect))
-                taken += rows
-        return keys
-
-    by_holder: dict[str, list[sphere.StreamFile]] = {}
+    runs = []
     for f in stream.files:
-        if f.records:
-            by_holder.setdefault(f.locations[0] if f.locations else "", []).append(f)
+        expect = expectation({"size": f.size, "records": f.records,
+                              "indexed": not f.file_level})
+        quota = min(per_file, f.records)
+        run = max(1, quota // 3)
+        taken = 0
+        for start in sorted({0, max(0, f.records // 2 - run // 2), max(0, f.records - run)}):
+            if taken >= quota:
+                break
+            rows = min(run, f.records - start, quota - taken)
+            runs.append((f.name, start, rows, expect))
+            taken += rows
+
+    def sample(lane) -> list[bytes]:
+        return [record[:KEY_SIZE] for name, start, rows, expect in lane
+                for record in session.read_records(name, start, rows, expect)]
+
+    lanes = [runs[i::LOOKUP_LANES] for i in range(min(len(runs), LOOKUP_LANES))]
+    holders = [f.locations[0] for f in stream.files if f.locations]
     keys: list[bytes] = []
-    for result in sphere.call_each(sample, by_holder.values()):
+    for result in sphere.overlap(session.transport, holders, sample, lanes):
         if isinstance(result, Exception):
             raise result
         keys.extend(result)

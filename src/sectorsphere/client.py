@@ -5,6 +5,13 @@ resolve replica locations through the server network's routing layer,
 open a (cached) data channel to a holder, then transfer. The client also
 listens on its own address so workers can stream progress back to it
 during jobs.
+
+The client caches each name's holders and STAT header, from a LOOKUP
+reply or from the job that wrote the file, so reading a job's outputs
+by name sends no LOOKUP; holders confirm the header on every read. Reads
+of several files overlap (sphere.overlap) only when a call to one of
+their holders waits on a network; over zero-latency links they run one
+after another in the caller's thread.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from .wire import Message, MessageKind, unpack_payload
 
 log = logging.getLogger(__name__)
 
-LOOKUP_LANES = 8  # at most this many lookups of one stream in flight
+LOOKUP_LANES = 8  # at most this many lookups, first reads or sample reads of one stream in flight
 
 
 class ClientSession:
@@ -88,10 +95,14 @@ class ClientSession:
         locations = header["locations"]
         if self.profile is not None:
             locations.sort(key=lambda a: (self.profile.rtt(self.address, a), a))
+        self.remember(name, locations, header["stat"])
+        return locations, header["stat"]
+
+    def remember(self, name: str, locations: list[str], stat: dict) -> None:
+        """Cache the name's holders, nearest first, and its STAT header."""
         with self._lock:
             self.resolved[name] = list(locations)
-            self.hints[name] = header["stat"]
-        return locations, header["stat"]
+            self.hints[name] = stat
 
     def forget(self, name: str) -> None:
         with self._lock:
@@ -171,18 +182,32 @@ class ClientSession:
 
     def iter_batches(self, names, batch_rows: int = 65536):
         """The records of the named files in order, one RecordBatch of at
-        most batch_rows records per read."""
-        for name in names:
-            info, (first, _) = self._against_header(
-                name, lambda channel, stat: read_records_over(
-                    channel, name, 0, min(batch_rows, stat["records"]), expectation(stat)))
-            yield first
-            expect = expectation(info)
-            offset = len(first)
-            while offset < info["records"]:
-                rows = min(batch_rows, info["records"] - offset)
-                yield self._read_batch(name, offset, rows, expect)
-                offset += rows
+        most batch_rows records per read. The first reads of up to
+        LOOKUP_LANES files are sent together when a call to one of their
+        cached holders waits on a network; over zero-latency links each
+        file is read when its turn comes. A file's later reads go one
+        after another."""
+        def first_batch(name: str):
+            return self._against_header(name, lambda channel, stat: read_records_over(
+                channel, name, 0, min(batch_rows, stat["records"]), expectation(stat)))
+
+        names = list(names)
+        for lo in range(0, len(names), LOOKUP_LANES):
+            window = names[lo:lo + LOOKUP_LANES]
+            with self._lock:
+                nearest = [self.resolved[n][0] for n in window if self.resolved.get(n)]
+            for name, first in zip(window, sphere.overlap(self.transport, nearest,
+                                                          first_batch, window)):
+                if isinstance(first, Exception):
+                    raise first
+                info, (batch, _) = first
+                yield batch
+                expect = expectation(info)
+                offset = len(batch)
+                while offset < info["records"]:
+                    rows = min(batch_rows, info["records"] - offset)
+                    yield self._read_batch(name, offset, rows, expect)
+                    offset += rows
 
     def _against_header(self, name: str, attempt) -> tuple[dict, object]:
         """(header, attempt(channel, header)) at the nearest holder that
@@ -207,7 +232,9 @@ class ClientSession:
     def resolve_stream(self, names) -> sphere.Stream:
         """Build a job input stream from stored file names. The names are
         looked up in LOOKUP_LANES threads at once, each taking every
-        LOOKUP_LANES-th name in turn."""
+        LOOKUP_LANES-th name in turn, whatever sphere.overlap would say:
+        the hop to the entry server may not wait on a network while the
+        hop the entry forwards each LOOKUP on to the name's owner does."""
         names = list(names)
         lanes = [names[i::LOOKUP_LANES] for i in range(min(len(names), LOOKUP_LANES))]
         found: dict = {}

@@ -4,15 +4,16 @@ A store is one byte stream, the file's data followed by its index, cut
 into TRANSFER_CHUNK pieces that each travel as a STORE_DATA call. Every
 piece repeats the store's header and a token chosen by the sender, so a
 file that fits one chunk is stored by a single message; the reply to the
-piece that completes the stream reports the stored file. Files are
-fetched back in bounded ranges, so arbitrarily large files fit under the
-frame payload cap.
+piece that completes the stream is the stored file's STAT header. Files
+are fetched back in bounded ranges, so arbitrarily large files fit under
+the frame payload cap.
 
-A fetch or read made against a STAT header that the caller got from
-elsewhere (a LOOKUP reply) carries the header's size, record count and
-indexed flag as `expect`; a holder whose copy differs raises StaleError
-instead of serving bytes of another version. Callers that may use any
-of a file's holders try them in order through first_holder.
+A fetch or read made against a STAT header that the caller got from a
+LOOKUP reply or the job that wrote the file carries the header's size,
+record count and indexed flag as `expect`; a holder whose copy differs
+raises StaleError instead of serving bytes of another version. Callers
+that may use any of a file's holders try them in order through
+first_holder.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ TRANSFER_CHUNK = 8 * 1024 * 1024
 def push_file(channel, name: str, data: bytes, index_bytes: bytes | None,
               internal: bool = False, origin: str | None = None,
               chunk: int = TRANSFER_CHUNK) -> dict:
-    """Store a file (and optional index) on the channel's peer."""
+    """Store a file (and optional index) on the channel's peer. Returns
+    the peer's STAT header of the stored file."""
     index = index_bytes or b""
     header = {
         "name": name,

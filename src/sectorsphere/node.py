@@ -10,10 +10,13 @@ A holder registers each file with the name's ring owner together with
 the file's STAT header (records, size, indexed, index_bytes, origin).
 The owner keeps the last header it was sent, and a LOOKUP reply carries
 it as `stat` next to `locations`, so a client needs no STAT after a
-LOOKUP. A holder may keep another version of the file than the one the
-header describes (a replica not yet refreshed after a re-upload), so
-reads and fetches made against the header send it back as `expect`, and
-such a holder refuses them with StaleError.
+LOOKUP. The reply to the STORE_DATA piece that completes a store, and
+each file entry of a FINALIZE_JOB reply, carry the holder's header too,
+so the job that wrote a file hands it to the client. A holder may keep
+another version of the file than the one a header from a LOOKUP reply
+or the job that wrote the file describes (a replica not yet refreshed
+after a re-upload), so reads and fetches made against the header send
+it back as `expect`, and such a holder refuses them with StaleError.
 """
 
 from __future__ import annotations
@@ -354,15 +357,14 @@ class StorageNode:
     # ------------------------------------------------------------ job output
 
     def write_output(self, name: str, data: bytes, index: RecordIndex,
-                     target: str | None = None) -> None:
+                     target: str | None = None) -> dict:
         """Persist a job output file locally or on the target node, registered
-        in the ring either way."""
+        in the ring either way. Returns the STAT header of the stored copy."""
         if target is None or target == self.address:
-            self.store_file(self.address, name, data, index, internal=True)
-        else:
-            channel = self.transport.open_channel(target)
-            push_file(channel, name, data, index.to_bytes(), internal=True,
-                      origin=self.address)
+            return asdict(self.store_file(self.address, name, data, index, internal=True))
+        channel = self.transport.open_channel(target)
+        return push_file(channel, name, data, index.to_bytes(), internal=True,
+                         origin=self.address)
 
     def shuffle_append(self, job: str, bucket: int, sizes: list[int], body: bytes) -> None:
         try:
@@ -404,8 +406,7 @@ class StorageNode:
                 with self._meta_lock:
                     self.files[name] = meta
             self._register(name, meta)
-            results.append({"name": name, "bucket": bucket,
-                            "records": meta.records, "size": meta.size})
+            results.append({"name": name, "bucket": bucket, "stat": asdict(meta)})
         return results
 
     # -------------------------------------------------------------- dispatch
@@ -491,7 +492,7 @@ class StorageNode:
             index = RecordIndex.from_bytes(stream[buffer.data_size:])
         meta = self.store_file(buffer.sender, buffer.name, stream[:buffer.data_size],
                                index, internal=buffer.internal, origin=buffer.origin)
-        return reply(msg, MessageKind.OK, {"records": meta.records, "size": meta.size})
+        return reply(msg, MessageKind.OK, asdict(meta))
 
     def _op_read(self, msg: Message, header: dict) -> Message:
         """Index entries in the .idx layout, then the records' bytes."""

@@ -343,17 +343,14 @@ class SpeHost:
         target = source if output.mode == OutputMode.ORIGIN else node.address
         name = seg_file_name(job, segment.ordinal)
         data, index = out.pack()
-        node.write_output(name, data, index, target=target)
-        return [{"name": name, "target": target,
-                 "records": len(out), "size": len(data)}]
+        stat = node.write_output(name, data, index, target=target)
+        return [{"name": name, "target": target, "stat": stat}]
 
     def _send_shuffle(self, job: str, tagged: "TaggedRecords", destinations) -> None:
         """Send each bucket's records, in output order, to the bucket's
         destination in batches cut after the record that brings a batch to
-        SHUFFLE_BATCH_BYTES. Each destination's batches go in order. When
-        calls to the destinations wait on a network, the destinations are
-        sent to at once; otherwise one after another, since threads then
-        save no time (one interpreter lock) and each costs memory."""
+        SHUFFLE_BATCH_BYTES. Each destination's batches go in order; the
+        destinations are sent to as overlap decides."""
         if not len(tagged.batch):
             return
         order = np.argsort(tagged.batch.buckets, kind="stable")
@@ -378,11 +375,7 @@ class SpeHost:
             for bucket, batch_sizes, batch in sends[dest]:
                 self._flush_batch(job, bucket, batch_sizes, batch, dest, destinations)
 
-        if not any(map(self.node.transport.waits_on, sends)):
-            for dest in sends:
-                send(dest)
-            return
-        for error in call_each(send, sends):
+        for error in overlap(self.node.transport, sends, send, sends):
             if error is not None:
                 raise error
 
@@ -425,10 +418,7 @@ def call_each(fn, items) -> list:
     results: list = [None] * len(items)
 
     def call(i: int, item) -> None:
-        try:
-            results[i] = fn(item)
-        except Exception as exc:
-            results[i] = exc
+        results[i] = _outcome(fn, item)
 
     threads = [threading.Thread(target=call, args=pair, daemon=True)
                for pair in enumerate(items)]
@@ -437,6 +427,26 @@ def call_each(fn, items) -> list:
     for t in threads:
         t.join()
     return results
+
+
+def overlap(transport, peers, fn, items):
+    """fn(item) for every item: all at once through call_each when a call
+    to any of `peers` waits on a network, else one at a time in the
+    caller's thread, each call made as the caller reaches its result.
+    Threads save no time without a network wait (one interpreter lock),
+    and each one that allocates keeps a malloc arena. Either way the
+    results come in item order, with the exception a call raised in place
+    of its result."""
+    if any(map(transport.waits_on, peers)):
+        return iter(call_each(fn, items))
+    return (_outcome(fn, item) for item in items)
+
+
+def _outcome(fn, item):
+    try:
+        return fn(item)
+    except Exception as exc:
+        return exc
 
 
 # --------------------------------------------------------------- job client
@@ -546,8 +556,9 @@ def run_job(session, stream: Stream, operator_name: str, params: bytes = b"",
     report.output_files = output_files
     report.elapsed = time.monotonic() - started
     for f in output_files:
-        # a rerun under the same job_id rewrites these names, maybe elsewhere
-        session.forget(f["name"])
+        # the holder's own header, so reads by name need no LOOKUP; it
+        # replaces what a run under the same job_id left cached
+        session.remember(f["name"], [f["target"]], f["stat"])
 
     if report.failed:
         raise JobError("job %s failed on %d segment(s): %s"
@@ -556,7 +567,7 @@ def run_job(session, stream: Stream, operator_name: str, params: bytes = b"",
                        failed_segments=report.failed)
 
     out_stream = Stream(files=tuple(
-        StreamFile(name=f["name"], records=f["records"], size=f["size"],
+        StreamFile(name=f["name"], records=f["stat"]["records"], size=f["stat"]["size"],
                    locations=(f["target"],))
         for f in output_files))
     return out_stream, report

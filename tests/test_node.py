@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -287,7 +288,8 @@ def test_shuffle_batches_finalize_to_the_same_index_bytes(make_cluster):
             expected.append(struct.pack("<QQ", offset, size))
             offset += size
     files = node.finalize_job("job-x")
-    assert files[0]["records"] == len(expected) and files[0]["size"] == offset
+    assert files[0]["stat"] == dataclasses.asdict(node.meta(files[0]["name"]))
+    assert files[0]["stat"]["records"] == len(expected) and files[0]["stat"]["size"] == offset
     assert path.with_name(path.name + ".idx").read_bytes() == b"".join(expected)
     assert node.meta(files[0]["name"]).index_bytes == 16 * len(expected)
 
@@ -305,4 +307,5 @@ def test_shuffle_batch_whose_sizes_miss_its_body_is_refused(make_cluster, sizes,
     assert not path.exists() or path.read_bytes() == b""
     node.shuffle_append("job-y", 0, [3], b"abc")
     files = node.finalize_job("job-y")
-    assert files[0]["records"] == 1 and files[0]["size"] == 3
+    assert files[0]["stat"] == dataclasses.asdict(node.meta(files[0]["name"]))
+    assert files[0]["stat"]["records"] == 1 and files[0]["stat"]["size"] == 3

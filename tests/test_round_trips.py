@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import random
 import sys
 import threading
 
@@ -13,28 +14,68 @@ from sectorsphere.fileops import expectation, fetch_file, push_file, read_record
 from sectorsphere.records import RecordIndex
 from sectorsphere.sphere import OutputMode, OutputSpec, SegmentLimits
 from sectorsphere.transport import LinkProfile
-from sectorsphere.wire import MessageKind
+from sectorsphere.wire import MessageKind, unpack_payload
 
 
-def count_messages(monkeypatch, cluster) -> collections.Counter:
-    """Count every request sent over the cluster's network, by kind."""
+def count_messages(monkeypatch, cluster, sender=None) -> collections.Counter:
+    """Count every request sent over the cluster's network, or only those
+    `sender` sends, by kind."""
     sent = collections.Counter()
     dispatch = cluster.network.dispatch
 
     def counted(local, peer, request):
-        sent[MessageKind(request.kind)] += 1
+        if sender in (None, local):
+            sent[MessageKind(request.kind)] += 1
         return dispatch(local, peer, request)
 
     monkeypatch.setattr(cluster.network, "dispatch", counted)
     return sent
 
 
+def count_threads(monkeypatch) -> list:
+    """Record every thread started from now on."""
+    started = []
+    start = threading.Thread.start
+
+    def recorded(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recorded)
+    return started
+
+
+def meet_on_reads(monkeypatch, cluster, parties, first_only=False):
+    """Hold the first `parties` READ requests (of offset 0 only, with
+    first_only) until all of them are in flight; a barrier that breaks
+    after 5 s fails the read that waits on it."""
+    barrier = threading.Barrier(parties, timeout=5)
+    held = []
+    lock = threading.Lock()
+    dispatch = cluster.network.dispatch
+
+    def meeting(local, peer, request):
+        if request.kind == MessageKind.READ:
+            header, _ = unpack_payload(request.payload)
+            with lock:
+                meet = len(held) < parties and not (first_only and header["offset"])
+                if meet:
+                    held.append((peer, header["name"]))
+            if meet:
+                barrier.wait()
+        return dispatch(local, peer, request)
+
+    monkeypatch.setattr(cluster.network, "dispatch", meeting)
+    return held
+
+
 def owner_node(cluster, name):
     return cluster.nodes[cluster.ring.owner(name).address]
 
 
-def held_stat(cluster, name) -> dict:
-    return dataclasses.asdict(owner_node(cluster, name).meta(name))
+def held_stat(cluster, name, holder=None) -> dict:
+    node = cluster.nodes[holder] if holder else owner_node(cluster, name)
+    return dataclasses.asdict(node.meta(name))
 
 
 def upload_records(client, name, records):
@@ -64,7 +105,8 @@ def test_store_stream_straddling_chunk_edges_comes_back_equal(make_cluster, monk
     channel = client.transport.open_channel(owner)
     sent = count_messages(monkeypatch, cluster)
     done = push_file(channel, "edges.dat", data, index_bytes, chunk=chunk)
-    assert done == {"records": 3, "size": 50}
+    assert done == dataclasses.asdict(cluster.nodes[owner].meta("edges.dat"))
+    assert (done["records"], done["size"], done["index_bytes"]) == (3, 50, 48)
     assert sent == {MessageKind.STORE_DATA: -(-98 // chunk)}
     assert fetch_file(channel, "edges.dat", chunk=chunk) == (data, index_bytes)
 
@@ -132,40 +174,142 @@ def test_finalize_calls_are_sent_at_once(make_cluster, monkeypatch):
     assert sum(f.records for f in out.files) == 30
 
 
-def test_job_drops_the_cached_holders_of_its_outputs(make_cluster):
+def test_job_caches_the_holders_and_headers_of_its_outputs(make_cluster, monkeypatch):
     cluster = make_cluster(3)
     client = cluster.client()
     upload_records(client, "in.dat", [bytes([i]) * 8 for i in range(30)])
     out, _ = client.run_job(["in.dat"], "identity", job_id="pinned")
-    for name in out.names:
-        client.locate(name)
+    first = {name: client.hints[name] for name in out.names}
+    again = [bytes([i]) * 12 for i in range(45)]
+    upload_records(client, "in.dat", again)
     rerun, _ = client.run_job(["in.dat"], "identity", job_id="pinned")
     assert rerun.names == out.names
-    assert not set(client.resolved) & set(rerun.names)
+    for f in rerun.files:
+        holder, = f.locations
+        assert client.resolved[f.name] == [holder]
+        assert client.hints[f.name] == held_stat(cluster, f.name, holder)
+        assert client.hints[f.name] != first[f.name]
+    sent = count_messages(monkeypatch, cluster)
+    assert list(client.iter_records(rerun.names)) == again
+    assert set(sent) == {MessageKind.READ}
 
 
-def test_sample_reads_use_one_thread_per_nearest_holder(make_cluster, monkeypatch):
-    cluster = make_cluster(3)
+@pytest.mark.parametrize("rtt_ms", [0.0, 1.0])
+def test_sample_reads_overlap_only_over_links_that_wait(make_cluster, monkeypatch, rtt_ms):
+    from sectorsphere.client import LOOKUP_LANES
+
+    cluster = make_cluster(3, profile=LinkProfile(default=rtt_ms))
     client = cluster.client()
     records = [bytes([(7 * i) % 251]) * 100 for i in range(108)]
-    names = ["s/%02d.dat" % i for i in range(12)]
+    # files owned by the nodes in turn, so the first eight sample runs hit all three
+    names = [scenarios.name_owned_by(cluster.ring, "s/%02d.dat" % i, "node-%d" % (i % 3))
+             for i in range(12)]
     for i, name in enumerate(names):  # 9 records a file: the three sample runs take all
         upload_records(client, name, records[9 * i:9 * (i + 1)])
     stream = client.resolve_stream(names)
-    batches = []
-    call_each = sphere.call_each
-
-    def recorded(fn, items):
-        items = list(items)
-        batches.append(len(items))
-        return call_each(fn, items)
-
-    monkeypatch.setattr(sphere, "call_each", recorded)
+    started = count_threads(monkeypatch)
+    held = meet_on_reads(monkeypatch, cluster, LOOKUP_LANES) if rtt_ms else []
+    sent = count_messages(monkeypatch, cluster)
     boundaries = benchmarks.sample_boundaries(client, stream, 4, sample_target=len(records))
     keys = sorted(r[:benchmarks.KEY_SIZE] for r in records)
     assert boundaries == [keys[i * len(keys) // 4] for i in range(1, 4)]
-    assert batches == [len({f.locations[0] for f in stream.files})]
-    assert batches[0] <= len(cluster.nodes)
+    assert sent == {MessageKind.READ: 3 * len(stream.files)}
+    if rtt_ms:  # the first read of every lane met the others in flight
+        assert len(started) == LOOKUP_LANES
+        assert {peer for peer, _ in held} == set(cluster.nodes)
+    else:
+        assert started == []
+
+
+# ------------------------------------------------ job outputs read by name
+
+@pytest.mark.parametrize("wan", [False, True], ids=["zero-latency", "wan"])
+def test_terasplit_and_readback_of_a_terasort_output_send_no_lookup(make_cluster, monkeypatch,
+                                                                    wan):
+    if wan:
+        cluster = make_cluster(6, addresses=list(scenarios.WAN_SITES),
+                               profile=scenarios.wan_profile())
+    else:
+        cluster = make_cluster(3)
+    client = cluster.client()
+    rng = random.Random(41)
+    records = [rng.randbytes(100) for _ in range(100 * len(cluster.nodes))]
+    names = []
+    for i, address in enumerate(sorted(cluster.nodes)):
+        names.append(scenarios.name_owned_by(cluster.ring, "ts/in-%d.dat" % i, address))
+        upload_records(client, names[-1], records[100 * i:100 * (i + 1)])
+    out, _ = benchmarks.terasort(client, names, job_id="no-lookup")
+    sent = count_messages(monkeypatch, cluster)
+    ordered = sorted(records, key=lambda r: r[:benchmarks.KEY_SIZE])
+    assert benchmarks.terasplit(client, out) == benchmarks.terasplit_pairs(
+        (r[:benchmarks.KEY_SIZE], benchmarks.record_label(r)) for r in ordered)
+    assert list(client.iter_records(out.names)) == ordered
+    assert sent == {MessageKind.READ: 2 * len(out.files)}
+
+
+@pytest.mark.parametrize("read", ["iter_records", "download"])
+def test_a_stale_output_header_is_refused_and_looked_up_once(make_cluster, monkeypatch,
+                                                             tmp_path, read):
+    cluster = make_cluster(3, acl=("client-0", "client-1"))
+    reader, writer = cluster.client(), cluster.client("client-1")
+    upload_records(reader, "src.dat", [bytes([i]) * 10 for i in range(60)])
+    out, _ = reader.run_job(["src.dat"], "identity", job_id="hinted",
+                            limits=SegmentLimits(30, 30))
+    # an output that its ring owner holds, so that a re-upload replaces it there
+    name = next(f.name for f in out.files
+                if f.locations == (cluster.ring.owner(f.name).address,))
+    assert reader.hints[name]["size"] == 30
+    new = [b"new-%d" % i for i in range(7)]
+    upload_records(writer, name, new)
+    sent = count_messages(monkeypatch, cluster, sender=reader.address)
+    if read == "iter_records":
+        assert list(reader.iter_records([name])) == new
+    else:
+        assert reader.download(name, tmp_path / "out.dat") == len(b"".join(new))
+        assert (tmp_path / "out.dat").read_bytes() == b"".join(new)
+    assert sent[MessageKind.LOOKUP] == 1
+    assert reader.hints[name] == held_stat(cluster, name)
+
+
+def test_output_reads_fall_back_to_a_replica_when_the_holder_dies(make_cluster, tmp_path):
+    cluster = make_cluster(4, replica_target=2)
+    holder = cluster.ring.owner("r.dat").address  # the input's one holder
+    client = cluster.client(entry=next(a for a in sorted(cluster.nodes) if a != holder))
+    records = [b"rec-%03d" % i for i in range(40)]
+    upload_records(client, "r.dat", records)
+    out, _ = client.run_job(["r.dat"], "identity", job_id="rep",
+                            output=OutputSpec(mode=OutputMode.ORIGIN))
+    assert {f.locations for f in out.files} == {(holder,)}
+    cluster.replication_cycle()
+    cluster.kill(holder)
+    first = out.files[0]
+    assert client.download(first.name, tmp_path / "first.dat") == first.size
+    assert (tmp_path / "first.dat").read_bytes() == b"".join(records[:first.records])
+    assert list(client.iter_records(out.names)) == records
+    assert all(holder not in client.locate(name) for name in out.names)
+
+
+@pytest.mark.parametrize("rtt_ms", [0.0, 1.0])
+def test_iter_batches_yields_in_stream_order_while_first_reads_overlap(make_cluster,
+                                                                       monkeypatch, rtt_ms):
+    cluster = make_cluster(3, profile=LinkProfile(default=rtt_ms))
+    client = cluster.client()
+    names = [scenarios.name_owned_by(cluster.ring, "order/%02d.dat" % i, "node-%d" % (i % 3))
+             for i in range(5)]
+    files = [[b"%d-%d" % (i, j) for j in range(3 + i)] for i in range(len(names))]
+    for name, records in zip(names, files):
+        upload_records(client, name, records)
+    client.resolve_stream(names)  # caches each file's holder and header
+    started = count_threads(monkeypatch)
+    held = meet_on_reads(monkeypatch, cluster, len(names), first_only=True) if rtt_ms else []
+    batches = [list(batch) for batch in client.iter_batches(names, batch_rows=2)]
+    assert batches == [records[i:i + 2] for records in files
+                       for i in range(0, len(records), 2)]
+    if rtt_ms:
+        assert sorted(name for _, name in held) == sorted(names)
+        assert len(started) == len(names)
+    else:
+        assert started == []
 
 
 def test_stream_names_are_looked_up_in_a_bounded_number_of_lanes(make_cluster, monkeypatch):

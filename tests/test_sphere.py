@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import random
 
 import pytest
@@ -406,8 +407,9 @@ def test_segment_reads_from_the_next_holder_and_writes_back_there(make_cluster):
     report = worker.spe_host.run_segment(client.address, header)
     assert report["status"] == "ok" and report["node"] == worker.address
     name = sphere.seg_file_name("j-far", 3)
-    assert report["outputs"] == [{"name": name, "target": holder,
-                                  "records": 8, "size": sum(map(len, records[2:10]))}]
+    stat = dataclasses.asdict(cluster.nodes[holder].meta(name))
+    assert stat["records"] == 8 and stat["size"] == sum(map(len, records[2:10]))
+    assert report["outputs"] == [{"name": name, "target": holder, "stat": stat}]
     assert list(cluster.nodes[holder].read_local(name, 0, 8)[0]) == records[2:10]
     assert not worker.holds(name)
 
