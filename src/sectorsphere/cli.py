@@ -37,10 +37,7 @@ def _client(server: str, listen: bool = False) -> ClientSession:
 
 
 def cmd_node(args) -> int:
-    config = parse_cluster_config(args.config)
-    if config.transport != "tcp":
-        raise ConfigError("the node daemon needs 'transport = tcp' in [cluster]")
-    node = tcp_node(config, args.name)
+    node = tcp_node(parse_cluster_config(args.config), args.name)
     print("node %s serving at %s (data in %s)"
           % (args.name, node.address, node.data_dir))
     try:
@@ -77,13 +74,6 @@ def cmd_locate(args) -> int:
     return EXIT_OK
 
 
-def _output_spec(blob: dict) -> sphere.OutputSpec:
-    return sphere.OutputSpec(
-        mode=blob.get("mode", sphere.OutputMode.LOCAL),
-        bucket=blob.get("bucket"),
-        destinations=tuple(blob.get("destinations", ())))
-
-
 def cmd_submit(args) -> int:
     descriptor = json.loads(Path(args.job).read_text())
     session = _client(descriptor["server"])
@@ -95,7 +85,8 @@ def cmd_submit(args) -> int:
         out_stream, report = session.run_job(
             descriptor["files"], descriptor["operator"],
             params=bytes.fromhex(descriptor.get("params", "")),
-            output=_output_spec(descriptor.get("output", {})),
+            output=sphere.OutputSpec.from_header(
+                {"mode": sphere.OutputMode.LOCAL, **descriptor.get("output", {})}),
             limits=limits, job_id=descriptor.get("job_id"))
     except JobError as exc:
         print("job failed: %s" % exc, file=sys.stderr)

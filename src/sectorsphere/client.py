@@ -21,7 +21,7 @@ import threading
 from pathlib import Path
 
 from . import sphere
-from .errors import JobError, NotFoundError, TransportError
+from .errors import NotFoundError, TransportError
 from .fileops import expectation, fetch_file, first_holder, push_file, read_records_over
 from .records import INDEX_SUFFIX, RecordIndex
 from .transport import Transport, error_reply, reply
@@ -34,11 +34,10 @@ LOOKUP_LANES = 8  # at most this many lookups, first reads or sample reads of on
 
 class ClientSession:
     def __init__(self, transport: Transport, entry_server: str,
-                 profile=None, job_timeout: float = 600.0, listen: bool = True):
+                 profile=None, listen: bool = True):
         self.transport = transport
         self.entry_server = entry_server
         self.profile = profile
-        self.job_timeout = job_timeout
         self.resolved: dict[str, list[str]] = {}
         # name -> the STAT header its last LOOKUP carried; a hint only, that
         # holders confirm on every read or fetch made against it
@@ -148,7 +147,7 @@ class ClientSession:
         holder that has it. A failed download leaves no destination file."""
         destination = Path(destination)
         _, (data, index_bytes) = self._against_header(
-            name, lambda channel, stat: fetch_file(channel, name, stat=stat))
+            name, lambda channel, stat: fetch_file(channel, name, stat))
         part = destination.with_name(destination.name + ".part")
         destination.parent.mkdir(parents=True, exist_ok=True)
         part.write_bytes(data)
@@ -255,10 +254,6 @@ class ClientSession:
                 output: sphere.OutputSpec = sphere.OutputSpec(),
                 limits: sphere.SegmentLimits = sphere.DEFAULT_LIMITS,
                 job_id: str | None = None, spe_per_node: int = 1):
-        if not sphere.operator_registered(operator_name):
-            raise JobError("operator %r is not registered" % operator_name)
-        if not isinstance(stream, sphere.Stream):
-            stream = self.resolve_stream(stream)
         return sphere.run_job(self, stream, operator_name, params=params,
                               output=output, limits=limits, job_id=job_id,
                               spe_per_node=spe_per_node)

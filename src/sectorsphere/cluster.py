@@ -2,8 +2,8 @@
 
 Scenario and test clusters run every node in one process over the
 in-memory transport, optionally with a link profile injecting wide-area
-round-trip times. Configuration files are plain INI text with one section
-per node.
+round-trip times. The socket daemon reads its cluster from plain INI
+text with one section per node.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .client import ClientSession
-from .errors import ConfigError
+from .errors import ConfigError, TransportError
 from .node import NodeConfig, StorageNode
 from .routing import RingView
 from .transport import InMemoryNetwork, LinkProfile, TcpTransport
@@ -40,9 +40,6 @@ class NodeSpec:
 class ClusterConfig:
     nodes: list[NodeSpec]
     replica_target: int = 3
-    link_profile: str | None = None
-    transport: str = "memory"
-    spe_slots: int = 1
     seed: int = 0
     check_interval: float = 86400.0
 
@@ -58,8 +55,6 @@ class ClusterConfig:
         if not (1 <= self.replica_target <= len(self.nodes)):
             raise ConfigError("replica target %d not in 1..%d"
                               % (self.replica_target, len(self.nodes)))
-        if self.transport not in ("memory", "tcp"):
-            raise ConfigError("transport must be 'memory' or 'tcp'")
 
     def spec(self, name: str) -> NodeSpec:
         for node in self.nodes:
@@ -75,12 +70,12 @@ class ClusterConfig:
             acl_writers=frozenset(spec.acl),
             replica_target=self.replica_target,
             check_interval=self.check_interval,
-            spe_slots=self.spe_slots,
             seed=node_seed(self.seed, spec.address),
         )
 
 
 def parse_cluster_config(path) -> ClusterConfig:
+    """The cluster of the socket daemons, whose node addresses are host:port."""
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
@@ -93,7 +88,8 @@ def parse_cluster_config(path) -> ClusterConfig:
         try:
             address = parser.get(section, "address")
             data_dir = parser.get(section, "data_dir")
-        except configparser.NoOptionError as exc:
+            TcpTransport.split(address)
+        except (configparser.NoOptionError, TransportError) as exc:
             raise ConfigError("section [%s]: %s" % (section, exc))
         acl = frozenset(a.strip() for a in
                         parser.get(section, "acl", fallback="").split(",") if a.strip())
@@ -102,9 +98,6 @@ def parse_cluster_config(path) -> ClusterConfig:
     return ClusterConfig(
         nodes=nodes,
         replica_target=int(cluster.get("replica_target", 3)),
-        link_profile=cluster.get("link_profile") or None,
-        transport=cluster.get("transport", "memory"),
-        spe_slots=int(cluster.get("spe_slots", 1)),
         seed=int(cluster.get("seed", 0)),
         check_interval=float(cluster.get("check_interval", 86400.0)),
     )
@@ -116,8 +109,6 @@ class LocalCluster:
     def __init__(self, config: ClusterConfig, profile: LinkProfile | None = None,
                  clock=None):
         self.config = config
-        if profile is None and config.link_profile:
-            profile = LinkProfile.from_file(config.link_profile)
         self.network = InMemoryNetwork(profile=profile, clock=clock)
         self.ring = RingView.from_addresses(n.address for n in config.nodes)
         self.nodes: dict[str, StorageNode] = {}
@@ -201,16 +192,14 @@ class LocalCluster:
 
 def quick_cluster(base_dir, n_nodes: int, replica_target: int = 1,
                   acl=("client-0",), profile: LinkProfile | None = None,
-                  seed: int = 0, spe_slots: int = 1,
-                  addresses=None, clock=None) -> LocalCluster:
+                  seed: int = 0, addresses=None, clock=None) -> LocalCluster:
     """Build a LocalCluster with data dirs under base_dir; for tests and
     scenarios."""
     base = Path(base_dir)
     addresses = list(addresses or ("node-%d" % i for i in range(n_nodes)))
     specs = [NodeSpec(name=a, address=a, data_dir=str(base / a), acl=frozenset(acl))
              for a in addresses]
-    config = ClusterConfig(nodes=specs, replica_target=replica_target,
-                           seed=seed, spe_slots=spe_slots)
+    config = ClusterConfig(nodes=specs, replica_target=replica_target, seed=seed)
     return LocalCluster(config, profile=profile, clock=clock)
 
 

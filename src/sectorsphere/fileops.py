@@ -58,13 +58,11 @@ def expectation(stat: dict) -> dict:
     return {"size": stat["size"], "records": stat["records"], "indexed": stat["indexed"]}
 
 
-def fetch_file(channel, name: str, chunk: int = TRANSFER_CHUNK,
-               stat: dict | None = None) -> tuple[bytes, bytes | None]:
-    """Fetch a file and its index from the channel's peer. `stat`, the
-    file's STAT header when the caller has it, saves asking for it; the
-    peer refuses with StaleError if its copy is not the one described."""
-    if stat is None:
-        stat, _ = channel.call(MessageKind.STAT, {"name": name})
+def fetch_file(channel, name: str, stat: dict,
+               chunk: int = TRANSFER_CHUNK) -> tuple[bytes, bytes | None]:
+    """Fetch a file and its index, as its STAT header `stat` describes them,
+    from the channel's peer; the peer refuses with StaleError if its copy
+    is not the one described."""
     expect = expectation(stat)
     data = _fetch_range(channel, MessageKind.FETCH, name, stat["size"], chunk, expect)
     index_bytes = None

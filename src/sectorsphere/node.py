@@ -9,14 +9,14 @@ compute workers that execute job segments.
 A holder registers each file with the name's ring owner together with
 the file's STAT header (records, size, indexed, index_bytes, origin).
 The owner keeps the last header it was sent, and a LOOKUP reply carries
-it as `stat` next to `locations`, so a client needs no STAT after a
-LOOKUP. The reply to the STORE_DATA piece that completes a store, and
-each file entry of a FINALIZE_JOB reply, carry the holder's header too,
-so the job that wrote a file hands it to the client. A holder may keep
-another version of the file than the one a header from a LOOKUP reply
-or the job that wrote the file describes (a replica not yet refreshed
-after a re-upload), so reads and fetches made against the header send
-it back as `expect`, and such a holder refuses them with StaleError.
+it as `stat` next to `locations`. The reply to the STORE_DATA piece that
+completes a store, and each file entry of a FINALIZE_JOB reply, carry
+the holder's header too, so the job that wrote a file hands it to the
+client. A holder may keep another version of the file than the one a
+header from a LOOKUP reply or the job that wrote the file describes (a
+replica not yet refreshed after a re-upload), so reads and fetches made
+against the header send it back as `expect`, and such a holder refuses
+them with StaleError.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ class NodeConfig:
     acl_writers: frozenset = frozenset()
     replica_target: int = 3
     check_interval: float = DAY_SECONDS
-    spe_slots: int = 1
     seed: int | None = None
 
     def __post_init__(self):
@@ -106,7 +105,7 @@ class StorageNode:
         self._stores: dict[str, _StoreBuffer] = {}
         self._shuffle: dict[tuple[str, int], list[np.ndarray]] = {}
         self._rng = random.Random(config.seed)
-        self.spe_host = sphere.SpeHost(self, slots=config.spe_slots)
+        self.spe_host = sphere.SpeHost(self)
         self._stop = threading.Event()
         self._replication_thread = None
 
@@ -437,8 +436,6 @@ class StorageNode:
         if kind == MessageKind.REGISTER:
             self.register_holder(header["name"], header["holder"], header["stat"])
             return reply(msg, MessageKind.OK, {})
-        if kind == MessageKind.STAT:
-            return reply(msg, MessageKind.OK, asdict(self.meta(header["name"])))
         if kind == MessageKind.STORE_DATA:
             return self._op_store_data(origin, msg, header, body)
         if kind == MessageKind.READ:

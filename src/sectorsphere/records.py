@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IntegrityError, RangeError
+from .errors import IntegrityError
 
 INDEX_SUFFIX = ".idx"
 ENTRY_SIZE = 16  # offset and size, each a little-endian u64
@@ -34,10 +34,6 @@ class RecordIndex:
         if not isinstance(entries, np.ndarray):
             entries = np.array(list(entries), dtype=_U64)
         self.array = entries.astype(_U64, copy=False).reshape(-1, 2)
-
-    @property
-    def entries(self) -> tuple[tuple[int, int], ...]:
-        return tuple(map(tuple, self.array.tolist()))
 
     def __len__(self) -> int:
         return len(self.array)
@@ -76,12 +72,6 @@ class RecordIndex:
             raise IntegrityError("index entry %d (offset %d, size %d) overlaps the previous "
                                  "record, wraps past 2**64 or overruns file length %d"
                                  % (i, offsets[i], sizes[i], data_length))
-
-    def slice(self, start: int, rows: int) -> tuple[tuple[int, int], ...]:
-        if start < 0 or rows < 0 or start + rows > len(self):
-            raise RangeError(
-                "record range [%d, %d) outside 0..%d" % (start, start + rows, len(self)))
-        return tuple(map(tuple, self.array[start:start + rows].tolist()))
 
     def to_bytes(self) -> bytes:
         return self.array.tobytes()

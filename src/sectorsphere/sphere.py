@@ -24,7 +24,6 @@ import math
 import threading
 import time
 import uuid
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +37,7 @@ from .wire import MessageKind
 log = logging.getLogger(__name__)
 
 SHUFFLE_BATCH_BYTES = 2 * 1024 * 1024
+JOB_TIMEOUT = 600.0  # seconds a job waits for one segment's SPE_RUN reply
 
 
 # ----------------------------------------------------------------- registry
@@ -150,7 +150,6 @@ class DataSegment:
     params: bytes = b""
     ordinal: int = 0
     locations: tuple[str, ...] = ()
-    file_level: bool = False
 
 
 class OutputMode:
@@ -220,7 +219,7 @@ def segment_stream(stream: Stream, n_spe: int, limits: SegmentLimits = DEFAULT_L
                 file=f.name, offset=offset,
                 rows=min(rows_per, f.records - offset),
                 params=params, ordinal=ordinal,
-                locations=tuple(f.locations), file_level=f.file_level))
+                locations=tuple(f.locations)))
             ordinal += 1
     return segments
 
@@ -232,38 +231,22 @@ def target_segment_bytes(total_size: int, n_spe: int, limits: SegmentLimits) -> 
 # ------------------------------------------------------------ worker (SPE)
 
 class SpeHost:
-    """Per-node execution host: one slot per configured core, each running
-    one segment at a time through the four-step loop."""
+    """Per-node execution host. Each segment a job sends runs through the
+    four-step loop in the thread that delivered it, so a node runs as many
+    segments at once as the job has SPEs on it (run_job's spe_per_node)."""
 
-    def __init__(self, node, slots: int = 1):
+    def __init__(self, node):
         self.node = node
-        self.slots = threading.Semaphore(slots)
-        self.active: dict[str, set[int]] = defaultdict(set)  # job -> running ordinals
-        self._lock = threading.Lock()
 
     def run_segment(self, origin: str, header: dict) -> dict:
-        job = header["job"]
         segment = DataSegment(
             file=header["file"], offset=header["offset"], rows=header["rows"],
             params=bytes.fromhex(header.get("params", "")),
             ordinal=header["ordinal"],
-            locations=tuple(header.get("locations", ())),
-            file_level=bool(header.get("file_level")))
-        output = OutputSpec.from_header(header["output"])
-        client = header.get("client")
+            locations=tuple(header.get("locations", ())))
         started = time.monotonic()
-        with self._lock:
-            self.active[job].add(segment.ordinal)
-        self.slots.acquire()
-        try:
-            report = self._execute(job, segment, header["operator"], output, client)
-        finally:
-            self.slots.release()
-            with self._lock:
-                running = self.active[job]
-                running.discard(segment.ordinal)
-                if not running:
-                    del self.active[job]
+        report = self._execute(header["job"], segment, header["operator"],
+                               OutputSpec.from_header(header["output"]), header.get("client"))
         report["duration"] = time.monotonic() - started
         report["node"] = self.node.address
         report["ordinal"] = segment.ordinal
@@ -466,10 +449,12 @@ class JobReport:
         return not self.failed
 
 
-def run_job(session, stream: Stream, operator_name: str, params: bytes = b"",
+def run_job(session, stream, operator_name: str, params: bytes = b"",
             output: OutputSpec = OutputSpec(), limits: SegmentLimits = DEFAULT_LIMITS,
             job_id: str | None = None, spe_per_node: int = 1) -> tuple[Stream, JobReport]:
-    """Apply a registered operator to every record of the stream exactly once.
+    """Apply a registered operator to every record of the stream, a Stream
+    or the names of stored files, exactly once. Each node runs up to
+    spe_per_node of the job's segments at once.
 
     Returns the output stream (files registered in storage) and the job
     report. Failed segments are retried once on a different node before
@@ -479,6 +464,8 @@ def run_job(session, stream: Stream, operator_name: str, params: bytes = b"",
         raise JobError("operator %r is not registered" % operator_name)
     if output.bucket is not None and output.bucket not in _BUCKET_FNS:
         raise JobError("bucket function %r is not registered" % output.bucket)
+    if not isinstance(stream, Stream):
+        stream = session.resolve_stream(stream)
     job_id = job_id or "job-%s" % uuid.uuid4().hex[:10]
     nodes = session.members()
     spes = [SpeHandle(node=n, slot=slot) for n in nodes for slot in range(spe_per_node)]
@@ -499,14 +486,13 @@ def run_job(session, stream: Stream, operator_name: str, params: bytes = b"",
                 "file": task.segment.file, "offset": task.segment.offset,
                 "rows": task.segment.rows, "params": task.segment.params.hex(),
                 "locations": list(task.segment.locations),
-                "file_level": task.segment.file_level,
                 "operator": operator_name, "output": output.to_header(),
                 "client": getattr(session, "inbox_address", None),
             }
             try:
                 channel = session.transport.open_channel(spe.node)
                 result, _ = channel.call(MessageKind.SPE_RUN, header,
-                                         timeout=session.job_timeout)
+                                         timeout=JOB_TIMEOUT)
             except Exception as exc:  # a worker must never die mid-job
                 result = {"status": "failed", "error": str(exc),
                           "node": spe.node, "ordinal": task.segment.ordinal,

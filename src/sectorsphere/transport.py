@@ -18,7 +18,6 @@ import queue
 import socket
 import socketserver
 import threading
-from pathlib import Path
 
 from .clock import RealClock
 from .errors import RpcTimeoutError, TransportError, error_from_code
@@ -56,19 +55,6 @@ class LinkProfile:
         if a == b:
             return 0.0
         return self._rtts.get(frozenset((a, b)), self.default)
-
-    @classmethod
-    def from_file(cls, path) -> "LinkProfile":
-        profile = cls()
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError("%s:%d: expected 'addr addr rtt_ms'" % (path, lineno))
-            profile.set_rtt(parts[0], parts[1], float(parts[2]))
-        return profile
 
 
 def reply(request: Message, kind: int, header: dict | None = None, body: bytes = b"") -> Message:
@@ -127,11 +113,8 @@ class Transport:
     """One endpoint's view of the network: listen for requests, open cached
     channels to peers."""
 
-    def __init__(self, address: str, max_payload: int = DEFAULT_MAX_PAYLOAD,
-                 timeout: float = DEFAULT_TIMEOUT):
+    def __init__(self, address: str):
         self.address = address
-        self.max_payload = max_payload
-        self.timeout = timeout
         self._channels: dict[str, Channel] = {}
         self._channels_lock = threading.Lock()
 
@@ -181,8 +164,8 @@ class InMemoryNetwork:
         self._lock = threading.Lock()
         self.connection_counts = {}
 
-    def endpoint(self, address: str, **kwargs) -> "InMemoryTransport":
-        return InMemoryTransport(self, address, **kwargs)
+    def endpoint(self, address: str) -> "InMemoryTransport":
+        return InMemoryTransport(self, address)
 
     def listen(self, address: str, handler) -> None:
         with self._lock:
@@ -252,8 +235,8 @@ class InMemoryChannel(Channel):
 
 
 class InMemoryTransport(Transport):
-    def __init__(self, network: InMemoryNetwork, address: str, **kwargs):
-        super().__init__(address, **kwargs)
+    def __init__(self, network: InMemoryNetwork, address: str):
+        super().__init__(address)
         self.network = network
 
     def listen(self, handler) -> None:
@@ -286,10 +269,10 @@ def _recv_exactly(sock: socket.socket, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def _recv_message(sock: socket.socket, max_payload: int) -> Message:
+def _recv_message(sock: socket.socket) -> Message:
     head = _recv_exactly(sock, HEADER_LEN)
     kind, request_id, length = HEADER.unpack(head)
-    if length > max_payload:
+    if length > DEFAULT_MAX_PAYLOAD:
         raise TransportError("incoming payload of %d bytes exceeds maximum" % length)
     payload = _recv_exactly(sock, length) if length else b""
     return Message(kind=kind, request_id=request_id, payload=payload)
@@ -298,10 +281,9 @@ def _recv_message(sock: socket.socket, max_payload: int) -> Message:
 class TcpChannel(Channel):
     """Socket channel with a receiver thread routing responses by request id."""
 
-    def __init__(self, local: str, peer: str, sock: socket.socket, max_payload: int):
+    def __init__(self, local: str, peer: str, sock: socket.socket):
         super().__init__(local, peer)
         self._sock = sock
-        self._max_payload = max_payload
         self._send_lock = threading.Lock()
         self._pending: dict[int, queue.SimpleQueue] = {}
         self._pending_lock = threading.Lock()
@@ -316,7 +298,7 @@ class TcpChannel(Channel):
     def _receive_loop(self) -> None:
         try:
             while True:
-                msg = _recv_message(self._sock, self._max_payload)
+                msg = _recv_message(self._sock)
                 with self._pending_lock:
                     waiter = self._pending.pop(msg.request_id, None)
                 if waiter is not None:
@@ -338,7 +320,7 @@ class TcpChannel(Channel):
         with self._pending_lock:
             self._pending[request.request_id] = waiter
         try:
-            data = encode_message(request, self._max_payload)
+            data = encode_message(request)
             with self._send_lock:
                 self._sock.sendall(data)
             response = waiter.get(timeout=timeout if timeout is not None else DEFAULT_TIMEOUT)
@@ -359,7 +341,7 @@ class TcpChannel(Channel):
         msg = Message(kind=kind, request_id=self.next_request_id(),
                       payload=pack_payload(header, body))
         try:
-            data = encode_message(msg, self._max_payload)
+            data = encode_message(msg)
             with self._send_lock:
                 self._sock.sendall(data)
         except OSError:
@@ -383,8 +365,8 @@ class TcpTransport(Transport):
     """Real-socket backend. Addresses are 'host:port'; request origins are
     the peer's host, which is what address-based ACLs match against."""
 
-    def __init__(self, address: str, **kwargs):
-        super().__init__(address, **kwargs)
+    def __init__(self, address: str):
+        super().__init__(address)
         self._server = None
         self._server_thread = None
 
@@ -397,7 +379,6 @@ class TcpTransport(Transport):
 
     def listen(self, handler) -> None:
         host, port = self.split(self.address)
-        transport = self
 
         class FrameHandler(socketserver.BaseRequestHandler):
             def handle(self):
@@ -412,7 +393,7 @@ class TcpTransport(Transport):
                         log.exception("unhandled error serving kind=%s", msg.kind)
                         response = error_reply(msg, "internal", str(exc))
                     try:
-                        data = encode_message(response, transport.max_payload)
+                        data = encode_message(response)
                         with write_lock:
                             sock.sendall(data)
                     except OSError:
@@ -420,7 +401,7 @@ class TcpTransport(Transport):
 
                 try:
                     while True:
-                        msg = _recv_message(sock, transport.max_payload)
+                        msg = _recv_message(sock)
                         threading.Thread(target=serve_one, args=(msg,), daemon=True).start()
                 except (TransportError, OSError):
                     return
@@ -436,11 +417,11 @@ class TcpTransport(Transport):
     def _connect(self, peer: str) -> Channel:
         host, port = self.split(peer)
         try:
-            sock = socket.create_connection((host, port), timeout=self.timeout)
+            sock = socket.create_connection((host, port), timeout=DEFAULT_TIMEOUT)
             sock.settimeout(None)
         except OSError as exc:
             raise TransportError("connection to %s refused: %s" % (peer, exc))
-        return TcpChannel(self.address, peer, sock, self.max_payload)
+        return TcpChannel(self.address, peer, sock)
 
     def stop_listening(self) -> None:
         if self._server is not None:

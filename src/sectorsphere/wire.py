@@ -27,7 +27,6 @@ class MessageKind(enum.IntEnum):
     OWNER = 4
     MEMBERS = 5
     REGISTER = 6
-    STAT = 7
     STORE_DATA = 9
     READ = 12
     FETCH = 13

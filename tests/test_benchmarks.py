@@ -36,7 +36,7 @@ def test_teragen_two_records_layout(tmp_path):
     path = teragen(2, 1, tmp_path / "two.dat")
     data, index = read_record_file(path)
     assert len(data) == 200
-    assert index.entries == ((0, 100), (100, 100))
+    assert index.array.tolist() == [[0, 100], [100, 100]]
 
 
 def test_teragen_deterministic(tmp_path):

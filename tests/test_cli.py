@@ -69,7 +69,7 @@ def test_scenario_writes_metrics_file(tmp_path):
 def test_duplicate_addresses_rejected(tmp_path):
     config = tmp_path / "cluster.ini"
     config.write_text(
-        "[cluster]\ntransport = tcp\nreplica_target = 1\n"
+        "[cluster]\nreplica_target = 1\n"
         "[node:a]\naddress = 127.0.0.1:7001\ndata_dir = %s/a\n"
         "[node:b]\naddress = 127.0.0.1:7001\ndata_dir = %s/b\n"
         % (tmp_path, tmp_path))
@@ -78,11 +78,13 @@ def test_duplicate_addresses_rejected(tmp_path):
     assert cli.main(["node", "--config", str(config), "--name", "a"]) == cli.EXIT_CONFIG
 
 
-def test_node_daemon_requires_tcp_transport(tmp_path):
-    config = tmp_path / "mem.ini"
+def test_node_address_not_host_port_exits_2(tmp_path):
+    config = tmp_path / "cluster.ini"
     config.write_text(
-        "[cluster]\ntransport = memory\nreplica_target = 1\n"
+        "[cluster]\nreplica_target = 1\n"
         "[node:a]\naddress = n1\ndata_dir = %s/a\n" % tmp_path)
+    with pytest.raises(ConfigError):
+        parse_cluster_config(config)
     assert cli.main(["node", "--config", str(config), "--name", "a"]) == cli.EXIT_CONFIG
 
 
@@ -94,7 +96,7 @@ def tcp_cluster(tmp_path):
                         data_dir=str(tmp_path / ("n%d" % i)),
                         acl=frozenset({"127.0.0.1"}))
                for i, a in enumerate(addresses)],
-        replica_target=1, transport="tcp")
+        replica_target=1)
     nodes = [tcp_node(config, "n%d" % i) for i in range(2)]
     yield addresses, config
     for node in nodes:

@@ -1,4 +1,5 @@
 import random
+import threading
 
 import pytest
 
@@ -6,7 +7,7 @@ from sectorsphere.cluster import NodeSpec
 from sectorsphere.errors import ConfigError
 from sectorsphere.records import RecordIndex
 from sectorsphere.scheduler import validate_schedule
-from sectorsphere.sphere import SegmentLimits
+from sectorsphere.sphere import SegmentLimits, register_operator
 
 
 def seed_files(client, count, rng, size=2000):
@@ -82,13 +83,24 @@ def test_spe_slots_run_multiple_segments_per_node(make_cluster):
     client = cluster.client()
     rng = random.Random(67)
     client.upload(rng.randbytes(8000), "slots/in.dat", RecordIndex.uniform(80, 100))
-    out, report = client.run_job(["slots/in.dat"], "identity",
+    # each of the 8 segments waits for another to reach the barrier, so the
+    # job completes only if the node runs its two SPEs' segments at once
+    barrier = threading.Barrier(2, timeout=5)
+
+    def meet(records, params):
+        barrier.wait()
+        return records
+
+    register_operator("test-meet-in-pairs", meet, scope="segment")
+    out, report = client.run_job(["slots/in.dat"], "test-meet-in-pairs",
                                  limits=SegmentLimits(1000, 1000),
                                  spe_per_node=2)
-    assert report.ok
+    assert report.ok and len(report.segments) == 8
     slots_used = {(ev.spe_node, ev.spe_slot) for ev in report.events
                   if ev.kind == "assign"}
     assert len(slots_used) == 2  # both per-node workers took segments
+    # busy time counts the work, not waiting for the node to take a segment
+    assert sum(report.node_seconds.values()) <= 2 * report.elapsed
 
 
 def test_kill_unknown_node_is_config_error(make_cluster):

@@ -32,7 +32,7 @@ def test_reply_body_is_decoded_and_capped_reads_continue():
                            read_reply([(9, 1)], [b"f"]))
     records, entries = read_records_over(channel, "f.dat", 4, 3)
     assert list(records) == [b"abc", b"de", b"f"]
-    assert entries.entries == ((0, 3), (3, 2), (9, 1))
+    assert entries.array.tolist() == [[0, 3], [3, 2], [9, 1]]
     assert [r["offset"] for r in channel.requests] == [4, 6]
 
 

@@ -76,10 +76,10 @@ def test_read_records_whole_and_single(make_cluster):
     node = owner_node(cluster, "r.dat")
     records, entries = node.read_local("r.dat", 0, 2)
     assert b"".join(records) == data
-    assert entries.entries == ((0, 10), (10, 10))
+    assert entries.array.tolist() == [[0, 10], [10, 10]]
     records, entries = node.read_local("r.dat", 1, 1)
     assert list(records) == [b"second----"]
-    assert entries.entries == ((10, 10),)
+    assert entries.array.tolist() == [[10, 10]]
 
 
 def test_read_range_overflow(make_cluster):
@@ -265,7 +265,8 @@ def test_remote_read_beyond_transfer_chunk_loops(make_cluster, monkeypatch, gapp
     remote = read_records_over(Counting(), "big.dat", 2, 35)
     local = holder.read_local("big.dat", 2, 35)
     assert remote[1] == local[1]
-    assert list(remote[0]) == list(local[0]) == [data[o:o + s] for o, s in index.slice(2, 35)]
+    assert list(remote[0]) == list(local[0]) == [
+        data[o:o + s] for o, s in index.array[2:37].tolist()]
     assert len(reads) > 5 and set(reads) == {MessageKind.READ}
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from sectorsphere.errors import IntegrityError, RangeError
+from sectorsphere.errors import IntegrityError
 from sectorsphere.records import (
     RecordBatch,
     RecordIndex,
@@ -12,7 +12,7 @@ from sectorsphere.records import (
 
 def test_uniform_index_layout():
     index = RecordIndex.uniform(2, 100)
-    assert index.entries == ((0, 100), (100, 100))
+    assert index.array.tolist() == [[0, 100], [100, 100]]
     blob = index.to_bytes()
     assert blob[:8] == (0).to_bytes(8, "little")
     assert blob[16:24] == (100).to_bytes(8, "little")
@@ -32,13 +32,6 @@ def test_validate_rejects_overlap_and_overrun():
         RecordIndex([(0, 10), (10, 200)]).validate(100)
     with pytest.raises(IntegrityError):
         RecordIndex.from_bytes(b"\x00" * 15)
-
-
-def test_slice_and_range_errors():
-    index = RecordIndex.uniform(10, 4)
-    assert index.slice(3, 2) == ((12, 4), (16, 4))
-    with pytest.raises(RangeError):
-        index.slice(8, 3)
 
 
 def test_write_and_read_record_file(tmp_path):
@@ -72,11 +65,12 @@ def test_from_bytes_is_a_read_only_view():
     blob = RecordIndex([(0, 5), (7, 3)]).to_bytes()
     index = RecordIndex.from_bytes(blob)
     assert index.array.shape == (2, 2) and not index.array.flags.writeable
-    assert index.entries == ((0, 5), (7, 3))
+    assert index.array.tolist() == [[0, 5], [7, 3]]
     assert len(RecordIndex.from_bytes(b"")) == 0
 
 
 def test_from_sizes_and_uniform_start_offset():
-    assert RecordIndex.from_sizes([3, 0, 4], start=10).entries == ((10, 3), (13, 0), (13, 4))
+    assert RecordIndex.from_sizes([3, 0, 4], start=10).array.tolist() == [
+        [10, 3], [13, 0], [13, 4]]
     assert RecordIndex.from_sizes(iter([2, 2])) == RecordIndex.uniform(2, 2)
-    assert RecordIndex.uniform(2, 100, start=200).entries == ((200, 100), (300, 100))
+    assert RecordIndex.uniform(2, 100, start=200).array.tolist() == [[200, 100], [300, 100]]

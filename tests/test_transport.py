@@ -98,17 +98,6 @@ def test_profile_is_symmetric_and_validates():
         profile.set_rtt("a", "c", -1.0)
 
 
-def test_profile_file_parsing(tmp_path):
-    path = tmp_path / "links.txt"
-    path.write_text("# site links\na b 16\nb c 55\n\na c 71\n")
-    profile = LinkProfile.from_file(path)
-    assert profile.rtt("c", "a") == 71.0
-    bad = tmp_path / "bad.txt"
-    bad.write_text("a b\n")
-    with pytest.raises(ValueError):
-        LinkProfile.from_file(bad)
-
-
 def test_error_reply_raises_mapped_exception():
     network = InMemoryNetwork()
     server = network.endpoint("srv")
