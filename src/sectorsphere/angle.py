@@ -10,8 +10,9 @@ a Gaussian-shaped score.
 The pipeline also runs distributed: windowing is a shuffle job whose
 segment operator tags each record with its window index, read from the
 timestamp field alone, and per-window clustering runs as a segment
-operator that parses each record in full, with the statistics computed
-back on the client.
+operator that parses its window once into columns and returns the
+window's model to the client in its SPE_RUN reply; the statistics are
+computed back on the client.
 """
 
 from __future__ import annotations
@@ -298,6 +299,25 @@ def parse_feature_record(record: bytes, delimiter: str = ",") -> FeatureVector:
                          values=np.array([float(p) for p in parts[2:]]))
 
 
+def feature_columns(records, delimiter: str = ","):
+    """The fields of feature records as columns: entities as an (n,) array
+    of str, timestamps as an (n,) float array and values as an (n, d) float
+    array, each record split once. ValueError unless every record has the
+    same number of fields, at least 3. The entities are str objects, not
+    fixed-width numpy strings, which drop trailing NULs."""
+    rows = [_fields(r, delimiter) for r in records]
+    width = len(rows[0]) if rows else 2
+    if any(len(row) != width for row in rows):
+        raise ValueError("feature records with different numbers of fields")
+    columns = list(zip(*rows)) or [(), ()]
+    entities = np.array(columns[0], dtype=object)
+    timestamps = np.fromiter(map(float, columns[1]), float, len(rows))
+    values = np.empty((len(rows), width - 2))
+    for j, column in enumerate(columns[2:]):
+        values[:, j] = np.fromiter(map(float, column), float, len(rows))
+    return entities, timestamps, values
+
+
 def _fields(record: bytes, delimiter: str, maxsplit: int = -1) -> list[str]:
     parts = record.decode().strip().split(delimiter, maxsplit)
     if len(parts) < 3:
@@ -342,13 +362,18 @@ def _window_segment(records, params: bytes):
     return records.with_buckets(windows.astype(np.int64))
 
 
+def member_order(entities, timestamps, values) -> np.ndarray:
+    """The stable order of feature columns' rows by (entity, timestamp,
+    values), the key run_pipeline_local sorts a window's members by."""
+    return np.lexsort((*values.T[::-1], timestamps, entities))
+
+
 def _cluster_segment(records, params: bytes):
-    p = json.loads(params.decode())
-    vectors = [parse_feature_record(r, p.get("delimiter", ",")) for r in records]
-    vectors.sort(key=lambda v: (v.entity, v.timestamp, tuple(v.values)))
-    window_index = int(math.floor((vectors[0].timestamp - p["t0"]) / p["length"]))
-    points = np.array([v.values for v in vectors])
-    model = cluster_window(points, p["k"], p["seed"])
+    p = sphere.decoded_params(params, json.loads)
+    entities, timestamps, values = feature_columns(records, p.get("delimiter", ","))
+    order = member_order(entities, timestamps, values)
+    window_index = int(math.floor((timestamps[order[0]] - p["t0"]) / p["length"]))
+    model = cluster_window(values[order], p["k"], p["seed"])
     blob = {"window": window_index, "model": model.to_json()}
     return [json.dumps(blob).encode()]
 
@@ -364,8 +389,10 @@ def run_pipeline_distributed(session, names, length: float, t0: float, k: int,
                              z_threshold: float = DEFAULT_Z,
                              job_id: str | None = None):
     """Window-shuffle then cluster as jobs; drift statistics on the client.
-    A given job_id names the shuffle job, and job_id + "-clusters" the
-    clustering job, so their output file names do not vary between runs.
+    The clustering job returns each window's model in its SPE_RUN reply
+    and stores nothing. A given job_id names the shuffle job, so its
+    bucket file names do not vary between runs, and job_id + "-clusters"
+    the clustering job.
 
     Returns (models by window index, EmergenceSeries).
     """
@@ -375,13 +402,13 @@ def run_pipeline_distributed(session, names, length: float, t0: float, k: int,
         names, "window-index", params=params,
         output=sphere.OutputSpec(mode=sphere.OutputMode.SHUFFLE, destinations=destinations),
         job_id=job_id)
-    clustered, _ = session.run_job(
+    _, report = session.run_job(
         shuffled, "window-cluster", params=params,
-        output=sphere.OutputSpec(sphere.OutputMode.LOCAL),
+        output=sphere.OutputSpec(sphere.OutputMode.CLIENT),
         limits=sphere.WHOLE_FILE_LIMITS,
         job_id=(job_id + "-clusters") if job_id else None)
     models: dict[int, ClusterModel] = {}
-    for record in session.iter_records(clustered.names):
+    for record in report.records:
         blob = json.loads(record.decode())
         models[blob["window"]] = ClusterModel.from_json(blob["model"])
     ordered = [models[j] for j in sorted(models)]

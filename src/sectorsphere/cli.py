@@ -81,13 +81,13 @@ def cmd_submit(args) -> int:
     if "limits" in descriptor:
         limits = sphere.SegmentLimits(descriptor["limits"]["s_min"],
                                       descriptor["limits"]["s_max"])
+    output = sphere.OutputSpec.from_header(
+        {"mode": sphere.OutputMode.LOCAL, **descriptor.get("output", {})})
     try:
-        out_stream, report = session.run_job(
+        _, report = session.run_job(
             descriptor["files"], descriptor["operator"],
             params=bytes.fromhex(descriptor.get("params", "")),
-            output=sphere.OutputSpec.from_header(
-                {"mode": sphere.OutputMode.LOCAL, **descriptor.get("output", {})}),
-            limits=limits, job_id=descriptor.get("job_id"))
+            output=output, limits=limits, job_id=descriptor.get("job_id"))
     except JobError as exc:
         print("job failed: %s" % exc, file=sys.stderr)
         for failure in exc.failed_segments:
@@ -103,7 +103,10 @@ def cmd_submit(args) -> int:
           % (done, len(report.segments), 100 * done // max(1, len(report.segments))))
     for node_address, seconds in sorted(report.node_seconds.items()):
         print("node %s busy %.3fs" % (node_address, seconds))
-    print("output files: %s" % ", ".join(f["name"] for f in report.output_files))
+    if output.mode == sphere.OutputMode.CLIENT:
+        print("records returned: %d" % len(report.records))
+    else:
+        print("output files: %s" % ", ".join(f["name"] for f in report.output_files))
     session.close()
     return EXIT_OK
 

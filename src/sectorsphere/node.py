@@ -448,8 +448,8 @@ class StorageNode:
             self.push_replica(header["name"], header["dest"])
             return reply(msg, MessageKind.OK, {})
         if kind == MessageKind.SPE_RUN:
-            report = self.spe_host.run_segment(origin, header)
-            return reply(msg, MessageKind.OK, report)
+            report, body = self.spe_host.run_segment(origin, header)
+            return reply(msg, MessageKind.OK, report, body)
         if kind == MessageKind.SHUFFLE_APPEND:
             self.shuffle_append(header["job"], header["bucket"], header["sizes"], body)
             return reply(msg, MessageKind.OK, {})

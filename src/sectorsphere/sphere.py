@@ -4,8 +4,9 @@ A job applies a registered operator to every record of a stream of
 indexed files. The stream is cut into contiguous data segments, segments
 are scheduled onto per-node processing elements with locality preference,
 each element runs the accept / read / apply / write loop, and outputs are
-routed back to the data's origin, written locally, or shuffled to a list
-of destination nodes by bucket.
+routed back to the data's origin, written locally, shuffled to a list
+of destination nodes by bucket, or returned to the client in the
+segment's SPE_RUN reply.
 
 Segments stay columnar through the engine. A segment is read as one
 RecordBatch (its bytes plus an (n, 2) entry array); a segment-scope
@@ -28,15 +29,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import JobError, NotFoundError, SectorError, TransportError
+from .errors import IntegrityError, JobError, NotFoundError, SectorError, TransportError
 from .fileops import first_holder, read_records_over
-from .records import RecordBatch
+from .records import RecordBatch, RecordIndex
 from .scheduler import Scheduler, SpeHandle
 from .wire import MessageKind
 
 log = logging.getLogger(__name__)
 
 SHUFFLE_BATCH_BYTES = 2 * 1024 * 1024
+CLIENT_REPLY_BYTES = 1024 * 1024  # most output one segment returns in its reply
 JOB_TIMEOUT = 600.0  # seconds a job waits for one segment's SPE_RUN reply
 
 
@@ -156,6 +158,7 @@ class OutputMode:
     ORIGIN = "origin"
     LOCAL = "local"
     SHUFFLE = "shuffle"
+    CLIENT = "client"
 
 
 @dataclass(frozen=True)
@@ -165,7 +168,8 @@ class OutputSpec:
     destinations: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.mode not in (OutputMode.ORIGIN, OutputMode.LOCAL, OutputMode.SHUFFLE):
+        if self.mode not in (OutputMode.ORIGIN, OutputMode.LOCAL, OutputMode.SHUFFLE,
+                             OutputMode.CLIENT):
             raise ValueError("unknown output mode %r" % self.mode)
         if self.mode == OutputMode.SHUFFLE and not self.destinations:
             raise ValueError("shuffle output needs a destination list")
@@ -238,22 +242,25 @@ class SpeHost:
     def __init__(self, node):
         self.node = node
 
-    def run_segment(self, origin: str, header: dict) -> dict:
+    def run_segment(self, origin: str, header: dict) -> tuple[dict, bytes]:
+        """The segment's report, and the body of its SPE_RUN reply: the
+        output records back to back in client mode, else empty."""
         segment = DataSegment(
             file=header["file"], offset=header["offset"], rows=header["rows"],
             params=bytes.fromhex(header.get("params", "")),
             ordinal=header["ordinal"],
             locations=tuple(header.get("locations", ())))
         started = time.monotonic()
-        report = self._execute(header["job"], segment, header["operator"],
-                               OutputSpec.from_header(header["output"]), header.get("client"))
+        report, body = self._execute(header["job"], segment, header["operator"],
+                                     OutputSpec.from_header(header["output"]),
+                                     header.get("client"))
         report["duration"] = time.monotonic() - started
         report["node"] = self.node.address
         report["ordinal"] = segment.ordinal
-        return report
+        return report, body
 
     def _execute(self, job: str, segment: DataSegment, operator_name: str,
-                 output: OutputSpec, client: str | None) -> dict:
+                 output: OutputSpec, client: str | None) -> tuple[dict, bytes]:
         node = self.node
         fn, scope = get_operator(operator_name)
 
@@ -293,14 +300,21 @@ class SpeHost:
         except Exception as exc:
             log.warning("operator %r failed on segment %d of %s: %s",
                         operator_name, segment.ordinal, segment.file, exc)
-            return {"status": "failed", "error": str(exc),
-                    "rows": segment.rows, "acks": acks, "outputs": []}
+            return _failed(segment, acks, str(exc)), b""
 
         # step 4: final acknowledgment, then write results where they belong
-        outputs = self._write_outputs(job, segment, out, output, source)
-        return {"status": "ok", "rows": segment.rows, "acks": acks,
-                "final_ack": segment.rows, "outputs": outputs,
-                "produced": len(out)}
+        report = {"status": "ok", "rows": segment.rows, "acks": acks,
+                  "final_ack": segment.rows, "outputs": [], "produced": len(out)}
+        if output.mode != OutputMode.CLIENT:
+            report["outputs"] = self._write_outputs(job, segment, out, output, source)
+            return report, b""
+        data, _ = out.pack()
+        if len(data) > CLIENT_REPLY_BYTES:
+            return _failed(segment, acks, "segment %d returns %d bytes, over the %d a "
+                           "reply carries" % (segment.ordinal, len(data),
+                                              CLIENT_REPLY_BYTES)), b""
+        report["sizes"] = out.sizes.tolist()
+        return report, data
 
     def _ack(self, acks: list[int], client: str | None, job: str,
              segment: DataSegment, processed: int) -> None:
@@ -372,6 +386,11 @@ class SpeHost:
             log.warning("bucket %d redirected from %s to %s", bucket, dest, landed)
 
 
+def _failed(segment: DataSegment, acks: list[int], error: str) -> dict:
+    return {"status": "failed", "error": error, "rows": segment.rows,
+            "acks": acks, "outputs": []}
+
+
 class TaggedRecords:
     """A shuffle's output batch with its bucket ids. The engine reads
     `batch`; iterating yields (bucket, record) pairs, for observers."""
@@ -440,6 +459,7 @@ class JobReport:
     segments: list[dict] = field(default_factory=list)
     events: list = field(default_factory=list)
     output_files: list[dict] = field(default_factory=list)
+    records: list[bytes] = field(default_factory=list)  # client mode's output
     node_seconds: dict = field(default_factory=dict)
     failed: list[dict] = field(default_factory=list)
     elapsed: float = 0.0
@@ -458,7 +478,9 @@ def run_job(session, stream, operator_name: str, params: bytes = b"",
 
     Returns the output stream (files registered in storage) and the job
     report. Failed segments are retried once on a different node before
-    the whole job raises.
+    the whole job raises. In client mode the stream is empty and the
+    report's `records` holds the output, segment by segment in ordinal
+    order, each from the attempt that completed it.
     """
     if not operator_registered(operator_name):
         raise JobError("operator %r is not registered" % operator_name)
@@ -475,6 +497,7 @@ def run_job(session, stream, operator_name: str, params: bytes = b"",
 
     sched = Scheduler(segments, spes)
     reports_lock = threading.Lock()
+    returned: dict[int, RecordBatch] = {}  # client mode: ordinal -> its records
 
     def worker(spe: SpeHandle):
         while True:
@@ -491,8 +514,13 @@ def run_job(session, stream, operator_name: str, params: bytes = b"",
             }
             try:
                 channel = session.transport.open_channel(spe.node)
-                result, _ = channel.call(MessageKind.SPE_RUN, header,
-                                         timeout=JOB_TIMEOUT)
+                result, body = channel.call(MessageKind.SPE_RUN, header,
+                                            timeout=JOB_TIMEOUT)
+                if output.mode == OutputMode.CLIENT and result.get("status") == "ok":
+                    batch = RecordBatch(body, RecordIndex.from_sizes(result.pop("sizes")))
+                    if int(batch.sizes.sum()) != len(body):
+                        raise IntegrityError("a reply's record sizes do not add up "
+                                             "to its %d bytes" % len(body))
             except Exception as exc:  # a worker must never die mid-job
                 result = {"status": "failed", "error": str(exc),
                           "node": spe.node, "ordinal": task.segment.ordinal,
@@ -505,6 +533,8 @@ def run_job(session, stream, operator_name: str, params: bytes = b"",
                     report.node_seconds.get(spe.node, 0.0)
                     + float(result.get("duration", 0.0)))
             if result.get("status") == "ok":
+                if output.mode == OutputMode.CLIENT:
+                    returned[task.segment.ordinal] = batch
                 sched.complete(spe, task)
             else:
                 sched.fail(spe, task, result.get("error", "segment failed"))
@@ -515,6 +545,8 @@ def run_job(session, stream, operator_name: str, params: bytes = b"",
 
     report.events = sched.events
     report.failed = sched.failures
+    report.records = [record for ordinal in sorted(returned)
+                      for record in returned[ordinal]]
 
     output_files: list[dict] = []
     if output.mode == OutputMode.SHUFFLE:

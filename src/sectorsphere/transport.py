@@ -162,7 +162,6 @@ class InMemoryNetwork:
         self.clock = clock or RealClock()
         self._handlers = {}
         self._lock = threading.Lock()
-        self.connection_counts = {}
 
     def endpoint(self, address: str) -> "InMemoryTransport":
         return InMemoryTransport(self, address)
@@ -184,9 +183,6 @@ class InMemoryNetwork:
 
     def connect(self, local: str, peer: str) -> None:
         self._handler_for(peer)  # connection refused if nobody listens
-        with self._lock:
-            key = (local, peer)
-            self.connection_counts[key] = self.connection_counts.get(key, 0) + 1
         self.clock.sleep(self.profile.rtt(local, peer) / 1000.0)
 
     def dispatch(self, local: str, peer: str, request: Message) -> Message:

@@ -45,11 +45,10 @@ class Message:
     payload: bytes = b""
 
 
-def encode_message(msg: Message, max_payload: int = DEFAULT_MAX_PAYLOAD) -> bytes:
-    if len(msg.payload) > max_payload:
-        raise FrameError(
-            "payload of %d bytes exceeds maximum %d" % (len(msg.payload), max_payload)
-        )
+def encode_message(msg: Message) -> bytes:
+    if len(msg.payload) > DEFAULT_MAX_PAYLOAD:
+        raise FrameError("payload of %d bytes exceeds maximum %d"
+                         % (len(msg.payload), DEFAULT_MAX_PAYLOAD))
     return HEADER.pack(int(msg.kind), msg.request_id, len(msg.payload)) + msg.payload
 
 

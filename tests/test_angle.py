@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sectorsphere.angle import (
     ClusterModel,
@@ -13,7 +15,10 @@ from sectorsphere.angle import (
     cluster_window,
     collect_emergent,
     emergence_score,
+    feature_columns,
     flag_spikes,
+    format_feature_record,
+    member_order,
     parse_feature_record,
     read_feature_file,
     run_pipeline_distributed,
@@ -298,6 +303,36 @@ def test_parse_feature_record_rejects_short_lines():
         parse_feature_record(b"entity,1.0")
 
 
+# few distinct fields, so that rows tie on entity and timestamp; a trailing
+# NUL is the case fixed-width numpy strings would get wrong
+ENTITIES = st.sampled_from(["a", "b", "a\x00", "ab", "é"])
+FIELDS = st.sampled_from([-1.5, -0.0, 0.0, 2.25, 1e300, float("inf"), float("-inf")])
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(1, 3), data=st.data())
+def test_feature_columns_match_per_record_parse_and_sort(dim, data):
+    rows = data.draw(st.lists(st.tuples(ENTITIES, FIELDS, st.lists(
+        FIELDS, min_size=dim, max_size=dim)), min_size=1, max_size=25))
+    records = [format_feature_record(fv(t, values, entity)) for entity, t, values in rows]
+    vectors = [parse_feature_record(r) for r in records]
+    entities, timestamps, values = feature_columns(records)
+    assert entities.shape == timestamps.shape == (len(records),)
+    assert values.shape == (len(records), dim)
+    assert entities.tolist() == [v.entity for v in vectors]
+    assert timestamps.tolist() == [v.timestamp for v in vectors]
+    assert np.array_equal(values, np.array([v.values for v in vectors]))
+    key = sorted(range(len(vectors)), key=lambda i: (
+        vectors[i].entity, vectors[i].timestamp, tuple(vectors[i].values)))
+    assert member_order(entities, timestamps, values).tolist() == key
+
+    other = format_feature_record(fv(0.0, [1.0] * data.draw(st.sampled_from(
+        [d for d in (1, 2, 3, 4) if d != dim]))))
+    at = data.draw(st.integers(0, len(records)))
+    with pytest.raises(ValueError):
+        feature_columns(records[:at] + [other] + records[at:])
+
+
 # -------------------------------------------------------------- distributed
 
 def test_distributed_pipeline_equals_local(make_cluster, tmp_path):
@@ -340,5 +375,5 @@ def test_pinned_job_ids_register_the_same_file_names(make_cluster, tmp_path):
                                  seed=5, job_id="pinned")
         registered.append({name for node in cluster.nodes.values() for name in node.registry})
     assert registered[0] == registered[1]
-    assert {name.split("/")[0] for name in registered[0]} == {"ang", "pinned",
-                                                              "pinned-clusters"}
+    # the clustering job returns its models to the client and stores nothing
+    assert {name.split("/")[0] for name in registered[0]} == {"ang", "pinned"}

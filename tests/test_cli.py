@@ -7,7 +7,7 @@ from sectorsphere import cli
 from sectorsphere.benchmarks import KEY_SIZE, RECORD_SIZE
 from sectorsphere.cluster import ClusterConfig, NodeSpec, parse_cluster_config, tcp_node
 from sectorsphere.errors import ConfigError
-from sectorsphere.records import read_record_file
+from sectorsphere.records import RecordIndex, read_record_file, write_record_file
 
 
 def free_port():
@@ -149,6 +149,22 @@ def test_submit_identity_job_over_sockets(tmp_path, tcp_cluster, capsys):
     out = capsys.readouterr().out
     assert "segments done:" in out and "(100%)" in out
     assert "node " in out  # per-node timings printed
+
+
+def test_submit_in_client_mode_prints_the_records_returned(tmp_path, tcp_cluster, capsys):
+    addresses, _ = tcp_cluster
+    records = [bytes([i]) * (i + 1) for i in range(40)]
+    source = tmp_path / "records.dat"
+    write_record_file(source, b"".join(records), RecordIndex.from_sizes(map(len, records)))
+    assert cli.main(["upload", "--server", addresses[0],
+                     str(source), "job/back.dat"]) == 0
+    descriptor = tmp_path / "job.json"
+    descriptor.write_text(json.dumps({
+        "server": addresses[1], "files": ["job/back.dat"], "operator": "identity",
+        "output": {"mode": "client"}, "limits": {"s_min": 200, "s_max": 200}}))
+    assert cli.main(["submit", "--job", str(descriptor)]) == 0
+    out = capsys.readouterr().out
+    assert "records returned: 40" in out and "output files" not in out
 
 
 def test_submit_with_no_files_exits_with_an_error(tmp_path, tcp_cluster, capsys):

@@ -9,7 +9,7 @@ import threading
 import pytest
 
 from sectorsphere import benchmarks, scenarios, sphere
-from sectorsphere.errors import AccessDeniedError, IntegrityError, StaleError
+from sectorsphere.errors import AccessDeniedError, IntegrityError, StaleError, TransportError
 from sectorsphere.fileops import expectation, fetch_file, push_file, read_records_over
 from sectorsphere.records import RecordIndex
 from sectorsphere.sphere import OutputMode, OutputSpec, SegmentLimits
@@ -190,6 +190,59 @@ def test_job_caches_the_holders_and_headers_of_its_outputs(make_cluster, monkeyp
     sent = count_messages(monkeypatch, cluster)
     assert list(client.iter_records(rerun.names)) == again
     assert set(sent) == {MessageKind.READ}
+
+
+def test_client_mode_records_come_back_once_when_a_reply_is_lost(make_cluster, monkeypatch):
+    cluster = make_cluster(3)
+    client = cluster.client()
+    records = [b"lost-%03d" % i for i in range(120)]
+    upload_records(client, "lost.dat", records)
+    dropped = []
+    dispatch = cluster.network.dispatch
+
+    def drop_first_run_reply(local, peer, request):
+        response = dispatch(local, peer, request)
+        if request.kind == MessageKind.SPE_RUN and not dropped:
+            dropped.append(unpack_payload(request.payload)[0]["ordinal"])
+            raise TransportError("reply lost")
+        return response
+
+    monkeypatch.setattr(cluster.network, "dispatch", drop_first_run_reply)
+    _, report = client.run_job(["lost.dat"], "identity",
+                               output=OutputSpec(mode=OutputMode.CLIENT),
+                               limits=SegmentLimits(200, 200))
+    assert report.ok and len(dropped) == 1
+    attempts = [r["attempt"] for r in report.segments if r["ordinal"] == dropped[0]]
+    assert sorted(attempts) == [1, 2]
+    assert report.records == records
+
+
+def test_angle_clustering_job_stores_and_reads_back_nothing(make_cluster, monkeypatch, tmp_path):
+    from sectorsphere import angle
+
+    cluster = make_cluster(3)
+    client = cluster.client()
+    vectors, _ = angle.synthetic_windows(n_windows=12, blobs=2, dim=2, per_window=20,
+                                         seed=8, shift_window=10)
+    angle.write_feature_file(tmp_path / "f.txt", vectors)
+    client.upload(tmp_path / "f.txt", "ang/f.txt")
+    sent = {}
+    run_job = client.run_job
+
+    def counted(stream, operator_name, **kwargs):
+        sent[operator_name] = count_messages(monkeypatch, cluster)
+        result = run_job(stream, operator_name, **kwargs)
+        sent["after"] = count_messages(monkeypatch, cluster, sender=client.address)
+        return result
+
+    monkeypatch.setattr(client, "run_job", counted)
+    models, _ = angle.run_pipeline_distributed(client, ["ang/f.txt"], length=1.0, t0=0.0,
+                                               k=2, seed=5, job_id="counted")
+    assert len(models) == 12
+    clustering = sent["window-cluster"]
+    assert clustering[MessageKind.SPE_RUN] == 12
+    assert clustering[MessageKind.REGISTER] == clustering[MessageKind.STORE_DATA] == 0
+    assert sent["after"] == {}  # no READ of the models
 
 
 @pytest.mark.parametrize("rtt_ms", [0.0, 1.0])

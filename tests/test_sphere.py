@@ -315,6 +315,47 @@ def test_file_level_processing_without_index(make_cluster):
     assert read_stream_records(client, out) == [blob]
 
 
+def test_client_mode_returns_the_input_in_ordinal_order(make_cluster):
+    cluster = make_cluster(3)
+    client = cluster.client()
+    rng = random.Random(12)
+    first = upload_records(client, "c0.dat", [rng.randbytes(rng.randrange(1, 40))
+                                              for _ in range(150)])
+    second = upload_records(client, "c1.dat", [b"c1-%03d" % i for i in range(90)])
+    out, report = client.run_job(["c0.dat", "c1.dat"], "identity",
+                                 output=OutputSpec(mode=OutputMode.CLIENT),
+                                 limits=SegmentLimits(300, 300))
+    assert report.ok and len(report.segments) > 3
+    assert out.files == () and report.output_files == []
+    # segments tile the stream in order, so ordinal order is stream order
+    assert report.records == first + second
+    assert not any(name.startswith(report.job_id) for node in cluster.nodes.values()
+                   for name in node.files)
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_client_mode_output_over_the_reply_cap_fails_the_job(make_cluster, extra):
+    cluster = make_cluster(2)
+    client = cluster.client()
+    size = sphere.CLIENT_REPLY_BYTES + extra
+    sphere.register_operator("test-inflate", lambda records, params: [b"x" * size],
+                             scope="segment")
+    upload_records(client, "small.dat", [b"a", b"b"])
+
+    def run():
+        return client.run_job(["small.dat"], "test-inflate",
+                              output=OutputSpec(mode=OutputMode.CLIENT),
+                              limits=sphere.WHOLE_FILE_LIMITS)
+
+    if not extra:
+        assert run()[1].records == [b"x" * size]
+        return
+    with pytest.raises(JobError) as excinfo:
+        run()
+    failed, = excinfo.value.failed_segments  # after its retry on the other node
+    assert "%d bytes" % size in failed["error"]
+
+
 def test_shuffle_job_writes_indexed_bucket_files(make_cluster):
     cluster = make_cluster(2)
     client = cluster.client()
@@ -401,8 +442,8 @@ def test_segment_reads_from_the_next_holder_and_writes_back_there(make_cluster):
     header = {"job": "j-far", "ordinal": 3, "file": "far.dat", "offset": 2, "rows": 8,
               "locations": ["node-unreachable", holder], "operator": "identity",
               "output": OutputSpec(mode=OutputMode.ORIGIN).to_header()}
-    report = worker.spe_host.run_segment(client.address, header)
-    assert report["status"] == "ok" and report["node"] == worker.address
+    report, body = worker.spe_host.run_segment(client.address, header)
+    assert report["status"] == "ok" and report["node"] == worker.address and body == b""
     name = sphere.seg_file_name("j-far", 3)
     stat = dataclasses.asdict(cluster.nodes[holder].meta(name))
     assert stat["records"] == 8 and stat["size"] == sum(map(len, records[2:10]))

@@ -58,13 +58,17 @@ def test_open_channel_to_unknown_peer_refused():
         client.open_channel("nobody")
 
 
-def test_channel_cache_reuses_open_channel():
+def test_channel_cache_reuses_open_channel(monkeypatch):
     network, _, client = make_pair()
+    connects = []
+    connect = network.connect
+    monkeypatch.setattr(network, "connect",
+                        lambda local, peer: (connects.append((local, peer)), connect(local, peer)))
     first = client.open_channel("srv")
     assert client.open_channel("srv") is first
     for _ in range(10):
         first.rpc(Message(kind=MessageKind.PING, request_id=1))
-    assert network.connection_counts[("cli", "srv")] == 1
+    assert connects == [("cli", "srv")]
 
 
 def test_loopback_channel_has_zero_rtt():

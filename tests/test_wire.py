@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sectorsphere import wire
 from sectorsphere.errors import FrameError
 from sectorsphere.wire import (
     Message,
@@ -35,10 +36,10 @@ def test_round_trip_identity(kind, request_id, payload):
     assert decode_message(encode_message(msg)) == msg
 
 
-def test_oversize_payload_rejected():
+def test_oversize_payload_rejected(monkeypatch):
+    monkeypatch.setattr(wire, "DEFAULT_MAX_PAYLOAD", 16)
     with pytest.raises(FrameError):
-        encode_message(Message(kind=0, request_id=0, payload=b"x" * 32),
-                       max_payload=16)
+        encode_message(Message(kind=0, request_id=0, payload=b"x" * 32))
 
 
 def test_decode_rejects_short_and_mismatched_frames():
