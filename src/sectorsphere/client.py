@@ -2,9 +2,14 @@
 
 Access follows the four-step protocol: connect to a known entry server,
 resolve replica locations through the server network's routing layer,
-open a (cached) data channel to a holder, then transfer. The client also
-listens on its own address so workers can stream progress back to it
-during jobs.
+open a (cached) data channel to a holder, then transfer. The entry server
+gives only the member list: the client builds the ring from it and sends
+each upload and LOOKUP straight to the name's owner. When that owner
+cannot be reached, the client asks the entry for the members once more
+and tries the owner on the new ring. A live node that no longer owns the
+name still answers: it forwards a LOOKUP to the owner, and a file stored
+on it registers with the owner. The client also listens on its own
+address so workers can stream progress back to it during jobs.
 
 The client caches each name's holders and STAT header, from a LOOKUP
 reply or from the job that wrote the file, so reading a job's outputs
@@ -24,6 +29,7 @@ from . import sphere
 from .errors import NotFoundError, TransportError
 from .fileops import expectation, fetch_file, first_holder, push_file, read_records_over
 from .records import INDEX_SUFFIX, RecordIndex
+from .routing import RingView
 from .transport import Transport, error_reply, reply
 from .wire import Message, MessageKind, unpack_payload
 
@@ -43,6 +49,7 @@ class ClientSession:
         # holders confirm on every read or fetch made against it
         self.hints: dict[str, dict] = {}
         self.progress_events: list[dict] = []
+        self._ring: RingView | None = None  # built from the last members() reply
         self._lock = threading.Lock()
         self._listening = listen
         if listen:
@@ -72,9 +79,6 @@ class ClientSession:
 
     # ---------------------------------------------------------------- lookup
 
-    def _entry(self):
-        return self.transport.open_channel(self.entry_server)
-
     def locate(self, name: str) -> list[str]:
         """Resolve every node holding a replica, nearest (by rtt) first."""
         with self._lock:
@@ -87,7 +91,8 @@ class ClientSession:
         """Ask the name's owner for the holders, nearest first, and for the
         file's STAT header; both are cached."""
         try:
-            header, _ = self._entry().call(MessageKind.LOOKUP, {"name": name})
+            _, (header, _) = self._at_owner(name, lambda channel: channel.call(
+                MessageKind.LOOKUP, {"name": name}))
         except NotFoundError:
             self.forget(name)
             raise
@@ -109,12 +114,28 @@ class ClientSession:
             self.hints.pop(name, None)
 
     def owner_of(self, name: str) -> str:
-        header, _ = self._entry().call(MessageKind.OWNER, {"name": name})
-        return header["owner"]
+        """The name's owner on the ring of the last member list."""
+        if self._ring is None:
+            self.members()
+        return self._ring.owner(name).address
 
     def members(self) -> list[str]:
-        header, _ = self._entry().call(MessageKind.MEMBERS, {})
+        """The entry server's member list; the client's ring is rebuilt from it."""
+        header, _ = self.transport.open_channel(self.entry_server).call(
+            MessageKind.MEMBERS, {})
+        self._ring = RingView.from_addresses(header["addresses"])
         return header["addresses"]
+
+    def _at_owner(self, name: str, attempt):
+        """(owner, attempt(channel to owner)) at the name's owner; when the
+        owner cannot be reached, again at the owner on a fresh member list."""
+        owner = self.owner_of(name)
+        try:
+            return owner, attempt(self.transport.open_channel(owner))
+        except TransportError:
+            self.members()
+        owner = self.owner_of(name)
+        return owner, attempt(self.transport.open_channel(owner))
 
     # -------------------------------------------------------------- transfer
 
@@ -135,10 +156,9 @@ class ClientSession:
                     index = RecordIndex.from_bytes(sibling.read_bytes())
         if index is not None:
             index.validate(len(data))
-        target = self.owner_of(name)
-        channel = self.transport.open_channel(target)
-        push_file(channel, name, data,
-                  index.to_bytes() if index is not None else None)
+        index_bytes = index.to_bytes() if index is not None else None
+        target, _ = self._at_owner(
+            name, lambda channel: push_file(channel, name, data, index_bytes))
         self.forget(name)
         return [target]
 
@@ -229,16 +249,18 @@ class ClientSession:
     # ------------------------------------------------------------------ jobs
 
     def resolve_stream(self, names) -> sphere.Stream:
-        """Build a job input stream from stored file names. The names are
-        looked up in LOOKUP_LANES threads at once, each taking every
-        LOOKUP_LANES-th name in turn, whatever sphere.overlap would say:
-        the hop to the entry server may not wait on a network while the
-        hop the entry forwards each LOOKUP on to the name's owner does."""
+        """Build a job input stream from stored file names, each looked up
+        at its owner. The names go in LOOKUP_LANES lanes, each taking every
+        LOOKUP_LANES-th name in turn, that run at once when a call to one of
+        the owners waits on a network (sphere.overlap) and else one after
+        another in the caller's thread."""
         names = list(names)
         lanes = [names[i::LOOKUP_LANES] for i in range(min(len(names), LOOKUP_LANES))]
+        owners = {self.owner_of(name) for name in names}
         found: dict = {}
-        for result in sphere.call_each(
-                lambda lane: {name: self._lookup(name) for name in lane}, lanes):
+        for result in sphere.overlap(self.transport, owners,
+                                     lambda lane: {name: self._lookup(name) for name in lane},
+                                     lanes):
             if isinstance(result, Exception):
                 raise result
             found.update(result)

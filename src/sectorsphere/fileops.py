@@ -91,7 +91,6 @@ def read_records_over(channel, name: str, offset: int, rows: int,
                       expect: dict | None = None) -> tuple[RecordBatch, RecordIndex]:
     """Read a run of records from the peer, following server-side byte caps.
     Returns the records as one batch, and their index entries in the file.
-    A READ reply body is `rows` .idx entries, then those records' bytes.
     With `expect` (see expectation) the peer serves only the version it
     describes."""
     parts: list = []
@@ -100,21 +99,32 @@ def read_records_over(channel, name: str, offset: int, rows: int,
         header, body = channel.call(MessageKind.READ, {"name": name, "offset": offset,
                                                        "rows": rows, "expect": expect})
         got = header["rows"]
-        head = got * ENTRY_SIZE
-        if not 0 < got <= rows or head > len(body):
-            raise IntegrityError("READ of %s replied %d rows in %d bytes, asked for %d"
-                                 % (name, got, len(body), rows))
-        entries = RecordIndex.from_bytes(body[:head]).array
-        sizes, room = entries[:, 1], len(body) - head
-        if (sizes > room).any() or int(sizes.sum()) != room:
-            raise IntegrityError("READ of %s: the records' sizes do not add up to the "
-                                 "%d bytes after the index" % (name, room))
+        if not 0 < got <= rows:
+            raise IntegrityError("READ of %s replied %d rows, asked for %d"
+                                 % (name, got, rows))
+        entries, records = split_rows(got, body, "READ of %s" % name)
         heads.append(entries)
-        parts.append(memoryview(body)[head:])
+        parts.append(records)
         offset += got
         rows -= got
     index = RecordIndex(np.concatenate(heads) if heads else ())
     return RecordBatch(b"".join(parts), RecordIndex.from_sizes(index.array[:, 1])), index
+
+
+def split_rows(rows: int, body: bytes, what: str) -> tuple[np.ndarray, memoryview]:
+    """A reply body laid out as `rows` .idx entries, then those records'
+    bytes back to back, as the (rows, 2) entries and the records' bytes.
+    IntegrityError unless the entries' sizes add up to the bytes that
+    follow them."""
+    head = rows * ENTRY_SIZE
+    if rows < 0 or head > len(body):
+        raise IntegrityError("%s replied %d rows in %d bytes" % (what, rows, len(body)))
+    entries = RecordIndex.from_bytes(body[:head]).array
+    sizes, room = entries[:, 1], len(body) - head
+    if (sizes > room).any() or int(sizes.sum()) != room:
+        raise IntegrityError("%s: the records' sizes do not add up to the %d bytes "
+                             "after the index" % (what, room))
+    return entries, memoryview(body)[head:]
 
 
 def first_holder(transport, holders, attempt) -> tuple:

@@ -1,10 +1,11 @@
 """Storage node daemon.
 
 Each node persists record files with their companion indexes under a
-local data directory, answers lookups for names it owns on the ring,
-serves record reads and whole-file fetches, gates client uploads by an
-address ACL, coordinates replication for owned names, and hosts the
-compute workers that execute job segments.
+local data directory, answers lookups for names it owns on the ring
+and forwards a lookup of any other name to its owner, serves record
+reads and whole-file fetches, gates client uploads by an address ACL,
+coordinates replication for owned names, and hosts the compute workers
+that execute job segments.
 
 A holder registers each file with the name's ring owner together with
 the file's STAT header (records, size, indexed, index_bytes, origin).
@@ -428,9 +429,6 @@ class StorageNode:
             stat: dict = {}
             locations = self.lookup(header["name"], stat)
             return reply(msg, MessageKind.OK, {"locations": locations, "stat": stat})
-        if kind == MessageKind.OWNER:
-            return reply(msg, MessageKind.OK,
-                         {"owner": self.ring.owner(header["name"]).address})
         if kind == MessageKind.MEMBERS:
             return reply(msg, MessageKind.OK, {"addresses": list(self.ring.addresses)})
         if kind == MessageKind.REGISTER:

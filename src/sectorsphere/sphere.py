@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IntegrityError, JobError, NotFoundError, SectorError, TransportError
-from .fileops import first_holder, read_records_over
+from .errors import JobError, NotFoundError, SectorError, TransportError
+from .fileops import first_holder, read_records_over, split_rows
 from .records import RecordBatch, RecordIndex
 from .scheduler import Scheduler, SpeHandle
 from .wire import MessageKind
@@ -243,8 +243,9 @@ class SpeHost:
         self.node = node
 
     def run_segment(self, origin: str, header: dict) -> tuple[dict, bytes]:
-        """The segment's report, and the body of its SPE_RUN reply: the
-        output records back to back in client mode, else empty."""
+        """The segment's report, and the body of its SPE_RUN reply: in
+        client mode the report's `rows` .idx entries of the output, then its
+        records back to back, as in a READ reply; else empty."""
         segment = DataSegment(
             file=header["file"], offset=header["offset"], rows=header["rows"],
             params=bytes.fromhex(header.get("params", "")),
@@ -308,26 +309,38 @@ class SpeHost:
         if output.mode != OutputMode.CLIENT:
             report["outputs"] = self._write_outputs(job, segment, out, output, source)
             return report, b""
-        data, _ = out.pack()
-        if len(data) > CLIENT_REPLY_BYTES:
+        data, index = out.pack()
+        body = index.to_bytes() + data
+        if len(body) > CLIENT_REPLY_BYTES:
             return _failed(segment, acks, "segment %d returns %d bytes, over the %d a "
-                           "reply carries" % (segment.ordinal, len(data),
+                           "reply carries" % (segment.ordinal, len(body),
                                               CLIENT_REPLY_BYTES)), b""
-        report["sizes"] = out.sizes.tolist()
-        return report, data
+        report["rows"] = len(index)
+        return report, body
 
     def _ack(self, acks: list[int], client: str | None, job: str,
              segment: DataSegment, processed: int) -> None:
+        """Record an ack, and send it to the client's inbox as a one-way
+        PROGRESS: from a thread of its own when the link to the client waits
+        on a network, so that neither a connect nor the send holds up the
+        segment, else in this thread."""
         acks.append(processed)
-        if client:
+        if not client:
+            return
+        transport = self.node.transport
+        header = {"job": job, "ordinal": segment.ordinal, "processed": processed,
+                  "rows": segment.rows, "node": self.node.address}
+
+        def send() -> None:
             try:
-                channel = self.node.transport.open_channel(client)
-                channel.send_oneway(MessageKind.PROGRESS,
-                                    {"job": job, "ordinal": segment.ordinal,
-                                     "processed": processed, "rows": segment.rows,
-                                     "node": self.node.address})
+                transport.open_channel(client).send_oneway(MessageKind.PROGRESS, header)
             except TransportError:
                 pass
+
+        if transport.waits_on(client):
+            threading.Thread(target=send, daemon=True).start()
+        else:
+            send()
 
     def _write_outputs(self, job: str, segment: DataSegment, out: RecordBatch,
                        output: OutputSpec, source: str) -> list[dict]:
@@ -517,10 +530,9 @@ def run_job(session, stream, operator_name: str, params: bytes = b"",
                 result, body = channel.call(MessageKind.SPE_RUN, header,
                                             timeout=JOB_TIMEOUT)
                 if output.mode == OutputMode.CLIENT and result.get("status") == "ok":
-                    batch = RecordBatch(body, RecordIndex.from_sizes(result.pop("sizes")))
-                    if int(batch.sizes.sum()) != len(body):
-                        raise IntegrityError("a reply's record sizes do not add up "
-                                             "to its %d bytes" % len(body))
+                    entries, data = split_rows(result.pop("rows"), body, "segment %d"
+                                               % task.segment.ordinal)
+                    batch = RecordBatch(bytes(data), RecordIndex.from_sizes(entries[:, 1]))
             except Exception as exc:  # a worker must never die mid-job
                 result = {"status": "failed", "error": str(exc),
                           "node": spe.node, "ordinal": task.segment.ordinal,

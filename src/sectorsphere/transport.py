@@ -194,14 +194,13 @@ class InMemoryNetwork:
         return response
 
     def dispatch_oneway(self, local: str, peer: str, request: Message) -> None:
-        def deliver():
-            try:
-                self.clock.sleep(self.profile.rtt(local, peer) / 2000.0)
-                self._handler_for(peer)(local, request)
-            except TransportError:
-                pass
-
-        threading.Thread(target=deliver, daemon=True).start()
+        """Deliver in the sender's thread after half the round trip, and
+        drop the reply; a message to a peer nobody listens at is lost."""
+        self.clock.sleep(self.profile.rtt(local, peer) / 2000.0)
+        try:
+            self._handler_for(peer)(local, request)
+        except TransportError:
+            pass
 
 
 class InMemoryChannel(Channel):

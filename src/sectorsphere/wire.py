@@ -24,7 +24,6 @@ class MessageKind(enum.IntEnum):
     OK = 1
     ERROR = 2
     LOOKUP = 3
-    OWNER = 4
     MEMBERS = 5
     REGISTER = 6
     STORE_DATA = 9

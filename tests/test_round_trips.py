@@ -9,6 +9,7 @@ import threading
 import pytest
 
 from sectorsphere import benchmarks, scenarios, sphere
+from sectorsphere.clock import VirtualClock
 from sectorsphere.errors import AccessDeniedError, IntegrityError, StaleError, TransportError
 from sectorsphere.fileops import expectation, fetch_file, push_file, read_records_over
 from sectorsphere.records import RecordIndex
@@ -89,9 +90,13 @@ def test_upload_that_fits_one_chunk_is_one_store_message(make_cluster, monkeypat
     client = cluster.client()
     sent = count_messages(monkeypatch, cluster)
     upload_records(client, "one.dat", [b"alpha", b"beta", b"gamma"])
-    assert sent == {MessageKind.OWNER: 1, MessageKind.STORE_DATA: 1}
+    assert sent == {MessageKind.MEMBERS: 1, MessageKind.STORE_DATA: 1}
     node = owner_node(cluster, "one.dat")
     assert list(node.read_local("one.dat", 0, 3)[0]) == [b"alpha", b"beta", b"gamma"]
+    sent.clear()  # the client keeps its ring, so a second upload asks nobody
+    upload_records(client, "two.dat", [b"delta"])
+    assert sent == {MessageKind.STORE_DATA: 1}
+    assert owner_node(cluster, "two.dat").holds("two.dat")
 
 
 @pytest.mark.parametrize("chunk", [1, 16, 50, 97, 98, 4096])
@@ -245,6 +250,61 @@ def test_angle_clustering_job_stores_and_reads_back_nothing(make_cluster, monkey
     assert sent["after"] == {}  # no READ of the models
 
 
+def test_acks_over_zero_latency_links_start_no_thread(make_cluster, monkeypatch):
+    cluster = make_cluster(2)
+    client = cluster.client()
+    upload_records(client, "acks.dat", [bytes([i]) * 8 for i in range(120)])
+    stream = client.resolve_stream(["acks.dat"])
+    started = count_threads(monkeypatch)
+    _, report = client.run_job(stream, "identity", limits=SegmentLimits(240, 240))
+    acks = sum(len(seg["acks"]) for seg in report.segments)
+    assert len(report.segments) == 4 and acks == 40
+    assert len(started) == len(cluster.nodes)  # the job's workers, one per SPE
+    # delivered before run_job returns, in each segment's order
+    assert len(client.progress_events) == acks
+    for ordinal in range(4):
+        assert [e["processed"] for e in client.progress_events
+                if e["ordinal"] == ordinal] == list(range(3, 31, 3))
+
+
+def test_an_ack_never_connects_to_the_client_in_the_segment_thread(make_cluster,
+                                                                  monkeypatch):
+    sleeps = []
+
+    class RecordingClock(VirtualClock):
+        def sleep(self, seconds):
+            sleeps.append((threading.current_thread(), seconds))
+            super().sleep(seconds)
+
+    profile = LinkProfile()
+    cluster = make_cluster(2, profile=profile, clock=RecordingClock())
+    client = cluster.client()
+    for node in cluster.nodes:  # only the links to the client wait, 8 ms a round trip
+        profile.set_rtt(client.address, node, 8.0)
+    upload_records(client, "wan-acks.dat", [bytes([i]) * 8 for i in range(120)])
+    stream = client.resolve_stream(["wan-acks.dat"])
+    for node in cluster.nodes:  # so that no connect of the client's falls in the job
+        client.transport.open_channel(node)
+    segment_threads = set()
+
+    def identity_noting_thread(record, params):
+        segment_threads.add(threading.current_thread())
+        return (record,)
+
+    sphere.register_operator("test-note-thread", identity_noting_thread)
+    started = count_threads(monkeypatch)
+    sleeps.clear()
+    _, report = client.run_job(stream, "test-note-thread", limits=SegmentLimits(240, 240))
+    for thread in started:
+        thread.join(5)
+    acks = sum(len(seg["acks"]) for seg in report.segments)
+    assert acks == 40 and len(client.progress_events) == acks
+    assert len(started) == len(cluster.nodes) + acks  # one thread per ack, as each waits
+    connects = {thread for thread, seconds in sleeps if seconds == 0.008}
+    assert connects  # each node connected to the client, in an ack's thread
+    assert segment_threads and not connects & segment_threads
+
+
 @pytest.mark.parametrize("rtt_ms", [0.0, 1.0])
 def test_sample_reads_overlap_only_over_links_that_wait(make_cluster, monkeypatch, rtt_ms):
     from sectorsphere.client import LOOKUP_LANES
@@ -366,7 +426,7 @@ def test_iter_batches_yields_in_stream_order_while_first_reads_overlap(make_clus
 def test_stream_names_are_looked_up_in_a_bounded_number_of_lanes(make_cluster, monkeypatch):
     from sectorsphere.client import LOOKUP_LANES
 
-    cluster = make_cluster(2)
+    cluster = make_cluster(2, profile=LinkProfile(default=1.0))
     client = cluster.client()
     names = ["lanes/%02d.dat" % i for i in range(LOOKUP_LANES + 5)]
     for i, name in enumerate(names):
@@ -380,10 +440,27 @@ def test_stream_names_are_looked_up_in_a_bounded_number_of_lanes(make_cluster, m
         return call_each(fn, items)
 
     monkeypatch.setattr(sphere, "call_each", recorded)
+    sent = count_messages(monkeypatch, cluster)
     stream = client.resolve_stream(names)
     assert stream.names == tuple(names)
     assert [f.records for f in stream.files] == list(range(1, len(names) + 1))
     assert lanes == [LOOKUP_LANES]
+    assert sent == {MessageKind.LOOKUP: len(names)}  # each at its owner, none relayed
+
+
+def test_stream_names_over_zero_latency_links_are_looked_up_in_no_thread(make_cluster,
+                                                                        monkeypatch):
+    cluster = make_cluster(3)
+    client = cluster.client()
+    names = ["inline/%02d.dat" % i for i in range(12)]
+    for i, name in enumerate(names):
+        upload_records(client, name, [b"r"] * (i + 1))
+    started = count_threads(monkeypatch)
+    sent = count_messages(monkeypatch, cluster)
+    stream = client.resolve_stream(names)
+    assert [f.records for f in stream.files] == list(range(1, len(names) + 1))
+    assert started == []
+    assert sent == {MessageKind.LOOKUP: len(names)}
 
 
 def test_call_each_keeps_order_and_returns_exceptions():
@@ -426,6 +503,58 @@ def test_stat_after_locate_sends_no_stat(make_cluster, monkeypatch, tmp_path):
     assert client.stat("st.dat") == held_stat(cluster, "st.dat")
     client.download("st.dat", tmp_path / "st.dat")
     assert sent[MessageKind.LOOKUP] >= 1
+
+
+def test_lookup_is_one_message_to_the_owner(make_cluster, monkeypatch):
+    cluster = make_cluster(4)
+    client = cluster.client()
+    name = scenarios.name_owned_by(cluster.ring, "direct.dat", "node-3")
+    upload_records(client, name, [b"one", b"two"])
+    peers = []
+    dispatch = cluster.network.dispatch
+
+    def recorded(local, peer, request):
+        peers.append((local, peer, MessageKind(request.kind)))
+        return dispatch(local, peer, request)
+
+    monkeypatch.setattr(cluster.network, "dispatch", recorded)
+    assert client.stat(name) == held_stat(cluster, name)
+    assert peers == [(client.address, "node-3", MessageKind.LOOKUP)]
+
+
+@pytest.mark.parametrize("change", ["kill", "add"])
+def test_a_client_with_a_stale_ring_still_stores_and_reads(make_cluster, monkeypatch,
+                                                           tmp_path, change):
+    from sectorsphere.cluster import NodeSpec
+
+    cluster = make_cluster(3, replica_target=2)
+    client = cluster.client()
+    # names that node-2 owns until it dies, or that node-9 owns once it joins
+    moved = "node-2" if change == "kill" else "node-9"
+    ring = cluster.ring if change == "kill" else cluster.ring.join("node-9")
+    names = [scenarios.name_owned_by(ring, "stale/%d.dat" % i, moved) for i in range(4)]
+    for name in names:
+        upload_records(client, name, [name.encode()])
+    cluster.replication_cycle()
+    if change == "kill":
+        cluster.kill("node-2")
+    else:
+        cluster.add_node(NodeSpec(name="node-9", address="node-9",
+                                  data_dir=str(tmp_path / "node-9"),
+                                  acl=frozenset({"client-0"})))
+    assert all(cluster.ring.owner(name).address != client.owner_of(name) for name in names)
+    sent = count_messages(monkeypatch, cluster, sender=client.address)
+    fresh = [b"new-" + name.encode() for name in names]
+    for name, data in zip(names, fresh):
+        client.upload(data, name)
+    for name, data in zip(names, fresh):
+        assert client.stat(name)["size"] == len(data)
+        assert client.download(name, tmp_path / "out.dat") == len(data)
+        assert (tmp_path / "out.dat").read_bytes() == data
+    assert list(client.iter_records(names)) == fresh
+    # the dead owner's first refusal refreshes the ring; a live old owner
+    # stores and forwards lookups, so the client never needs to ask
+    assert sent[MessageKind.MEMBERS] == (1 if change == "kill" else 0)
 
 
 def test_reupload_with_a_new_size_shows_the_new_size(make_cluster):

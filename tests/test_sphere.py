@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from sectorsphere import sphere
 from sectorsphere.errors import JobError, NotFoundError, SectorError
-from sectorsphere.records import RecordIndex
+from sectorsphere.records import ENTRY_SIZE, RecordIndex
 from sectorsphere.scheduler import SpeHandle, validate_schedule
 from sectorsphere.sphere import (
     OutputMode,
@@ -337,7 +337,8 @@ def test_client_mode_returns_the_input_in_ordinal_order(make_cluster):
 def test_client_mode_output_over_the_reply_cap_fails_the_job(make_cluster, extra):
     cluster = make_cluster(2)
     client = cluster.client()
-    size = sphere.CLIENT_REPLY_BYTES + extra
+    # the cap covers the whole reply body: the record's index entry, then its bytes
+    size = sphere.CLIENT_REPLY_BYTES - ENTRY_SIZE + extra
     sphere.register_operator("test-inflate", lambda records, params: [b"x" * size],
                              scope="segment")
     upload_records(client, "small.dat", [b"a", b"b"])
@@ -353,7 +354,24 @@ def test_client_mode_output_over_the_reply_cap_fails_the_job(make_cluster, extra
     with pytest.raises(JobError) as excinfo:
         run()
     failed, = excinfo.value.failed_segments  # after its retry on the other node
-    assert "%d bytes" % size in failed["error"]
+    assert "%d bytes" % (ENTRY_SIZE + size) in failed["error"]
+
+
+def test_client_mode_index_entries_count_against_the_reply_cap(make_cluster):
+    cluster = make_cluster(2)
+    client = cluster.client()
+    # one-byte records: their bytes are well under the cap, with their
+    # 16-byte index entries they are over it
+    count = sphere.CLIENT_REPLY_BYTES // (ENTRY_SIZE + 1) + 1
+    sphere.register_operator("test-many-small", lambda records, params: [b"y"] * count,
+                             scope="segment")
+    upload_records(client, "few.dat", [b"a", b"b"])
+    with pytest.raises(JobError) as excinfo:
+        client.run_job(["few.dat"], "test-many-small",
+                       output=OutputSpec(mode=OutputMode.CLIENT),
+                       limits=sphere.WHOLE_FILE_LIMITS)
+    failed, = excinfo.value.failed_segments
+    assert "%d bytes" % ((ENTRY_SIZE + 1) * count) in failed["error"]
 
 
 def test_shuffle_job_writes_indexed_bucket_files(make_cluster):
