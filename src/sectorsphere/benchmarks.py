@@ -22,7 +22,6 @@ import numpy as np
 
 from . import sphere
 from .client import LOOKUP_LANES
-from .fileops import expectation
 from .records import INDEX_SUFFIX, RecordBatch, RecordIndex, read_record_file
 
 RECORD_SIZE = 100
@@ -120,7 +119,8 @@ def sample_boundaries(session, stream: sphere.Stream, parts: int,
     middle, tail) totalling about sample_target records. The runs are
     dealt into LOOKUP_LANES lanes, each read in turn; the lanes go at once
     when a call to one of the files' nearest holders waits on a network
-    (sphere.overlap), and one after another otherwise.
+    (sphere.overlap), and one after another otherwise. Each run is read
+    against the file's header, which resolve_stream has cached.
     """
     if parts < 1:
         raise ValueError("need at least one partition")
@@ -130,8 +130,6 @@ def sample_boundaries(session, stream: sphere.Stream, parts: int,
     per_file = max(1, sample_target // max(1, len(stream.files)))
     runs = []
     for f in stream.files:
-        expect = expectation({"size": f.size, "records": f.records,
-                              "indexed": not f.file_level})
         quota = min(per_file, f.records)
         run = max(1, quota // 3)
         taken = 0
@@ -139,12 +137,12 @@ def sample_boundaries(session, stream: sphere.Stream, parts: int,
             if taken >= quota:
                 break
             rows = min(run, f.records - start, quota - taken)
-            runs.append((f.name, start, rows, expect))
+            runs.append((f.name, start, rows))
             taken += rows
 
     def sample(lane) -> list[bytes]:
-        return [record[:KEY_SIZE] for name, start, rows, expect in lane
-                for record in session.read_records(name, start, rows, expect)]
+        return [record[:KEY_SIZE] for name, start, rows in lane
+                for record in session.read_records(name, start, rows)]
 
     lanes = [runs[i::LOOKUP_LANES] for i in range(min(len(runs), LOOKUP_LANES))]
     holders = [f.locations[0] for f in stream.files if f.locations]

@@ -182,14 +182,14 @@ class ClientSession:
         client rewrites the file, and no holder is asked here to confirm it."""
         return self._lookup(name)[1]
 
-    def read_records(self, name: str, offset: int, rows: int,
-                     expect: dict | None = None) -> list[bytes]:
-        """Records [offset, offset + rows) from the nearest holder that has
-        them; with `expect` (fileops.expectation), from the nearest holder
-        of that version."""
-        return list(self._read_batch(name, offset, rows, expect))
+    def read_records(self, name: str, offset: int, rows: int) -> list[bytes]:
+        """Records [offset, offset + rows) from the nearest holder that
+        serves the file's header (see _against_header)."""
+        _, (records, _) = self._against_header(name, lambda channel, stat: read_records_over(
+            channel, name, offset, rows, expectation(stat)))
+        return list(records)
 
-    def _read_batch(self, name: str, offset: int, rows: int, expect: dict | None):
+    def _read_batch(self, name: str, offset: int, rows: int, expect: dict):
         _, (records, _) = first_holder(self.transport, self.locate(name), lambda channel:
                                        read_records_over(channel, name, offset, rows, expect))
         return records
@@ -269,7 +269,7 @@ class ClientSession:
             locations, info = found[name]
             files.append(sphere.StreamFile(
                 name=name, records=info["records"], size=info["size"],
-                locations=tuple(locations), file_level=not info["indexed"]))
+                locations=tuple(locations)))
         return sphere.Stream(files=tuple(files))
 
     def run_job(self, stream, operator_name: str, params: bytes = b"",

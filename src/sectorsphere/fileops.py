@@ -6,7 +6,8 @@ piece repeats the store's header and a token chosen by the sender, so a
 file that fits one chunk is stored by a single message; the reply to the
 piece that completes the stream is the stored file's STAT header. Files
 are fetched back in bounded ranges, so arbitrarily large files fit under
-the frame payload cap.
+the frame payload cap. Both the pieces and the ranges are TRANSFER_CHUNK
+bytes, as the module has it when the transfer starts.
 
 A fetch or read made against a STAT header that the caller got from a
 LOOKUP reply or the job that wrote the file carries the header's size,
@@ -30,8 +31,7 @@ TRANSFER_CHUNK = 8 * 1024 * 1024
 
 
 def push_file(channel, name: str, data: bytes, index_bytes: bytes | None,
-              internal: bool = False, origin: str | None = None,
-              chunk: int = TRANSFER_CHUNK) -> dict:
+              internal: bool = False) -> dict:
     """Store a file (and optional index) on the channel's peer. Returns
     the peer's STAT header of the stored file."""
     index = index_bytes or b""
@@ -42,12 +42,10 @@ def push_file(channel, name: str, data: bytes, index_bytes: bytes | None,
         "internal": internal,
         "token": new_token(),
     }
-    if origin:
-        header["origin"] = origin
     total = len(data) + len(index)
     done: dict = {}
-    for offset in range(0, max(total, 1), chunk):
-        end = min(offset + chunk, total)
+    for offset in range(0, max(total, 1), TRANSFER_CHUNK):
+        end = min(offset + TRANSFER_CHUNK, total)
         piece = data[offset:end] + index[max(0, offset - len(data)):max(0, end - len(data))]
         done, _ = channel.call(MessageKind.STORE_DATA, {**header, "offset": offset}, piece)
     return done
@@ -58,25 +56,24 @@ def expectation(stat: dict) -> dict:
     return {"size": stat["size"], "records": stat["records"], "indexed": stat["indexed"]}
 
 
-def fetch_file(channel, name: str, stat: dict,
-               chunk: int = TRANSFER_CHUNK) -> tuple[bytes, bytes | None]:
+def fetch_file(channel, name: str, stat: dict) -> tuple[bytes, bytes | None]:
     """Fetch a file and its index, as its STAT header `stat` describes them,
     from the channel's peer; the peer refuses with StaleError if its copy
     is not the one described."""
     expect = expectation(stat)
-    data = _fetch_range(channel, MessageKind.FETCH, name, stat["size"], chunk, expect)
+    data = _fetch_range(channel, MessageKind.FETCH, name, stat["size"], expect)
     index_bytes = None
     if stat["indexed"]:
         index_bytes = _fetch_range(channel, MessageKind.FETCH_INDEX, name,
-                                   stat["index_bytes"], chunk, expect)
+                                   stat["index_bytes"], expect)
     return data, index_bytes
 
 
-def _fetch_range(channel, kind, name: str, total: int, chunk: int, expect: dict) -> bytes:
+def _fetch_range(channel, kind, name: str, total: int, expect: dict) -> bytes:
     parts = []
     offset = 0
     while offset < total:
-        length = min(chunk, total - offset)
+        length = min(TRANSFER_CHUNK, total - offset)
         header, body = channel.call(kind, {"name": name, "offset": offset,
                                            "length": length, "expect": expect})
         if len(body) != length:

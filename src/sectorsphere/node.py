@@ -8,7 +8,7 @@ coordinates replication for owned names, and hosts the compute workers
 that execute job segments.
 
 A holder registers each file with the name's ring owner together with
-the file's STAT header (records, size, indexed, index_bytes, origin).
+the file's STAT header (records, size, indexed, index_bytes).
 The owner keeps the last header it was sent, and a LOOKUP reply carries
 it as `stat` next to `locations`. The reply to the STORE_DATA piece that
 completes a store, and each file entry of a FINALIZE_JOB reply, carry
@@ -17,7 +17,8 @@ client. A holder may keep another version of the file than the one a
 header from a LOOKUP reply or the job that wrote the file describes (a
 replica not yet refreshed after a re-upload), so reads and fetches made
 against the header send it back as `expect`, and such a holder refuses
-them with StaleError.
+them with StaleError. A shuffle bucket's home indexes, at FINALIZE_JOB,
+only the batches of the attempt that completed each segment.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ class FileMeta:
     records: int
     size: int
     indexed: bool
-    origin: str
     index_bytes: int = 0
 
 
@@ -80,7 +80,6 @@ class _StoreBuffer:
     data_size: int
     index_size: int      # -1: the file has no index
     sender: str          # transport origin; what access control judges
-    origin: str          # file origin metadata, carried along on replication
     internal: bool
     pieces: list = field(default_factory=list)
     received: int = 0
@@ -104,7 +103,8 @@ class StorageNode:
         self._meta_lock = threading.RLock()
         self._name_locks: dict[str, threading.Lock] = {}
         self._stores: dict[str, _StoreBuffer] = {}
-        self._shuffle: dict[tuple[str, int], list[np.ndarray]] = {}
+        # (job, bucket) -> (ordinal, attempt, index entries) per batch, in file order
+        self._shuffle: dict[tuple[str, int], list[tuple[int, int, np.ndarray]]] = {}
         self._rng = random.Random(config.seed)
         self.spe_host = sphere.SpeHost(self)
         self._stop = threading.Event()
@@ -185,8 +185,7 @@ class StorageNode:
     # ----------------------------------------------------------------- store
 
     def store_file(self, sender: str, name: str, data: bytes,
-                   index: RecordIndex | None, internal: bool = False,
-                   origin: str | None = None) -> FileMeta:
+                   index: RecordIndex | None, internal: bool = False) -> FileMeta:
         self._check_write_access(sender, internal)
         if index is not None:
             index.validate(len(data))
@@ -201,7 +200,6 @@ class StorageNode:
                 records=len(index) if index is not None else 1,
                 size=len(data),
                 indexed=index is not None,
-                origin=(origin or sender) if internal else self.address,
                 index_bytes=len(index_bytes) if index_bytes is not None else 0,
             )
             with self._meta_lock:
@@ -352,7 +350,7 @@ class StorageNode:
         data = path.read_bytes()
         index_bytes = index_path(path).read_bytes() if meta.indexed else None
         channel = self.transport.open_channel(dest)
-        push_file(channel, name, data, index_bytes, internal=True, origin=meta.origin)
+        push_file(channel, name, data, index_bytes, internal=True)
 
     # ------------------------------------------------------------ job output
 
@@ -363,10 +361,10 @@ class StorageNode:
         if target is None or target == self.address:
             return asdict(self.store_file(self.address, name, data, index, internal=True))
         channel = self.transport.open_channel(target)
-        return push_file(channel, name, data, index.to_bytes(), internal=True,
-                         origin=self.address)
+        return push_file(channel, name, data, index.to_bytes(), internal=True)
 
-    def shuffle_append(self, job: str, bucket: int, sizes: list[int], body: bytes) -> None:
+    def shuffle_append(self, job: str, bucket: int, sizes: list[int], body: bytes,
+                       ordinal: int, attempt: int) -> None:
         try:
             sizes = np.array(sizes, dtype=np.int64).reshape(-1)
         except (OverflowError, TypeError, ValueError) as exc:
@@ -383,9 +381,12 @@ class StorageNode:
             with path.open("ab") as fh:
                 offset = fh.tell()
                 fh.write(body)
-            batches.append(RecordIndex.from_sizes(sizes, start=offset).array)
+            batches.append((ordinal, attempt, RecordIndex.from_sizes(sizes, start=offset).array))
 
-    def finalize_job(self, job: str) -> list[dict]:
+    def finalize_job(self, job: str, committed: list[int]) -> list[dict]:
+        """Index and register the job's bucket files here, each from the
+        batches of committed[ordinal], the attempt that completed segment
+        `ordinal`; other attempts' bytes stay in the file as gaps."""
         with self._meta_lock:
             keys = [key for key in self._shuffle if key[0] == job]
         results = []
@@ -395,14 +396,16 @@ class StorageNode:
             with self._lock_for(name):
                 with self._meta_lock:
                     batches = self._shuffle.pop(key, [])
-                index = RecordIndex(np.concatenate(batches) if batches else ())
+                kept = [entries for ordinal, attempt, entries in batches
+                        if 0 <= ordinal < len(committed) and committed[ordinal] == attempt]
+                index = RecordIndex(np.concatenate(kept) if kept else ())
                 path = self._path_for(name)
                 data_len = path.stat().st_size
                 index.validate(data_len)
                 index_bytes = index.to_bytes()
                 index_path(path).write_bytes(index_bytes)
                 meta = FileMeta(records=len(index), size=data_len, indexed=True,
-                                origin=self.address, index_bytes=len(index_bytes))
+                                index_bytes=len(index_bytes))
                 with self._meta_lock:
                     self.files[name] = meta
             self._register(name, meta)
@@ -449,10 +452,12 @@ class StorageNode:
             report, body = self.spe_host.run_segment(origin, header)
             return reply(msg, MessageKind.OK, report, body)
         if kind == MessageKind.SHUFFLE_APPEND:
-            self.shuffle_append(header["job"], header["bucket"], header["sizes"], body)
+            self.shuffle_append(header["job"], header["bucket"], header["sizes"], body,
+                                header["ordinal"], header["attempt"])
             return reply(msg, MessageKind.OK, {})
         if kind == MessageKind.FINALIZE_JOB:
-            return reply(msg, MessageKind.OK, {"files": self.finalize_job(header["job"])})
+            files = self.finalize_job(header["job"], header["committed"])
+            return reply(msg, MessageKind.OK, {"files": files})
         raise SectorError("unsupported message kind %s" % kind)
 
     def _op_store_data(self, origin: str, msg: Message, header: dict, body: bytes) -> Message:
@@ -468,7 +473,7 @@ class StorageNode:
                 raise IntegrityError("store of %s announces a negative size" % header["name"])
             buffer = _StoreBuffer(name=header["name"], data_size=header["data_size"],
                                   index_size=header["index_size"], sender=origin,
-                                  origin=header.get("origin", origin), internal=internal)
+                                  internal=internal)
         if buffer.sender != origin:
             raise AccessDeniedError("the store of %s was opened by another sender" % buffer.name)
         if header["offset"] != buffer.received or buffer.received + len(body) > buffer.total:
@@ -486,7 +491,7 @@ class StorageNode:
         if buffer.index_size >= 0:
             index = RecordIndex.from_bytes(stream[buffer.data_size:])
         meta = self.store_file(buffer.sender, buffer.name, stream[:buffer.data_size],
-                               index, internal=buffer.internal, origin=buffer.origin)
+                               index, internal=buffer.internal)
         return reply(msg, MessageKind.OK, asdict(meta))
 
     def _op_read(self, msg: Message, header: dict) -> Message:

@@ -4,9 +4,9 @@ A job applies a registered operator to every record of a stream of
 indexed files. The stream is cut into contiguous data segments, segments
 are scheduled onto per-node processing elements with locality preference,
 each element runs the accept / read / apply / write loop, and outputs are
-routed back to the data's origin, written locally, shuffled to a list
-of destination nodes by bucket, or returned to the client in the
-segment's SPE_RUN reply.
+routed back to the data's origin, written locally, shuffled by bucket to
+each bucket's one home node (see run_job), or returned to the client in
+the segment's SPE_RUN reply.
 
 Segments stay columnar through the engine. A segment is read as one
 RecordBatch (its bytes plus an (n, 2) entry array); a segment-scope
@@ -25,7 +25,7 @@ import math
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -109,7 +109,6 @@ class StreamFile:
     records: int
     size: int
     locations: tuple[str, ...] = ()
-    file_level: bool = False
 
 
 @dataclass(frozen=True)
@@ -201,7 +200,8 @@ def segment_stream(stream: Stream, n_spe: int, limits: SegmentLimits = DEFAULT_L
     The byte target per segment is S/N clamped into [s_min, s_max]; each
     file is tiled exactly with no overlap, converting the byte target to a
     record count through the file's mean record size. Segments never span
-    files; the last segment of a file may be short.
+    files; the last segment of a file may be short. A file without an index
+    is one record, so it is one segment.
     """
     if n_spe < 1:
         raise ValueError("need at least one processing element")
@@ -213,11 +213,8 @@ def segment_stream(stream: Stream, n_spe: int, limits: SegmentLimits = DEFAULT_L
     for f in stream.files:
         if f.records == 0:
             continue
-        if f.file_level:
-            rows_per = f.records  # unindexed files are processed whole
-        else:
-            mean = f.size / f.records if f.records else 1.0
-            rows_per = max(1, math.ceil(target / mean)) if mean > 0 else f.records
+        mean = f.size / f.records
+        rows_per = max(1, math.ceil(target / mean)) if mean > 0 else f.records
         for offset in range(0, f.records, rows_per):
             segments.append(DataSegment(
                 file=f.name, offset=offset,
@@ -254,14 +251,14 @@ class SpeHost:
         started = time.monotonic()
         report, body = self._execute(header["job"], segment, header["operator"],
                                      OutputSpec.from_header(header["output"]),
-                                     header.get("client"))
+                                     header.get("client"), header.get("attempt", 1))
         report["duration"] = time.monotonic() - started
         report["node"] = self.node.address
         report["ordinal"] = segment.ordinal
         return report, body
 
     def _execute(self, job: str, segment: DataSegment, operator_name: str,
-                 output: OutputSpec, client: str | None) -> tuple[dict, bytes]:
+                 output: OutputSpec, client: str | None, attempt: int) -> tuple[dict, bytes]:
         node = self.node
         fn, scope = get_operator(operator_name)
 
@@ -307,7 +304,7 @@ class SpeHost:
         report = {"status": "ok", "rows": segment.rows, "acks": acks,
                   "final_ack": segment.rows, "outputs": [], "produced": len(out)}
         if output.mode != OutputMode.CLIENT:
-            report["outputs"] = self._write_outputs(job, segment, out, output, source)
+            report["outputs"] = self._write_outputs(job, segment, out, output, source, attempt)
             return report, b""
         data, index = out.pack()
         body = index.to_bytes() + data
@@ -343,10 +340,11 @@ class SpeHost:
             send()
 
     def _write_outputs(self, job: str, segment: DataSegment, out: RecordBatch,
-                       output: OutputSpec, source: str) -> list[dict]:
+                       output: OutputSpec, source: str, attempt: int) -> list[dict]:
         node = self.node
         if output.mode == OutputMode.SHUFFLE:
-            self._send_shuffle(job, TaggedRecords(out), output.destinations)
+            self._send_shuffle(job, TaggedRecords(out), output.destinations,
+                               segment.ordinal, attempt)
             return []
         if not len(out):
             return []
@@ -356,11 +354,13 @@ class SpeHost:
         stat = node.write_output(name, data, index, target=target)
         return [{"name": name, "target": target, "stat": stat}]
 
-    def _send_shuffle(self, job: str, tagged: "TaggedRecords", destinations) -> None:
-        """Send each bucket's records, in output order, to the bucket's
-        destination in batches cut after the record that brings a batch to
-        SHUFFLE_BATCH_BYTES. Each destination's batches go in order; the
-        destinations are sent to as overlap decides."""
+    def _send_shuffle(self, job: str, tagged: "TaggedRecords", homes,
+                      ordinal: int, attempt: int) -> None:
+        """Send each bucket's records, in output order, to its home
+        homes[bucket % len(homes)] in batches cut after the record that brings
+        a batch to SHUFFLE_BATCH_BYTES, tagged with the ordinal and attempt.
+        Each home's batches go in order, the homes as overlap decides; a batch
+        that is not taken fails the attempt."""
         if not len(tagged.batch):
             return
         order = np.argsort(tagged.batch.buckets, kind="stable")
@@ -368,35 +368,28 @@ class SpeHost:
         buckets, sizes = grouped.buckets, grouped.sizes
         ends = np.cumsum(sizes, dtype=np.int64)  # end of each record in grouped.data
         firsts = np.flatnonzero(np.diff(buckets)) + 1
-        destinations = list(destinations)
         body = memoryview(grouped.data)
         sends: dict[str, list[tuple]] = {}
         for lo, hi in zip([0, *firsts.tolist()], [*firsts.tolist(), len(buckets)]):
             bucket = int(buckets[lo])
-            start = destinations[bucket % len(destinations)]
+            home = homes[bucket % len(homes)]
             while lo < hi:
                 begin = int(ends[lo - 1]) if lo else 0
                 stop = min(hi, int(np.searchsorted(ends, begin + SHUFFLE_BATCH_BYTES)) + 1)
-                sends.setdefault(start, []).append(
+                sends.setdefault(home, []).append(
                     (bucket, sizes[lo:stop].tolist(), body[begin:int(ends[stop - 1])]))
                 lo = stop
 
-        def send(dest: str) -> None:
-            for bucket, batch_sizes, batch in sends[dest]:
-                self._flush_batch(job, bucket, batch_sizes, batch, dest, destinations)
+        def send(home: str) -> None:
+            channel = self.node.transport.open_channel(home)
+            for bucket, batch_sizes, batch in sends[home]:
+                channel.call(MessageKind.SHUFFLE_APPEND,
+                             {"job": job, "bucket": bucket, "sizes": batch_sizes,
+                              "ordinal": ordinal, "attempt": attempt}, batch)
 
         for error in overlap(self.node.transport, sends, send, sends):
             if error is not None:
                 raise error
-
-    def _flush_batch(self, job: str, bucket: int, sizes: list[int], body,
-                     dest: str, destinations: list[str]) -> None:
-        header = {"job": job, "bucket": bucket, "sizes": sizes}
-        order = [dest] + [d for d in destinations if d != dest]
-        landed, _ = first_holder(self.node.transport, order, lambda channel: channel.call(
-            MessageKind.SHUFFLE_APPEND, header, body))
-        if landed != dest:
-            log.warning("bucket %d redirected from %s to %s", bucket, dest, landed)
 
 
 def _failed(segment: DataSegment, acks: list[int], error: str) -> dict:
@@ -494,6 +487,11 @@ def run_job(session, stream, operator_name: str, params: bytes = b"",
     the whole job raises. In client mode the stream is empty and the
     report's `records` holds the output, segment by segment in ordinal
     order, each from the attempt that completed it.
+
+    A shuffle's homes, fixed at the start, are the destinations in the
+    member list. A batch that its home does not take fails the attempt;
+    each home indexes only the batches of the attempt that completed each
+    segment, and a home that cannot be finalized fails the job.
     """
     if not operator_registered(operator_name):
         raise JobError("operator %r is not registered" % operator_name)
@@ -503,6 +501,11 @@ def run_job(session, stream, operator_name: str, params: bytes = b"",
         stream = session.resolve_stream(stream)
     job_id = job_id or "job-%s" % uuid.uuid4().hex[:10]
     nodes = session.members()
+    if output.mode == OutputMode.SHUFFLE:
+        homes = tuple(d for d in output.destinations if d in nodes)
+        if not homes:
+            raise JobError("no shuffle destination is a member: %s" % (output.destinations,))
+        output = replace(output, destinations=homes)
     spes = [SpeHandle(node=n, slot=slot) for n in nodes for slot in range(spe_per_node)]
     segments = segment_stream(stream, len(spes), limits, params)
     report = JobReport(job_id=job_id)
@@ -511,6 +514,7 @@ def run_job(session, stream, operator_name: str, params: bytes = b"",
     sched = Scheduler(segments, spes)
     reports_lock = threading.Lock()
     returned: dict[int, RecordBatch] = {}  # client mode: ordinal -> its records
+    committed = [0] * len(segments)  # ordinal -> the attempt that completed it
 
     def worker(spe: SpeHandle):
         while True:
@@ -518,7 +522,7 @@ def run_job(session, stream, operator_name: str, params: bytes = b"",
             if task is None:
                 return
             header = {
-                "job": job_id, "ordinal": task.segment.ordinal,
+                "job": job_id, "ordinal": task.segment.ordinal, "attempt": task.attempts,
                 "file": task.segment.file, "offset": task.segment.offset,
                 "rows": task.segment.rows, "params": task.segment.params.hex(),
                 "locations": list(task.segment.locations),
@@ -547,6 +551,7 @@ def run_job(session, stream, operator_name: str, params: bytes = b"",
             if result.get("status") == "ok":
                 if output.mode == OutputMode.CLIENT:
                     returned[task.segment.ordinal] = batch
+                committed[task.segment.ordinal] = task.attempts
                 sched.complete(spe, task)
             else:
                 sched.fail(spe, task, result.get("error", "segment failed"))
@@ -562,22 +567,14 @@ def run_job(session, stream, operator_name: str, params: bytes = b"",
 
     output_files: list[dict] = []
     if output.mode == OutputMode.SHUFFLE:
-        # a down destination is fine: its batches were redirected, so its
-        # buckets are finalized wherever they landed
-        finalize_targets = list(dict.fromkeys(list(output.destinations) + nodes))
+        def finalize(home: str) -> dict:
+            return session.transport.open_channel(home).call(
+                MessageKind.FINALIZE_JOB, {"job": job_id, "committed": committed})[0]
 
-        def finalize(dest: str) -> dict:
-            channel = session.transport.open_channel(dest)
-            return channel.call(MessageKind.FINALIZE_JOB, {"job": job_id})[0]
-
-        for dest, result in zip(finalize_targets, call_each(finalize, finalize_targets)):
-            if isinstance(result, TransportError):
-                log.warning("cannot finalize %s on %s: %s", job_id, dest, result)
-                continue
+        for home, result in zip(output.destinations, call_each(finalize, output.destinations)):
             if isinstance(result, Exception):
-                raise result
-            for info in result["files"]:
-                output_files.append({**info, "target": dest})
+                raise JobError("cannot finalize %s on %s: %s" % (job_id, home, result))
+            output_files.extend({**info, "target": home} for info in result["files"])
         output_files.sort(key=lambda f: f["bucket"])
     else:
         for seg_report in sorted(report.segments, key=lambda r: r["ordinal"]):

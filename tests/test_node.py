@@ -284,11 +284,11 @@ def test_shuffle_batches_finalize_to_the_same_index_bytes(make_cluster):
     expected, offset = [], len(b"left over")
     for batch in range(4):
         sizes = [rng.randrange(0, 50) for _ in range(rng.randrange(1, 30))]
-        node.shuffle_append("job-x", 2, sizes, rng.randbytes(sum(sizes)))
+        node.shuffle_append("job-x", 2, sizes, rng.randbytes(sum(sizes)), batch, 1)
         for size in sizes:
             expected.append(struct.pack("<QQ", offset, size))
             offset += size
-    files = node.finalize_job("job-x")
+    files = node.finalize_job("job-x", [1, 1, 1, 1])
     assert files[0]["stat"] == dataclasses.asdict(node.meta(files[0]["name"]))
     assert files[0]["stat"]["records"] == len(expected) and files[0]["stat"]["size"] == offset
     assert path.with_name(path.name + ".idx").read_bytes() == b"".join(expected)
@@ -303,10 +303,10 @@ def test_shuffle_batch_whose_sizes_miss_its_body_is_refused(make_cluster, sizes,
     cluster = make_cluster(1)
     node = next(iter(cluster.nodes.values()))
     with pytest.raises(IntegrityError):
-        node.shuffle_append("job-y", 0, sizes, body)
+        node.shuffle_append("job-y", 0, sizes, body, 0, 1)
     path = node._path_for(bucket_file_name("job-y", 0))
     assert not path.exists() or path.read_bytes() == b""
-    node.shuffle_append("job-y", 0, [3], b"abc")
-    files = node.finalize_job("job-y")
+    node.shuffle_append("job-y", 0, [3], b"abc", 0, 1)
+    files = node.finalize_job("job-y", [1])
     assert files[0]["stat"] == dataclasses.asdict(node.meta(files[0]["name"]))
     assert files[0]["stat"]["records"] == 1 and files[0]["stat"]["size"] == 3

@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from sectorsphere import benchmarks, scenarios, sphere
+from sectorsphere import benchmarks, fileops, scenarios, sphere
 from sectorsphere.clock import VirtualClock
 from sectorsphere.errors import AccessDeniedError, IntegrityError, StaleError, TransportError
 from sectorsphere.fileops import expectation, fetch_file, push_file, read_records_over
@@ -102,6 +102,7 @@ def test_upload_that_fits_one_chunk_is_one_store_message(make_cluster, monkeypat
 @pytest.mark.parametrize("chunk", [1, 16, 50, 97, 98, 4096])
 def test_store_stream_straddling_chunk_edges_comes_back_equal(make_cluster, monkeypatch,
                                                               chunk):
+    monkeypatch.setattr(fileops, "TRANSFER_CHUNK", chunk)
     cluster = make_cluster(2)
     client = cluster.client()
     data = bytes(range(50))
@@ -109,11 +110,11 @@ def test_store_stream_straddling_chunk_edges_comes_back_equal(make_cluster, monk
     owner = client.owner_of("edges.dat")
     channel = client.transport.open_channel(owner)
     sent = count_messages(monkeypatch, cluster)
-    done = push_file(channel, "edges.dat", data, index_bytes, chunk=chunk)
+    done = push_file(channel, "edges.dat", data, index_bytes)
     assert done == dataclasses.asdict(cluster.nodes[owner].meta("edges.dat"))
     assert (done["records"], done["size"], done["index_bytes"]) == (3, 50, 48)
     assert sent == {MessageKind.STORE_DATA: -(-98 // chunk)}
-    assert fetch_file(channel, "edges.dat", done, chunk=chunk) == (data, index_bytes)
+    assert fetch_file(channel, "edges.dat", done) == (data, index_bytes)
 
 
 @pytest.mark.parametrize("index", [None, RecordIndex([])])
@@ -165,9 +166,9 @@ def test_finalize_calls_are_sent_at_once(make_cluster, monkeypatch):
     upload_records(client, "fin.dat", [bytes([i]) * 8 for i in range(30)])
     barrier = threading.Barrier(len(cluster.nodes), timeout=5)
     for node in cluster.nodes.values():
-        def meet_then_finalize(job, finalize=node.finalize_job):
+        def meet_then_finalize(job, committed, finalize=node.finalize_job):
             barrier.wait()  # breaks unless every node's call is in flight together
-            return finalize(job)
+            return finalize(job, committed)
         monkeypatch.setattr(node, "finalize_job", meet_then_finalize)
     spec = OutputSpec(mode=OutputMode.SHUFFLE, bucket="fin-bucket",
                       destinations=tuple(cluster.nodes))

@@ -509,9 +509,9 @@ def test_shuffle_batches_cut_after_the_record_that_fills_them(make_cluster, monk
     sent = collections.defaultdict(list)
     append = StorageNode.shuffle_append
 
-    def recording(node, job, bucket, sizes, body):
+    def recording(node, job, bucket, sizes, body, ordinal, attempt):
         sent[bucket].append(list(sizes))
-        return append(node, job, bucket, sizes, body)
+        return append(node, job, bucket, sizes, body, ordinal, attempt)
 
     monkeypatch.setattr(StorageNode, "shuffle_append", recording)
     cluster = make_cluster(2)
