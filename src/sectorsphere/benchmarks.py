@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from . import sphere
-from .client import LOOKUP_LANES
 from .records import INDEX_SUFFIX, RecordBatch, RecordIndex, read_record_file
 
 RECORD_SIZE = 100
@@ -116,11 +115,11 @@ def sample_boundaries(session, stream: sphere.Stream, parts: int,
     """Pick parts-1 range boundaries from key quantiles of a sample.
 
     The sample is read as up to three contiguous runs per file (head,
-    middle, tail) totalling about sample_target records. The runs are
-    dealt into LOOKUP_LANES lanes, each read in turn; the lanes go at once
-    when a call to one of the files' nearest holders waits on a network
-    (sphere.overlap), and one after another otherwise. Each run is read
-    against the file's header, which resolve_stream has cached.
+    middle, tail) totalling about sample_target records. The runs are read
+    through sphere.overlap: up to sphere.LANES at once when a call to one
+    of the files' nearest holders waits on a network, else one after
+    another. Each run is read against the file's header, which
+    resolve_stream has cached.
     """
     if parts < 1:
         raise ValueError("need at least one partition")
@@ -140,18 +139,12 @@ def sample_boundaries(session, stream: sphere.Stream, parts: int,
             runs.append((f.name, start, rows))
             taken += rows
 
-    def sample(lane) -> list[bytes]:
-        return [record[:KEY_SIZE] for name, start, rows in lane
-                for record in session.read_records(name, start, rows)]
+    def sample(run) -> list[bytes]:
+        return [record[:KEY_SIZE] for record in session.read_records(*run)]
 
-    lanes = [runs[i::LOOKUP_LANES] for i in range(min(len(runs), LOOKUP_LANES))]
     holders = [f.locations[0] for f in stream.files if f.locations]
-    keys: list[bytes] = []
-    for result in sphere.overlap(session.transport, holders, sample, lanes):
-        if isinstance(result, Exception):
-            raise result
-        keys.extend(result)
-    keys.sort()
+    keys = sorted(key for sampled in sphere.overlap(session.transport, holders, sample, runs)
+                  for key in sampled)
     boundaries = []
     for i in range(1, parts):
         boundaries.append(keys[min(len(keys) - 1, i * len(keys) // parts)])

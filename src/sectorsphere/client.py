@@ -13,10 +13,11 @@ address so workers can stream progress back to it during jobs.
 
 The client caches each name's holders and STAT header, from a LOOKUP
 reply or from the job that wrote the file, so reading a job's outputs
-by name sends no LOOKUP; holders confirm the header on every read. Reads
-of several files overlap (sphere.overlap) only when a call to one of
-their holders waits on a network; over zero-latency links they run one
-after another in the caller's thread.
+by name sends no LOOKUP; holders confirm the header on every read. A
+stream's lookups and the first reads of several files go through
+sphere.overlap: up to sphere.LANES at once when a call to one of their
+owners or holders waits on a network, else one after another in the
+caller's thread.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ from .transport import Transport, error_reply, reply
 from .wire import Message, MessageKind, unpack_payload
 
 log = logging.getLogger(__name__)
-
-LOOKUP_LANES = 8  # at most this many lookups, first reads or sample reads of one stream in flight
 
 
 class ClientSession:
@@ -164,7 +163,8 @@ class ClientSession:
 
     def download(self, name: str, destination) -> int:
         """Fetch a file (and its index) to a local path from the nearest
-        holder that has it. A failed download leaves no destination file."""
+        holder that has it. A failed download leaves no destination file;
+        a file without an index leaves no sibling .idx."""
         destination = Path(destination)
         _, (data, index_bytes) = self._against_header(
             name, lambda channel, stat: fetch_file(channel, name, stat))
@@ -172,8 +172,11 @@ class ClientSession:
         destination.parent.mkdir(parents=True, exist_ok=True)
         part.write_bytes(data)
         part.replace(destination)
-        if index_bytes is not None:
-            Path(str(destination) + INDEX_SUFFIX).write_bytes(index_bytes)
+        sibling = destination.with_name(destination.name + INDEX_SUFFIX)
+        if index_bytes is None:  # an old one would index this file in upload()
+            sibling.unlink(missing_ok=True)
+        else:
+            sibling.write_bytes(index_bytes)
         return len(data)
 
     def stat(self, name: str) -> dict:
@@ -201,32 +204,26 @@ class ClientSession:
 
     def iter_batches(self, names, batch_rows: int = 65536):
         """The records of the named files in order, one RecordBatch of at
-        most batch_rows records per read. The first reads of up to
-        LOOKUP_LANES files are sent together when a call to one of their
-        cached holders waits on a network; over zero-latency links each
-        file is read when its turn comes. A file's later reads go one
-        after another."""
+        most batch_rows records per read. The files' first reads go through
+        sphere.overlap, with their cached nearest holders as the peers: over
+        links that wait, up to sphere.LANES of them ahead of the file being
+        yielded. A file's later reads go one after another."""
         def first_batch(name: str):
             return self._against_header(name, lambda channel, stat: read_records_over(
                 channel, name, 0, min(batch_rows, stat["records"]), expectation(stat)))
 
         names = list(names)
-        for lo in range(0, len(names), LOOKUP_LANES):
-            window = names[lo:lo + LOOKUP_LANES]
-            with self._lock:
-                nearest = [self.resolved[n][0] for n in window if self.resolved.get(n)]
-            for name, first in zip(window, sphere.overlap(self.transport, nearest,
-                                                          first_batch, window)):
-                if isinstance(first, Exception):
-                    raise first
-                info, (batch, _) = first
-                yield batch
-                expect = expectation(info)
-                offset = len(batch)
-                while offset < info["records"]:
-                    rows = min(batch_rows, info["records"] - offset)
-                    yield self._read_batch(name, offset, rows, expect)
-                    offset += rows
+        with self._lock:
+            nearest = [self.resolved[n][0] for n in names if self.resolved.get(n)]
+        firsts = sphere.overlap(self.transport, nearest, first_batch, names)
+        for name, (info, (batch, _)) in zip(names, firsts):
+            yield batch
+            expect = expectation(info)
+            offset = len(batch)
+            while offset < info["records"]:
+                rows = min(batch_rows, info["records"] - offset)
+                yield self._read_batch(name, offset, rows, expect)
+                offset += rows
 
     def _against_header(self, name: str, attempt) -> tuple[dict, object]:
         """(header, attempt(channel, header)) at the nearest holder that
@@ -250,27 +247,16 @@ class ClientSession:
 
     def resolve_stream(self, names) -> sphere.Stream:
         """Build a job input stream from stored file names, each looked up
-        at its owner. The names go in LOOKUP_LANES lanes, each taking every
-        LOOKUP_LANES-th name in turn, that run at once when a call to one of
-        the owners waits on a network (sphere.overlap) and else one after
-        another in the caller's thread."""
+        at its owner through sphere.overlap: up to sphere.LANES LOOKUPs at
+        once when a call to one of the owners waits on a network, else one
+        after another in the caller's thread."""
         names = list(names)
-        lanes = [names[i::LOOKUP_LANES] for i in range(min(len(names), LOOKUP_LANES))]
         owners = {self.owner_of(name) for name in names}
-        found: dict = {}
-        for result in sphere.overlap(self.transport, owners,
-                                     lambda lane: {name: self._lookup(name) for name in lane},
-                                     lanes):
-            if isinstance(result, Exception):
-                raise result
-            found.update(result)
-        files = []
-        for name in names:
-            locations, info = found[name]
-            files.append(sphere.StreamFile(
-                name=name, records=info["records"], size=info["size"],
-                locations=tuple(locations)))
-        return sphere.Stream(files=tuple(files))
+        found = sphere.overlap(self.transport, owners, self._lookup, names)
+        return sphere.Stream(files=tuple(
+            sphere.StreamFile(name=name, records=info["records"], size=info["size"],
+                              locations=tuple(locations))
+            for name, (locations, info) in zip(names, found)))
 
     def run_job(self, stream, operator_name: str, params: bytes = b"",
                 output: sphere.OutputSpec = sphere.OutputSpec(),

@@ -509,8 +509,9 @@ class StorageNode:
                 raise NotFoundError("%s has no index" % header["name"])
             path = index_path(path)
         offset, length = header["offset"], header["length"]
-        if length > TRANSFER_CHUNK:
-            raise RangeError("fetch of %d bytes exceeds chunk limit" % length)
+        if offset < 0 or not 0 <= length <= TRANSFER_CHUNK:
+            raise RangeError("fetch of %d bytes at %d is negative or over the chunk limit"
+                             % (length, offset))
         with path.open("rb") as fh:
             fh.seek(offset)
             body = fh.read(length)

@@ -25,7 +25,10 @@ import math
 import threading
 import time
 import uuid
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
@@ -40,6 +43,7 @@ log = logging.getLogger(__name__)
 SHUFFLE_BATCH_BYTES = 2 * 1024 * 1024
 CLIENT_REPLY_BYTES = 1024 * 1024  # most output one segment returns in its reply
 JOB_TIMEOUT = 600.0  # seconds a job waits for one segment's SPE_RUN reply
+LANES = 8  # most calls of one overlap in flight at once, over links that wait
 
 
 # ----------------------------------------------------------------- registry
@@ -387,9 +391,7 @@ class SpeHost:
                              {"job": job, "bucket": bucket, "sizes": batch_sizes,
                               "ordinal": ordinal, "attempt": attempt}, batch)
 
-        for error in overlap(self.node.transport, sends, send, sends):
-            if error is not None:
-                raise error
+        list(overlap(self.node.transport, sends, send, sends))
 
 
 def _failed(segment: DataSegment, acks: list[int], error: str) -> dict:
@@ -418,43 +420,28 @@ def _bucket_ids(out: RecordBatch, output: OutputSpec, params: bytes) -> np.ndarr
                        dtype=np.int64, count=len(out))
 
 
-def call_each(fn, items) -> list:
-    """fn(item) for every item, each call in its own short-lived thread so
-    that their network waits overlap. Returns the results in item order,
-    with the exception a call raised in place of its result."""
-    items = list(items)
-    results: list = [None] * len(items)
-
-    def call(i: int, item) -> None:
-        results[i] = _outcome(fn, item)
-
-    threads = [threading.Thread(target=call, args=pair, daemon=True)
-               for pair in enumerate(items)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    return results
-
-
 def overlap(transport, peers, fn, items):
-    """fn(item) for every item: all at once through call_each when a call
-    to any of `peers` waits on a network, else one at a time in the
-    caller's thread, each call made as the caller reaches its result.
-    Threads save no time without a network wait (one interpreter lock),
-    and each one that allocates keeps a malloc arena. Either way the
-    results come in item order, with the exception a call raised in place
-    of its result."""
-    if any(map(transport.waits_on, peers)):
-        return iter(call_each(fn, items))
-    return (_outcome(fn, item) for item in items)
-
-
-def _outcome(fn, item):
+    """fn(item) for every item, as an iterator of the results in item
+    order that raises a call's exception in place of its result. When a
+    call to any of `peers` waits on a network, up to LANES calls are in
+    flight at once, each started as the caller takes the result LANES
+    places before it; else each call runs in the caller's thread when the
+    caller reaches it. Threads save no time without a network wait (one
+    interpreter lock), and each one that allocates keeps a malloc arena.
+    No call outlives the iteration, also when the caller closes it early."""
+    if not any(map(transport.waits_on, peers)):
+        yield from map(fn, items)
+        return
+    items = iter(items)
+    pool = ThreadPoolExecutor(LANES)
     try:
-        return fn(item)
-    except Exception as exc:
-        return exc
+        pending = deque(pool.submit(fn, item) for item in islice(items, LANES))
+        while pending:
+            result = pending.popleft().result()
+            pending.extend(pool.submit(fn, item) for item in islice(items, 1))
+            yield result
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # --------------------------------------------------------------- job client
@@ -480,7 +467,8 @@ def run_job(session, stream, operator_name: str, params: bytes = b"",
             job_id: str | None = None, spe_per_node: int = 1) -> tuple[Stream, JobReport]:
     """Apply a registered operator to every record of the stream, a Stream
     or the names of stored files, exactly once. Each node runs up to
-    spe_per_node of the job's segments at once.
+    spe_per_node of the job's segments at once: the job has one worker
+    thread per SPE, each sending its segments one after another.
 
     Returns the output stream (files registered in storage) and the job
     report. Failed segments are retried once on a different node before
@@ -491,7 +479,8 @@ def run_job(session, stream, operator_name: str, params: bytes = b"",
     A shuffle's homes, fixed at the start, are the destinations in the
     member list. A batch that its home does not take fails the attempt;
     each home indexes only the batches of the attempt that completed each
-    segment, and a home that cannot be finalized fails the job.
+    segment. The homes are finalized through overlap, and a home that
+    cannot be finalized fails the job.
     """
     if not operator_registered(operator_name):
         raise JobError("operator %r is not registered" % operator_name)
@@ -556,9 +545,13 @@ def run_job(session, stream, operator_name: str, params: bytes = b"",
             else:
                 sched.fail(spe, task, result.get("error", "segment failed"))
 
-    for error in call_each(worker, spes):
-        if error is not None:
-            raise error
+    # one thread per SPE, never fewer: a worker with nothing local waits
+    # for an idle worker on a replica node
+    threads = [threading.Thread(target=worker, args=(spe,), daemon=True) for spe in spes]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
 
     report.events = sched.events
     report.failed = sched.failures
@@ -568,12 +561,14 @@ def run_job(session, stream, operator_name: str, params: bytes = b"",
     output_files: list[dict] = []
     if output.mode == OutputMode.SHUFFLE:
         def finalize(home: str) -> dict:
-            return session.transport.open_channel(home).call(
-                MessageKind.FINALIZE_JOB, {"job": job_id, "committed": committed})[0]
+            try:
+                return session.transport.open_channel(home).call(
+                    MessageKind.FINALIZE_JOB, {"job": job_id, "committed": committed})[0]
+            except SectorError as exc:
+                raise JobError("cannot finalize %s on %s: %s" % (job_id, home, exc)) from exc
 
-        for home, result in zip(output.destinations, call_each(finalize, output.destinations)):
-            if isinstance(result, Exception):
-                raise JobError("cannot finalize %s on %s: %s" % (job_id, home, result))
+        homes = output.destinations
+        for home, result in zip(homes, overlap(session.transport, homes, finalize, homes)):
             output_files.extend({**info, "target": home} for info in result["files"])
         output_files.sort(key=lambda f: f["bucket"])
     else:

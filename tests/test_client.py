@@ -115,6 +115,21 @@ def test_failed_download_leaves_no_destination(make_cluster, tmp_path):
     assert not dest.with_name(dest.name + ".part").exists()
 
 
+def test_download_of_an_unindexed_file_leaves_no_stale_sibling_index(make_cluster, tmp_path):
+    cluster = make_cluster(2)
+    client = cluster.client()
+    client.upload(b"abcdefgh", "indexed.bin", RecordIndex.uniform(2, 4))
+    client.upload(b"0123456789", "plain.bin")
+    dest = tmp_path / "x.dat"
+    client.download("indexed.bin", dest)
+    assert (tmp_path / "x.dat.idx").exists()
+    assert client.download("plain.bin", dest) == 10
+    assert not (tmp_path / "x.dat.idx").exists()
+    client.upload(dest, "again.bin")  # a stale .idx would make this 2 records of 4 bytes
+    assert client.read_records("again.bin", 0, 1) == [b"0123456789"]
+    assert client.stat("again.bin")["records"] == 1
+
+
 def test_resolved_cache_expires_on_not_found(make_cluster):
     cluster = make_cluster(2)
     client = cluster.client()

@@ -1,11 +1,13 @@
 import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 
 from sectorsphere.errors import AccessDeniedError, IntegrityError, NotFoundError, RangeError
 from sectorsphere.fileops import read_records_over
 from sectorsphere.records import RecordIndex
+from sectorsphere.wire import MessageKind
 
 CLIENT = "client-0"
 
@@ -90,6 +92,29 @@ def test_read_range_overflow(make_cluster):
     node = owner_node(cluster, "r.dat")
     with pytest.raises(RangeError):
         node.read_local("r.dat", 1, 5)
+
+
+@pytest.mark.parametrize("offset, length", [(0, -1), (-5, 4)])
+def test_fetch_of_a_negative_range_is_refused_before_the_file_is_opened(make_cluster,
+                                                                        monkeypatch,
+                                                                        offset, length):
+    cluster = make_cluster(2)
+    client = cluster.client()
+    data, index = two_record_file()
+    client.upload(data, "r.dat", index)
+    channel = client.transport.open_channel(owner_node(cluster, "r.dat").address)
+    opened = []
+    real_open = Path.open
+
+    def recorded(path, *args, **kwargs):
+        opened.append(path)
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", recorded)
+    for kind in (MessageKind.FETCH, MessageKind.FETCH_INDEX):
+        with pytest.raises(RangeError):
+            channel.call(kind, {"name": "r.dat", "offset": offset, "length": length})
+    assert opened == []
 
 
 def test_remote_read_equals_local_read(make_cluster):

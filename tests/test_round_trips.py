@@ -5,6 +5,7 @@ import dataclasses
 import random
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -46,17 +47,17 @@ def count_threads(monkeypatch) -> list:
     return started
 
 
-def meet_on_reads(monkeypatch, cluster, parties, first_only=False):
-    """Hold the first `parties` READ requests (of offset 0 only, with
-    first_only) until all of them are in flight; a barrier that breaks
-    after 5 s fails the read that waits on it."""
+def meet_on_reads(monkeypatch, cluster, parties, first_only=False, kind=MessageKind.READ):
+    """Hold the first `parties` READ requests, or requests of another
+    kind, (of offset 0 only, with first_only) until all of them are in
+    flight; a barrier that breaks after 5 s fails the call that waits on it."""
     barrier = threading.Barrier(parties, timeout=5)
     held = []
     lock = threading.Lock()
     dispatch = cluster.network.dispatch
 
     def meeting(local, peer, request):
-        if request.kind == MessageKind.READ:
+        if request.kind == kind:
             header, _ = unpack_payload(request.payload)
             with lock:
                 meet = len(held) < parties and not (first_only and header["offset"])
@@ -160,22 +161,31 @@ def test_job_sends_no_release_and_leaves_no_active_segments(make_cluster, monkey
     assert "SPE_RELEASE" not in MessageKind.__members__
 
 
-def test_finalize_calls_are_sent_at_once(make_cluster, monkeypatch):
-    cluster = make_cluster(3)
+@pytest.mark.parametrize("rtt_ms", [0.0, 1.0])
+def test_finalize_calls_are_sent_at_once(make_cluster, monkeypatch, rtt_ms):
+    """Over links that wait, every home's FINALIZE_JOB is in flight at
+    once; over zero-latency links the homes are finalized in the caller's
+    thread, so the job starts no thread but its workers."""
+    cluster = make_cluster(3, profile=LinkProfile(default=rtt_ms))
     client = cluster.client()
     upload_records(client, "fin.dat", [bytes([i]) * 8 for i in range(30)])
-    barrier = threading.Barrier(len(cluster.nodes), timeout=5)
-    for node in cluster.nodes.values():
-        def meet_then_finalize(job, committed, finalize=node.finalize_job):
-            barrier.wait()  # breaks unless every node's call is in flight together
-            return finalize(job, committed)
-        monkeypatch.setattr(node, "finalize_job", meet_then_finalize)
+    if rtt_ms:
+        barrier = threading.Barrier(len(cluster.nodes), timeout=5)
+        for node in cluster.nodes.values():
+            def meet_then_finalize(job, committed, finalize=node.finalize_job):
+                barrier.wait()  # breaks unless every node's call is in flight together
+                return finalize(job, committed)
+            monkeypatch.setattr(node, "finalize_job", meet_then_finalize)
     spec = OutputSpec(mode=OutputMode.SHUFFLE, bucket="fin-bucket",
                       destinations=tuple(cluster.nodes))
     sphere.register_bucket("fin-bucket", lambda record, params: record[0] % 3)
-    out, report = client.run_job(["fin.dat"], "identity", output=spec)
+    stream = client.resolve_stream(["fin.dat"])
+    started = count_threads(monkeypatch)
+    out, report = client.run_job(stream, "identity", output=spec)
     assert report.ok and sorted(f["bucket"] for f in report.output_files) == [0, 1, 2]
     assert sum(f.records for f in out.files) == 30
+    if not rtt_ms:
+        assert len(started) == len(cluster.nodes)  # the job's workers, one per SPE
 
 
 def test_job_caches_the_holders_and_headers_of_its_outputs(make_cluster, monkeypatch):
@@ -268,6 +278,22 @@ def test_acks_over_zero_latency_links_start_no_thread(make_cluster, monkeypatch)
                 if e["ordinal"] == ordinal] == list(range(3, 31, 3))
 
 
+def test_a_zero_latency_terasort_starts_only_its_jobs_workers(make_cluster, monkeypatch):
+    cluster = make_cluster(3)
+    client = cluster.client()
+    rng = random.Random(43)
+    names = []
+    for i, address in enumerate(sorted(cluster.nodes)):
+        names.append(scenarios.name_owned_by(cluster.ring, "zt/in-%d.dat" % i, address))
+        upload_records(client, names[-1], [rng.randbytes(100) for _ in range(100)])
+    started = count_threads(monkeypatch)
+    out, reports = benchmarks.terasort(client, names)
+    assert reports["sort"].ok and sum(f.records for f in out.files) == 300
+    # the shuffle's and the sort's workers, one per SPE; the lookups, sample
+    # reads, shuffle sends and finalizes all run in the threads that reach them
+    assert len(started) == 2 * len(cluster.nodes)
+
+
 def test_an_ack_never_connects_to_the_client_in_the_segment_thread(make_cluster,
                                                                   monkeypatch):
     sleeps = []
@@ -308,7 +334,7 @@ def test_an_ack_never_connects_to_the_client_in_the_segment_thread(make_cluster,
 
 @pytest.mark.parametrize("rtt_ms", [0.0, 1.0])
 def test_sample_reads_overlap_only_over_links_that_wait(make_cluster, monkeypatch, rtt_ms):
-    from sectorsphere.client import LOOKUP_LANES
+    from sectorsphere.sphere import LANES
 
     cluster = make_cluster(3, profile=LinkProfile(default=rtt_ms))
     client = cluster.client()
@@ -320,14 +346,14 @@ def test_sample_reads_overlap_only_over_links_that_wait(make_cluster, monkeypatc
         upload_records(client, name, records[9 * i:9 * (i + 1)])
     stream = client.resolve_stream(names)
     started = count_threads(monkeypatch)
-    held = meet_on_reads(monkeypatch, cluster, LOOKUP_LANES) if rtt_ms else []
+    held = meet_on_reads(monkeypatch, cluster, LANES) if rtt_ms else []
     sent = count_messages(monkeypatch, cluster)
     boundaries = benchmarks.sample_boundaries(client, stream, 4, sample_target=len(records))
     keys = sorted(r[:benchmarks.KEY_SIZE] for r in records)
     assert boundaries == [keys[i * len(keys) // 4] for i in range(1, 4)]
     assert sent == {MessageKind.READ: 3 * len(stream.files)}
     if rtt_ms:  # the first read of every lane met the others in flight
-        assert len(started) == LOOKUP_LANES
+        assert len(started) == LANES
         assert {peer for peer, _ in held} == set(cluster.nodes)
     else:
         assert started == []
@@ -425,27 +451,19 @@ def test_iter_batches_yields_in_stream_order_while_first_reads_overlap(make_clus
 
 
 def test_stream_names_are_looked_up_in_a_bounded_number_of_lanes(make_cluster, monkeypatch):
-    from sectorsphere.client import LOOKUP_LANES
-
     cluster = make_cluster(2, profile=LinkProfile(default=1.0))
     client = cluster.client()
-    names = ["lanes/%02d.dat" % i for i in range(LOOKUP_LANES + 5)]
+    names = ["lanes/%02d.dat" % i for i in range(sphere.LANES + 5)]
     for i, name in enumerate(names):
         upload_records(client, name, [b"r"] * (i + 1))
-    lanes = []
-    call_each = sphere.call_each
-
-    def recorded(fn, items):
-        items = list(items)
-        lanes.append(len(items))
-        return call_each(fn, items)
-
-    monkeypatch.setattr(sphere, "call_each", recorded)
+    started = count_threads(monkeypatch)
+    held = meet_on_reads(monkeypatch, cluster, sphere.LANES, kind=MessageKind.LOOKUP)
     sent = count_messages(monkeypatch, cluster)
     stream = client.resolve_stream(names)
     assert stream.names == tuple(names)
     assert [f.records for f in stream.files] == list(range(1, len(names) + 1))
-    assert lanes == [LOOKUP_LANES]
+    assert len(started) == sphere.LANES  # the first LANES LOOKUPs met in flight
+    assert sorted(name for _, name in held) == names[:sphere.LANES]
     assert sent == {MessageKind.LOOKUP: len(names)}  # each at its owner, none relayed
 
 
@@ -464,16 +482,49 @@ def test_stream_names_over_zero_latency_links_are_looked_up_in_no_thread(make_cl
     assert sent == {MessageKind.LOOKUP: len(names)}
 
 
-def test_call_each_keeps_order_and_returns_exceptions():
+@pytest.mark.parametrize("waits", [False, True], ids=["no-wait", "wait"])
+def test_overlap_keeps_order_bounds_lanes_and_raises_the_first_failure(waits):
+    class Link:
+        def waits_on(self, peer):
+            return waits
+
+    lanes = sphere.LANES
+    barrier = threading.Barrier(lanes, timeout=5)
+    lock = threading.Lock()
+    running, taken, threads = [], [], set()  # calls in flight; results taken; callers
+    in_flight, ahead = [], []  # per call: calls in flight with it; how far past the caller
+
     def half(n):
-        if n % 2:
+        with lock:
+            running.append(n)
+            threads.add(threading.current_thread())
+            in_flight.append(len(running))
+            ahead.append(n - len(taken))
+        if waits and n < lanes:
+            barrier.wait()  # breaks unless the first LANES calls are in flight together
+        with lock:
+            running.remove(n)
+        if n in (lanes + 5, lanes + 7):
             raise ValueError(n)
         return n // 2
 
-    results = sphere.call_each(half, range(5))
-    assert results[0::2] == [0, 1, 2]
-    assert [type(r) for r in results[1::2]] == [ValueError, ValueError]
-    assert sphere.call_each(half, []) == []
+    def left_running():
+        return [t for t in threads if t.is_alive() and t is not threading.current_thread()]
+
+    with pytest.raises(ValueError) as failure:
+        for result in sphere.overlap(Link(), ["peer"], half, range(3 * lanes)):
+            taken.append(result)
+    assert failure.value.args == (lanes + 5,)
+    assert taken == [n // 2 for n in range(lanes + 5)]
+    assert max(in_flight) == (lanes if waits else 1)
+    assert max(ahead) <= lanes
+    assert (threading.current_thread() in threads) != waits
+    assert left_running() == []  # no call outlives the fan-out
+    results = sphere.overlap(Link(), ["peer"], half, range(3 * lanes))
+    assert next(results) == 0
+    results.close()  # left early, it still waits for the calls in flight
+    assert running == [] and left_running() == []
+    assert list(sphere.overlap(Link(), ["peer"], half, [])) == []
 
 
 def test_concurrent_stores_and_stats_keep_every_header(make_cluster):
@@ -483,8 +534,9 @@ def test_concurrent_stores_and_stats_keep_every_header(make_cluster):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        stored = sphere.call_each(lambda name: writer.upload(name.encode() * 3, name), names)
-        stats = sphere.call_each(reader.stat, names)
+        with ThreadPoolExecutor(len(names)) as pool:
+            stored = list(pool.map(lambda name: writer.upload(name.encode() * 3, name), names))
+            stats = list(pool.map(reader.stat, names))
     finally:
         sys.setswitchinterval(interval)
     assert stored == [[cluster.ring.owner(name).address] for name in names]

@@ -400,7 +400,7 @@ def test_shuffle_job_writes_indexed_bucket_files(make_cluster):
     assert sorted(got) == sorted(records)
 
 
-def test_shuffle_redirects_batches_from_dead_destination(make_cluster):
+def test_shuffle_homes_leave_out_a_destination_that_is_no_member(make_cluster):
     cluster = make_cluster(3)
     client = cluster.client()
     sphere.register_bucket("test-mod3", lambda record, params: record[0] % 3)
@@ -419,7 +419,7 @@ def test_shuffle_redirects_batches_from_dead_destination(make_cluster):
     assert report.ok
     got = []
     for f in out.files:
-        assert f.locations[0] != victim  # redirected off the dead node
+        assert f.locations[0] != victim  # dead at the start, so no home
         got.extend(client.read_records(f.name, 0, f.records))
     assert sorted(got) == sorted(records)
 
@@ -538,31 +538,48 @@ def test_shuffle_batches_cut_after_the_record_that_fills_them(make_cluster, monk
 
 @pytest.mark.parametrize("rtt_ms", [0.0, 2.0])
 def test_shuffle_sends_at_once_only_over_links_that_wait(make_cluster, monkeypatch, rtt_ms):
+    import threading
+
     from sectorsphere.transport import LinkProfile
+    from sectorsphere.wire import MessageKind
 
     profile = LinkProfile()
     profile.set_rtt("node-0", "node-1", rtt_ms)
     cluster = make_cluster(2, profile=profile)
     client = cluster.client()
-    sends = []
-    call_each = sphere.call_each
+    homes = []
+    if rtt_ms:  # each home's one SHUFFLE_APPEND waits until the other's is in flight
+        barrier = threading.Barrier(2, timeout=5)
+        dispatch = cluster.network.dispatch
 
-    def recorded(fn, items):
-        items = list(items)
-        if fn.__name__ == "send":
-            sends.append(sorted(items))
-        return call_each(fn, items)
+        def meeting(local, peer, request):
+            if request.kind == MessageKind.SHUFFLE_APPEND:
+                homes.append(peer)
+                barrier.wait()
+            return dispatch(local, peer, request)
 
-    monkeypatch.setattr(sphere, "call_each", recorded)
+        monkeypatch.setattr(cluster.network, "dispatch", meeting)
     sphere.register_bucket("test-parity-at-once", lambda record, params: record[0] % 2)
     rng = random.Random(9)
     records = [rng.randbytes(rng.randrange(1, 20)) for _ in range(80)]
     upload_records(client, "once.dat", records)
+    stream = client.resolve_stream(["once.dat"])
+    started = []
+    start = threading.Thread.start
+
+    def recorded(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recorded)
     out, report = client.run_job(
-        ["once.dat"], "identity",
+        stream, "identity",
         output=OutputSpec(mode=OutputMode.SHUFFLE, bucket="test-parity-at-once",
                           destinations=("node-0", "node-1")),
         limits=sphere.WHOLE_FILE_LIMITS)
     assert report.ok
     assert sorted(read_stream_records(client, out)) == sorted(records)
-    assert sends == ([["node-0", "node-1"]] if rtt_ms else [])
+    if rtt_ms:
+        assert sorted(homes) == ["node-0", "node-1"]
+    else:  # the job's workers, one per SPE, and no thread for the sends
+        assert len(started) == len(cluster.nodes)
