@@ -153,8 +153,7 @@ def sample_boundaries(session, stream: sphere.Stream, parts: int,
 
 def terasort(session, stream, destinations=None, job_id: str | None = None,
              sample_target: int = 10000,
-             limits: sphere.SegmentLimits | None = None,
-             spe_per_node: int = 1):
+             limits: sphere.SegmentLimits | None = None):
     """Sort a stream of fixed-size records by key across the cluster.
 
     Returns (sorted output stream, {"shuffle": report, "sort": report});
@@ -170,15 +169,13 @@ def terasort(session, stream, destinations=None, job_id: str | None = None,
                                      destinations=tuple(destinations))
     bucketed, shuffle_report = session.run_job(
         stream, "key-range", params=params, output=shuffle_spec,
-        limits=limits or sphere.DEFAULT_LIMITS, job_id=job_id,
-        spe_per_node=spe_per_node)
+        limits=limits or sphere.DEFAULT_LIMITS, job_id=job_id)
     if not bucketed.files:
         return bucketed, {"shuffle": shuffle_report, "sort": None}
     sorted_stream, sort_report = session.run_job(
         bucketed, "sort-records", output=sphere.OutputSpec(sphere.OutputMode.LOCAL),
         limits=sphere.WHOLE_FILE_LIMITS,
-        job_id=(job_id + "-sorted") if job_id else None,
-        spe_per_node=spe_per_node)
+        job_id=(job_id + "-sorted") if job_id else None)
     return sorted_stream, {"shuffle": shuffle_report, "sort": sort_report}
 
 

@@ -3,17 +3,19 @@
 Access follows the four-step protocol: connect to a known entry server,
 resolve replica locations through the server network's routing layer,
 open a (cached) data channel to a holder, then transfer. The entry server
-gives only the member list: the client builds the ring from it and sends
-each upload and LOOKUP straight to the name's owner. When that owner
-cannot be reached, the client asks the entry for the members once more
-and tries the owner on the new ring. A live node that no longer owns the
-name still answers: it forwards a LOOKUP to the owner, and a file stored
-on it registers with the owner. The client also listens on its own
-address so workers can stream progress back to it during jobs.
+gives only the member list, asked once more when the first call cannot
+reach it: the client builds the ring from it and sends each upload and
+LOOKUP straight to the name's owner. When that owner cannot be reached,
+the client asks the entry for the members once more and tries the owner
+on the new ring. A live node that no longer owns the name still answers:
+it forwards a LOOKUP to the owner, and a file stored on it registers with
+the owner. The client also listens on its own address so workers can
+stream progress back to it during jobs.
 
-The client caches each name's holders and STAT header, from a LOOKUP
-reply or from the job that wrote the file, so reading a job's outputs
-by name sends no LOOKUP; holders confirm the header on every read. A
+The client keeps one cache, `known`: each name's holders and STAT
+header (records, size, indexed), from a LOOKUP reply or from the job
+that wrote the file, so reading a job's outputs by name sends no LOOKUP;
+holders confirm the header on every read, which sends it as `expect`. A
 stream's lookups and the first reads of several files go through
 sphere.overlap: up to sphere.LANES at once when a call to one of their
 owners or holders waits on a network, else one after another in the
@@ -28,7 +30,7 @@ from pathlib import Path
 
 from . import sphere
 from .errors import NotFoundError, TransportError
-from .fileops import expectation, fetch_file, first_holder, push_file, read_records_over
+from .fileops import fetch_file, first_holder, push_file, read_records_over
 from .records import INDEX_SUFFIX, RecordIndex
 from .routing import RingView
 from .transport import Transport, error_reply, reply
@@ -43,10 +45,9 @@ class ClientSession:
         self.transport = transport
         self.entry_server = entry_server
         self.profile = profile
-        self.resolved: dict[str, list[str]] = {}
-        # name -> the STAT header its last LOOKUP carried; a hint only, that
-        # holders confirm on every read or fetch made against it
-        self.hints: dict[str, dict] = {}
+        # name -> (holders nearest first, STAT header); the header is a hint
+        # only, that holders confirm on every read or fetch made against it
+        self.known: dict[str, tuple[list[str], dict]] = {}
         self.progress_events: list[dict] = []
         self._ring: RingView | None = None  # built from the last members() reply
         self._lock = threading.Lock()
@@ -81,9 +82,9 @@ class ClientSession:
     def locate(self, name: str) -> list[str]:
         """Resolve every node holding a replica, nearest (by rtt) first."""
         with self._lock:
-            cached = self.resolved.get(name)
-        if cached:
-            return list(cached)
+            holders, _ = self.known.get(name, ((), None))
+        if holders:
+            return list(holders)
         return self._lookup(name)[0]
 
     def _lookup(self, name: str) -> tuple[list[str], dict]:
@@ -104,13 +105,11 @@ class ClientSession:
     def remember(self, name: str, locations: list[str], stat: dict) -> None:
         """Cache the name's holders, nearest first, and its STAT header."""
         with self._lock:
-            self.resolved[name] = list(locations)
-            self.hints[name] = stat
+            self.known[name] = (list(locations), stat)
 
     def forget(self, name: str) -> None:
         with self._lock:
-            self.resolved.pop(name, None)
-            self.hints.pop(name, None)
+            self.known.pop(name, None)
 
     def owner_of(self, name: str) -> str:
         """The name's owner on the ring of the last member list."""
@@ -119,9 +118,14 @@ class ClientSession:
         return self._ring.owner(name).address
 
     def members(self) -> list[str]:
-        """The entry server's member list; the client's ring is rebuilt from it."""
-        header, _ = self.transport.open_channel(self.entry_server).call(
-            MessageKind.MEMBERS, {})
+        """The entry server's member list, asked once more when the first
+        call fails with TransportError; the client's ring is rebuilt from it."""
+        def ask():
+            return self.transport.open_channel(self.entry_server).call(MessageKind.MEMBERS, {})
+        try:
+            header, _ = ask()
+        except TransportError:
+            header, _ = ask()
         self._ring = RingView.from_addresses(header["addresses"])
         return header["addresses"]
 
@@ -189,13 +193,8 @@ class ClientSession:
         """Records [offset, offset + rows) from the nearest holder that
         serves the file's header (see _against_header)."""
         _, (records, _) = self._against_header(name, lambda channel, stat: read_records_over(
-            channel, name, offset, rows, expectation(stat)))
+            channel, name, offset, rows, stat))
         return list(records)
-
-    def _read_batch(self, name: str, offset: int, rows: int, expect: dict):
-        _, (records, _) = first_holder(self.transport, self.locate(name), lambda channel:
-                                       read_records_over(channel, name, offset, rows, expect))
-        return records
 
     def iter_records(self, names, batch_rows: int = 65536):
         """Iterate records of the named files in order, batching reads."""
@@ -205,24 +204,28 @@ class ClientSession:
     def iter_batches(self, names, batch_rows: int = 65536):
         """The records of the named files in order, one RecordBatch of at
         most batch_rows records per read. The files' first reads go through
-        sphere.overlap, with their cached nearest holders as the peers: over
-        links that wait, up to sphere.LANES of them ahead of the file being
-        yielded. A file's later reads go one after another."""
+        sphere.overlap, with each file's cached nearest holder, or its owner
+        when the client has not looked it up, as the peers: over links that
+        wait, up to sphere.LANES of them ahead of the file being yielded. A
+        file's later reads go one after another, against the header of its
+        first, so no file is read at two versions."""
         def first_batch(name: str):
             return self._against_header(name, lambda channel, stat: read_records_over(
-                channel, name, 0, min(batch_rows, stat["records"]), expectation(stat)))
+                channel, name, 0, min(batch_rows, stat["records"]), stat))
 
         names = list(names)
         with self._lock:
-            nearest = [self.resolved[n][0] for n in names if self.resolved.get(n)]
-        firsts = sphere.overlap(self.transport, nearest, first_batch, names)
-        for name, (info, (batch, _)) in zip(names, firsts):
+            cached = {n: self.known[n][0] for n in names if n in self.known}
+        peers = {cached[n][0] if cached.get(n) else self.owner_of(n) for n in names}
+        firsts = sphere.overlap(self.transport, peers, first_batch, names)
+        for name, (stat, (batch, _)) in zip(names, firsts):
             yield batch
-            expect = expectation(info)
             offset = len(batch)
-            while offset < info["records"]:
-                rows = min(batch_rows, info["records"] - offset)
-                yield self._read_batch(name, offset, rows, expect)
+            while offset < stat["records"]:
+                rows = min(batch_rows, stat["records"] - offset)
+                _, (batch, _) = first_holder(self.transport, self.locate(name), lambda channel:
+                                             read_records_over(channel, name, offset, rows, stat))
+                yield batch
                 offset += rows
 
     def _against_header(self, name: str, attempt) -> tuple[dict, object]:
@@ -232,7 +235,7 @@ class ClientSession:
         requests that carry it, so a cached header of a file with no bytes
         or no records, which may be answered without one, is not used."""
         with self._lock:
-            locations, stat = self.resolved.get(name), self.hints.get(name)
+            locations, stat = self.known.get(name, ((), None))
         if locations and stat is not None and stat["size"] and stat["records"]:
             try:
                 return stat, first_holder(self.transport, locations,

@@ -9,9 +9,9 @@ are fetched back in bounded ranges, so arbitrarily large files fit under
 the frame payload cap. Both the pieces and the ranges are TRANSFER_CHUNK
 bytes, as the module has it when the transfer starts.
 
-A fetch or read made against a STAT header that the caller got from a
-LOOKUP reply or the job that wrote the file carries the header's size,
-record count and indexed flag as `expect`; a holder whose copy differs
+A fetch or read made against a STAT header (records, size, indexed)
+that the caller got from a LOOKUP reply or the job that wrote the file
+carries the header itself as `expect`; a holder whose header differs
 raises StaleError instead of serving bytes of another version. Callers
 that may use any of a file's holders try them in order through
 first_holder.
@@ -51,21 +51,15 @@ def push_file(channel, name: str, data: bytes, index_bytes: bytes | None,
     return done
 
 
-def expectation(stat: dict) -> dict:
-    """The part of a STAT header that a holder's copy must match."""
-    return {"size": stat["size"], "records": stat["records"], "indexed": stat["indexed"]}
-
-
 def fetch_file(channel, name: str, stat: dict) -> tuple[bytes, bytes | None]:
-    """Fetch a file and its index, as its STAT header `stat` describes them,
-    from the channel's peer; the peer refuses with StaleError if its copy
-    is not the one described."""
-    expect = expectation(stat)
-    data = _fetch_range(channel, MessageKind.FETCH, name, stat["size"], expect)
+    """Fetch a file and its index (ENTRY_SIZE bytes a record), as its STAT
+    header `stat` describes them, from the channel's peer; the peer
+    refuses with StaleError if its copy is not the one described."""
+    data = _fetch_range(channel, MessageKind.FETCH, name, stat["size"], stat)
     index_bytes = None
     if stat["indexed"]:
         index_bytes = _fetch_range(channel, MessageKind.FETCH_INDEX, name,
-                                   stat["index_bytes"], expect)
+                                   ENTRY_SIZE * stat["records"], stat)
     return data, index_bytes
 
 
@@ -88,8 +82,8 @@ def read_records_over(channel, name: str, offset: int, rows: int,
                       expect: dict | None = None) -> tuple[RecordBatch, RecordIndex]:
     """Read a run of records from the peer, following server-side byte caps.
     Returns the records as one batch, and their index entries in the file.
-    With `expect` (see expectation) the peer serves only the version it
-    describes."""
+    With `expect`, the file's STAT header, the peer serves only the
+    version it describes."""
     parts: list = []
     heads: list[np.ndarray] = []
     while rows > 0:

@@ -7,18 +7,20 @@ reads and whole-file fetches, gates client uploads by an address ACL,
 coordinates replication for owned names, and hosts the compute workers
 that execute job segments.
 
-A holder registers each file with the name's ring owner together with
-the file's STAT header (records, size, indexed, index_bytes).
-The owner keeps the last header it was sent, and a LOOKUP reply carries
-it as `stat` next to `locations`. The reply to the STORE_DATA piece that
-completes a store, and each file entry of a FINALIZE_JOB reply, carry
-the holder's header too, so the job that wrote a file hands it to the
-client. A holder may keep another version of the file than the one a
-header from a LOOKUP reply or the job that wrote the file describes (a
-replica not yet refreshed after a re-upload), so reads and fetches made
-against the header send it back as `expect`, and such a holder refuses
-them with StaleError. A shuffle bucket's home indexes, at FINALIZE_JOB,
-only the batches of the attempt that completed each segment.
+A file's STAT header (records, size, indexed) is the only description
+of a stored file. A holder registers its files with their names' ring
+owners through _register, one REGISTER of many names per owner, each
+with its header. The owner keeps the last header it was sent, and a
+LOOKUP reply carries it as `stat` next to `locations`. The reply to the
+STORE_DATA piece that completes a store, and each file entry of a
+FINALIZE_JOB reply, carry the holder's header too, so the job that wrote
+a file hands it to the client. A holder may keep another version of the
+file than the one a header from a LOOKUP reply or the job that wrote the
+file describes (a replica not yet refreshed after a re-upload), so reads
+and fetches made against the header send the header itself as `expect`,
+and a holder whose header differs refuses them with StaleError. A
+shuffle bucket's home indexes, at FINALIZE_JOB, only the batches of the
+attempt that completed each segment.
 """
 
 from __future__ import annotations
@@ -71,7 +73,6 @@ class FileMeta:
     records: int
     size: int
     indexed: bool
-    index_bytes: int = 0
 
 
 @dataclass
@@ -143,11 +144,10 @@ class StorageNode:
         """Phase 2: re-register local holdings with their (possibly new) owners."""
         with self._meta_lock:
             held = list(self.files.items())
-        for name, meta in held:
-            try:
-                self._register(name, meta)
-            except TransportError as exc:
-                log.warning("could not re-register %s: %s", name, exc)
+        try:
+            self._register(held)
+        except SectorError as exc:
+            log.warning("could not re-register every file: %s", exc)
 
     # ----------------------------------------------------------------- paths
 
@@ -169,17 +169,14 @@ class StorageNode:
             return name in self.files
 
     def meta(self, name: str, expect: dict | None = None) -> FileMeta:
-        """The local file's metadata; with `expect` (fileops.expectation),
-        StaleError unless the local copy is the version it describes."""
+        """The local file's STAT header; with `expect`, a header the caller
+        holds, StaleError unless the local copy is the one it describes."""
         with self._meta_lock:
             meta = self.files.get(name)
         if meta is None:
             raise NotFoundError("%s is not stored on %s" % (name, self.address))
-        if expect is not None and (meta.size, meta.records, meta.indexed) != (
-                expect["size"], expect["records"], expect["indexed"]):
-            raise StaleError("%s on %s has %d records in %d bytes, not %d in %d"
-                             % (name, self.address, meta.records, meta.size,
-                                expect["records"], expect["size"]))
+        if expect is not None and asdict(meta) != expect:
+            raise StaleError("%s on %s is %s, not %s" % (name, self.address, asdict(meta), expect))
         return meta
 
     # ----------------------------------------------------------------- store
@@ -189,22 +186,17 @@ class StorageNode:
         self._check_write_access(sender, internal)
         if index is not None:
             index.validate(len(data))
-        index_bytes = index.to_bytes() if index is not None else None
         path = self._path_for(name)
         with self._lock_for(name):
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_bytes(data)
-            if index_bytes is not None:
-                index_path(path).write_bytes(index_bytes)
-            meta = FileMeta(
-                records=len(index) if index is not None else 1,
-                size=len(data),
-                indexed=index is not None,
-                index_bytes=len(index_bytes) if index_bytes is not None else 0,
-            )
+            if index is not None:
+                index_path(path).write_bytes(index.to_bytes())
+            meta = FileMeta(records=len(index) if index is not None else 1,
+                            size=len(data), indexed=index is not None)
             with self._meta_lock:
                 self.files[name] = meta
-        self._register(name, meta)
+        self._register([(name, meta)])
         return meta
 
     def _check_write_access(self, origin: str, internal: bool) -> None:
@@ -221,43 +213,55 @@ class StorageNode:
             raise AccessDeniedError(
                 "%s is not in the write ACL of %s" % (origin, self.address))
 
-    def _register(self, name: str, meta: FileMeta) -> None:
-        """Tell the name's owner that this node holds it, and its STAT header."""
-        stat = asdict(meta)
-        owner = self.ring.owner(name)
-        if owner.address == self.address:
-            self.register_holder(name, self.address, stat)
-        else:
-            channel = self.transport.open_channel(owner.address)
-            channel.call(MessageKind.REGISTER,
-                         {"name": name, "holder": self.address, "stat": stat})
+    def _register(self, files) -> None:
+        """Tell the owners of the (name, FileMeta) pairs' names that this
+        node holds them, with their STAT headers: one REGISTER {"holder",
+        "files": {name: header}} per remote owner, and the names this node
+        owns are registered here. Every owner is tried; the first failure
+        is raised afterwards. A name adds its length and about 50 bytes to
+        a REGISTER, so the 64 MiB frame cap holds about a million names per
+        owner."""
+        by_owner: dict[str, dict[str, dict]] = {}
+        for name, meta in files:
+            by_owner.setdefault(self.ring.owner(name).address, {})[name] = asdict(meta)
+        failure = None
+        for owner, headers in by_owner.items():
+            try:
+                if owner == self.address:
+                    self.register_holder(self.address, headers)
+                else:
+                    self.transport.open_channel(owner).call(
+                        MessageKind.REGISTER, {"holder": self.address, "files": headers})
+            except SectorError as exc:
+                failure = failure or exc
+        if failure is not None:
+            raise failure
 
-    def register_holder(self, name: str, holder: str, stat: dict) -> None:
+    def register_holder(self, holder: str, headers: dict[str, dict]) -> None:
+        """Record that holder has each named file, with its STAT header."""
         with self._meta_lock:
-            holders = self.registry.setdefault(name, [])
-            if holder not in holders:
-                holders.append(holder)
-            self.stats[name] = stat
+            for name, header in headers.items():
+                holders = self.registry.setdefault(name, [])
+                if holder not in holders:
+                    holders.append(holder)
+                self.stats[name] = header
 
     # ---------------------------------------------------------------- lookup
 
-    def lookup(self, name: str, stat: dict | None = None) -> list[str]:
-        """The nodes that hold name. A given `stat` dict is filled with the
-        STAT header that the name's owner last had registered."""
+    def lookup(self, name: str) -> tuple[list[str], dict]:
+        """The nodes that hold name, and the STAT header that the name's
+        owner last had registered."""
         owner = self.ring.owner(name)
-        if owner.address == self.address:
-            with self._meta_lock:
-                holders = list(self.registry.get(name, ()))
-                known = self.stats.get(name)
-            if not holders:
-                raise NotFoundError("no replica of %s is registered" % name)
-        else:
-            channel = self.transport.open_channel(owner.address)
-            header, _ = channel.call(MessageKind.LOOKUP, {"name": name})
-            holders, known = header["locations"], header["stat"]
-        if stat is not None:
-            stat.update(known)
-        return holders
+        if owner.address != self.address:
+            header, _ = self.transport.open_channel(owner.address).call(
+                MessageKind.LOOKUP, {"name": name})
+            return header["locations"], header["stat"]
+        with self._meta_lock:
+            holders = list(self.registry.get(name, ()))
+            stat = self.stats.get(name)
+        if not holders:
+            raise NotFoundError("no replica of %s is registered" % name)
+        return holders, stat
 
     # ----------------------------------------------------------------- reads
 
@@ -284,11 +288,10 @@ class StorageNode:
             entries = entries[:max(1, within)]
         return path, entries
 
-    def read_local(self, name: str, offset: int, rows: int,
-                   max_bytes: int | None = None) -> tuple[RecordBatch, RecordIndex]:
+    def read_local(self, name: str, offset: int, rows: int) -> tuple[RecordBatch, RecordIndex]:
         """Local records [offset, offset + rows) as one batch, and their
         index entries in the file."""
-        return self._read_rows(name, offset, rows, max_bytes)
+        return self._read_rows(name, offset, rows)
 
     def _read_rows(self, name: str, offset: int, rows: int, max_bytes: int | None = None,
                    expect: dict | None = None) -> tuple[RecordBatch, RecordIndex]:
@@ -384,12 +387,13 @@ class StorageNode:
             batches.append((ordinal, attempt, RecordIndex.from_sizes(sizes, start=offset).array))
 
     def finalize_job(self, job: str, committed: list[int]) -> list[dict]:
-        """Index and register the job's bucket files here, each from the
-        batches of committed[ordinal], the attempt that completed segment
-        `ordinal`; other attempts' bytes stay in the file as gaps."""
+        """Index the job's bucket files here, each from the batches of
+        committed[ordinal], the attempt that completed segment `ordinal`
+        (other attempts' bytes stay in the file as gaps), then register
+        them all at once."""
         with self._meta_lock:
             keys = [key for key in self._shuffle if key[0] == job]
-        results = []
+        indexed, results = [], []
         for key in sorted(keys):
             _, bucket = key
             name = sphere.bucket_file_name(job, bucket)
@@ -402,14 +406,13 @@ class StorageNode:
                 path = self._path_for(name)
                 data_len = path.stat().st_size
                 index.validate(data_len)
-                index_bytes = index.to_bytes()
-                index_path(path).write_bytes(index_bytes)
-                meta = FileMeta(records=len(index), size=data_len, indexed=True,
-                                index_bytes=len(index_bytes))
+                index_path(path).write_bytes(index.to_bytes())
+                meta = FileMeta(records=len(index), size=data_len, indexed=True)
                 with self._meta_lock:
                     self.files[name] = meta
-            self._register(name, meta)
+            indexed.append((name, meta))
             results.append({"name": name, "bucket": bucket, "stat": asdict(meta)})
+        self._register(indexed)
         return results
 
     # -------------------------------------------------------------- dispatch
@@ -429,13 +432,12 @@ class StorageNode:
         if kind == MessageKind.PING:
             return reply(msg, MessageKind.OK, {"pong": True, "node": self.address})
         if kind == MessageKind.LOOKUP:
-            stat: dict = {}
-            locations = self.lookup(header["name"], stat)
+            locations, stat = self.lookup(header["name"])
             return reply(msg, MessageKind.OK, {"locations": locations, "stat": stat})
         if kind == MessageKind.MEMBERS:
             return reply(msg, MessageKind.OK, {"addresses": list(self.ring.addresses)})
         if kind == MessageKind.REGISTER:
-            self.register_holder(header["name"], header["holder"], header["stat"])
+            self.register_holder(header["holder"], header["files"])
             return reply(msg, MessageKind.OK, {})
         if kind == MessageKind.STORE_DATA:
             return self._op_store_data(origin, msg, header, body)

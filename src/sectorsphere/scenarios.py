@@ -136,11 +136,11 @@ WAN_RTT_MS = {("chicago", "greenbelt"): 16.0,
               ("greenbelt", "pasadena"): 71.0}
 
 
-def wan_profile(client_address: str = "client-0", client_site: str = "chicago") -> LinkProfile:
-    """Six nodes at three sites with the measured inter-site round trips."""
+def wan_profile() -> LinkProfile:
+    """Six nodes at three sites, and client-0 in Chicago, with the measured
+    inter-site round trips."""
     profile = LinkProfile()
-    places = dict(WAN_SITES)
-    places[client_address] = client_site
+    places = {**WAN_SITES, "client-0": "chicago"}
     for a, b in itertools.combinations(places, 2):
         sa, sb = places[a], places[b]
         rtt = 0.0 if sa == sb else WAN_RTT_MS[tuple(sorted((sa, sb)))]

@@ -135,10 +135,10 @@ def test_resolved_cache_expires_on_not_found(make_cluster):
     client = cluster.client()
     client.upload(b"z", "cache.bin")
     assert client.locate("cache.bin")
-    assert "cache.bin" in client.resolved
+    assert "cache.bin" in client.known
     with pytest.raises(NotFoundError):
         client.locate("missing.bin")
-    assert "missing.bin" not in client.resolved
+    assert "missing.bin" not in client.known
 
 
 def test_locate_only_returns_serving_nodes(make_cluster):

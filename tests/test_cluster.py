@@ -36,7 +36,7 @@ def test_join_transfers_ownership_and_lookups_survive(make_cluster, tmp_path):
         assert locations
     # names the newcomer now owns are answered by it
     for name in moved:
-        assert cluster.nodes["late-node"].lookup(name)
+        assert cluster.nodes["late-node"].lookup(name)[0]
 
 
 def test_replication_heals_after_node_loss(make_cluster):

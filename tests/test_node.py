@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from sectorsphere.errors import AccessDeniedError, IntegrityError, NotFoundError, RangeError
+from sectorsphere.errors import (AccessDeniedError, IntegrityError, NotFoundError,
+                                 RangeError, TransportError)
 from sectorsphere.fileops import read_records_over
 from sectorsphere.records import RecordIndex
 from sectorsphere.wire import MessageKind
@@ -317,7 +318,38 @@ def test_shuffle_batches_finalize_to_the_same_index_bytes(make_cluster):
     assert files[0]["stat"] == dataclasses.asdict(node.meta(files[0]["name"]))
     assert files[0]["stat"]["records"] == len(expected) and files[0]["stat"]["size"] == offset
     assert path.with_name(path.name + ".idx").read_bytes() == b"".join(expected)
-    assert node.meta(files[0]["name"]).index_bytes == 16 * len(expected)
+
+
+def test_finalize_registers_at_every_owner_and_raises_the_first_failure(make_cluster,
+                                                                         monkeypatch):
+    from sectorsphere.sphere import bucket_file_name
+
+    cluster = make_cluster(3)
+    node = cluster.nodes["node-0"]
+    for bucket in range(12):
+        node.shuffle_append("job-reg", bucket, [3], b"abc", 0, 1)
+    names = [bucket_file_name("job-reg", bucket) for bucket in range(12)]
+    owners = {name: cluster.ring.owner(name).address for name in names}
+    assert {"node-1", "node-2"} <= set(owners.values())
+    lost = []
+    dispatch = cluster.network.dispatch
+
+    def lose_the_first_register(local, peer, request):
+        if request.kind == MessageKind.REGISTER and not lost:
+            lost.append(peer)
+            raise TransportError("REGISTER lost")
+        return dispatch(local, peer, request)
+
+    monkeypatch.setattr(cluster.network, "dispatch", lose_the_first_register)
+    with pytest.raises(TransportError, match="REGISTER lost"):
+        node.finalize_job("job-reg", [1])
+    header = {"records": 1, "size": 3, "indexed": True}
+    for name, owner in owners.items():
+        if owner == lost[0]:
+            with pytest.raises(NotFoundError):
+                cluster.nodes[owner].lookup(name)
+        else:  # the other owner was still told, and this node registered its own
+            assert cluster.nodes[owner].lookup(name) == (["node-0"], header)
 
 
 @pytest.mark.parametrize("sizes, body", [([5], b"0123456789"), ([12], b"0123456789"),

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import json
 import random
 import sys
 import threading
@@ -12,7 +13,7 @@ import pytest
 from sectorsphere import benchmarks, fileops, scenarios, sphere
 from sectorsphere.clock import VirtualClock
 from sectorsphere.errors import AccessDeniedError, IntegrityError, StaleError, TransportError
-from sectorsphere.fileops import expectation, fetch_file, push_file, read_records_over
+from sectorsphere.fileops import fetch_file, push_file, read_records_over
 from sectorsphere.records import RecordIndex
 from sectorsphere.sphere import OutputMode, OutputSpec, SegmentLimits
 from sectorsphere.transport import LinkProfile
@@ -113,7 +114,7 @@ def test_store_stream_straddling_chunk_edges_comes_back_equal(make_cluster, monk
     sent = count_messages(monkeypatch, cluster)
     done = push_file(channel, "edges.dat", data, index_bytes)
     assert done == dataclasses.asdict(cluster.nodes[owner].meta("edges.dat"))
-    assert (done["records"], done["size"], done["index_bytes"]) == (3, 50, 48)
+    assert done == {"records": 3, "size": 50, "indexed": True}
     assert sent == {MessageKind.STORE_DATA: -(-98 // chunk)}
     assert fetch_file(channel, "edges.dat", done) == (data, index_bytes)
 
@@ -188,21 +189,43 @@ def test_finalize_calls_are_sent_at_once(make_cluster, monkeypatch, rtt_ms):
         assert len(started) == len(cluster.nodes)  # the job's workers, one per SPE
 
 
+def test_a_home_registers_its_buckets_in_one_register_per_owner(make_cluster, monkeypatch):
+    cluster = make_cluster(3)
+    client = cluster.client()
+    rng = random.Random(44)
+    records = [rng.randbytes(100) for _ in range(600)]
+    upload_records(client, "reg.dat", records)
+    keys = sorted(r[:benchmarks.KEY_SIZE] for r in records)
+    params = json.dumps({"boundaries": [keys[30 * i].hex() for i in range(1, 20)]}).encode()
+    homes = tuple(sorted(cluster.nodes))
+    sent = {home: count_messages(monkeypatch, cluster, sender=home) for home in homes}
+    out, report = client.run_job(["reg.dat"], "key-range", params=params,
+                                 output=OutputSpec(mode=OutputMode.SHUFFLE, destinations=homes))
+    assert report.ok and [f.records for f in out.files] == [30] * 20
+    for home in homes:  # 20 buckets over 3 homes: at most 2 other owners to tell
+        owners = {cluster.ring.owner(f.name).address for f in out.files if f.locations == (home,)}
+        assert sent[home][MessageKind.REGISTER] == len(owners - {home}) <= len(homes) - 1
+    for f in out.files:
+        holder, = f.locations
+        client.forget(f.name)
+        assert client.stat(f.name) == held_stat(cluster, f.name, holder)
+        assert client.locate(f.name) == [holder]
+
+
 def test_job_caches_the_holders_and_headers_of_its_outputs(make_cluster, monkeypatch):
     cluster = make_cluster(3)
     client = cluster.client()
     upload_records(client, "in.dat", [bytes([i]) * 8 for i in range(30)])
     out, _ = client.run_job(["in.dat"], "identity", job_id="pinned")
-    first = {name: client.hints[name] for name in out.names}
+    first = {name: client.known[name][1] for name in out.names}
     again = [bytes([i]) * 12 for i in range(45)]
     upload_records(client, "in.dat", again)
     rerun, _ = client.run_job(["in.dat"], "identity", job_id="pinned")
     assert rerun.names == out.names
     for f in rerun.files:
         holder, = f.locations
-        assert client.resolved[f.name] == [holder]
-        assert client.hints[f.name] == held_stat(cluster, f.name, holder)
-        assert client.hints[f.name] != first[f.name]
+        assert client.known[f.name] == ([holder], held_stat(cluster, f.name, holder))
+        assert client.known[f.name][1] != first[f.name]
     sent = count_messages(monkeypatch, cluster)
     assert list(client.iter_records(rerun.names)) == again
     assert set(sent) == {MessageKind.READ}
@@ -396,7 +419,7 @@ def test_a_stale_output_header_is_refused_and_looked_up_once(make_cluster, monke
     # an output that its ring owner holds, so that a re-upload replaces it there
     name = next(f.name for f in out.files
                 if f.locations == (cluster.ring.owner(f.name).address,))
-    assert reader.hints[name]["size"] == 30
+    assert reader.known[name][1]["size"] == 30
     new = [b"new-%d" % i for i in range(7)]
     upload_records(writer, name, new)
     sent = count_messages(monkeypatch, cluster, sender=reader.address)
@@ -406,7 +429,7 @@ def test_a_stale_output_header_is_refused_and_looked_up_once(make_cluster, monke
         assert reader.download(name, tmp_path / "out.dat") == len(b"".join(new))
         assert (tmp_path / "out.dat").read_bytes() == b"".join(new)
     assert sent[MessageKind.LOOKUP] == 1
-    assert reader.hints[name] == held_stat(cluster, name)
+    assert reader.known[name][1] == held_stat(cluster, name)
 
 
 def test_output_reads_fall_back_to_a_replica_when_the_holder_dies(make_cluster, tmp_path):
@@ -465,6 +488,24 @@ def test_stream_names_are_looked_up_in_a_bounded_number_of_lanes(make_cluster, m
     assert len(started) == sphere.LANES  # the first LANES LOOKUPs met in flight
     assert sorted(name for _, name in held) == names[:sphere.LANES]
     assert sent == {MessageKind.LOOKUP: len(names)}  # each at its owner, none relayed
+
+
+def test_first_reads_of_names_not_looked_up_overlap(make_cluster, monkeypatch):
+    cluster = make_cluster(3, profile=LinkProfile(default=1.0))
+    writer = cluster.client()
+    names = ["fresh/%02d.dat" % i for i in range(sphere.LANES)]
+    files = [[b"%d-%d" % (i, j) for j in range(4)] for i in range(len(names))]
+    for name, records in zip(names, files):
+        upload_records(writer, name, records)
+    reader = cluster.client("client-1")  # no name looked up, and no ring yet
+    started = count_threads(monkeypatch)
+    held = meet_on_reads(monkeypatch, cluster, len(names), kind=MessageKind.LOOKUP)
+    sent = count_messages(monkeypatch, cluster)
+    assert [list(batch) for batch in reader.iter_batches(names)] == files
+    assert sorted(name for _, name in held) == names  # every LOOKUP met the others in flight
+    assert len(started) == len(names)
+    assert sent == {MessageKind.MEMBERS: 1, MessageKind.LOOKUP: len(names),
+                    MessageKind.READ: len(names)}
 
 
 def test_stream_names_over_zero_latency_links_are_looked_up_in_no_thread(make_cluster,
@@ -542,7 +583,7 @@ def test_concurrent_stores_and_stats_keep_every_header(make_cluster):
     assert stored == [[cluster.ring.owner(name).address] for name in names]
     assert stats == [held_stat(cluster, name) for name in names]
     assert all(stat["size"] == 3 * len(name) for stat, name in zip(stats, names))
-    assert sorted(reader.resolved) == names
+    assert sorted(reader.known) == names
 
 
 # ------------------------------------------------------------------ lookup
@@ -608,6 +649,30 @@ def test_a_client_with_a_stale_ring_still_stores_and_reads(make_cluster, monkeyp
     # the dead owner's first refusal refreshes the ring; a live old owner
     # stores and forwards lookups, so the client never needs to ask
     assert sent[MessageKind.MEMBERS] == (1 if change == "kill" else 0)
+
+
+def test_reannounce_sends_one_register_per_holder_and_owner(make_cluster, monkeypatch):
+    cluster = make_cluster(4, replica_target=2)
+    client = cluster.client()
+    names = ["moved/%02d.dat" % i for i in range(24)]
+    for name in names:
+        upload_records(client, name, [name.encode()] * 2)
+    cluster.replication_cycle()
+    pairs = collections.Counter()
+    dispatch = cluster.network.dispatch
+
+    def counted(local, peer, request):
+        if request.kind == MessageKind.REGISTER:
+            pairs[local, peer] += 1
+        return dispatch(local, peer, request)
+
+    monkeypatch.setattr(cluster.network, "dispatch", counted)
+    cluster.kill("node-3")
+    assert pairs and max(pairs.values()) == 1
+    for name in names:
+        client.forget(name)
+        assert "node-3" not in client.locate(name)
+        assert list(client.iter_records([name])) == [name.encode()] * 2
 
 
 def test_reupload_with_a_new_size_shows_the_new_size(make_cluster):
@@ -680,12 +745,12 @@ def test_holder_refuses_reads_and_fetches_for_another_version(make_cluster):
     stat = held_stat(cluster, "v.dat")
     channel = client.transport.open_channel(client.owner_of("v.dat"))
     with pytest.raises(StaleError):
-        read_records_over(channel, "v.dat", 0, 1, {**expectation(stat), "records": 3})
+        read_records_over(channel, "v.dat", 0, 1, {**stat, "records": 3})
     with pytest.raises(StaleError):
         fetch_file(channel, "v.dat", stat={**stat, "size": 99})
     with pytest.raises(StaleError):
         fetch_file(channel, "v.dat", stat={**stat, "indexed": False})
-    assert list(read_records_over(channel, "v.dat", 0, 2, expectation(stat))[0]) == [
+    assert list(read_records_over(channel, "v.dat", 0, 2, stat)[0]) == [
         b"one", b"two"]
 
 
