@@ -10,17 +10,22 @@ that execute job segments.
 A file's STAT header (records, size, indexed) is the only description
 of a stored file. A holder registers its files with their names' ring
 owners through _register, one REGISTER of many names per owner, each
-with its header. The owner keeps the last header it was sent, and a
-LOOKUP reply carries it as `stat` next to `locations`. The reply to the
-STORE_DATA piece that completes a store, and each file entry of a
-FINALIZE_JOB reply, carry the holder's header too, so the job that wrote
-a file hands it to the client. A holder may keep another version of the
-file than the one a header from a LOOKUP reply or the job that wrote the
-file describes (a replica not yet refreshed after a re-upload), so reads
-and fetches made against the header send the header itself as `expect`,
-and a holder whose header differs refuses them with StaleError. A
-shuffle bucket's home indexes, at FINALIZE_JOB, only the batches of the
-attempt that completed each segment.
+with its header, the owners at once over links that wait. The owner
+keeps the last header it was sent, and a LOOKUP reply carries it as
+`stat` next to `locations`. A job names each output so that its writer
+owns it (routing.name_owned_by): a shuffle bucket is owned by its home,
+a LOCAL or ORIGIN segment output by the node that stores it, so a job
+output is registered where it is written, with no REGISTER, unless the
+ring changed in between. The reply to the STORE_DATA piece that
+completes a store, and each file entry of a FINALIZE_JOB reply, carry
+the holder's header too, so the job that wrote a file hands it to the
+client. A holder may keep another version of the file than the one a
+header from a LOOKUP reply or the job that wrote the file describes (a
+replica not yet refreshed after a re-upload), so reads and fetches made
+against the header send the header itself as `expect`, and a holder
+whose header differs refuses them with StaleError. A shuffle bucket's
+home indexes, at FINALIZE_JOB, only the batches of the attempt that
+completed each segment.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from .errors import (
 )
 from .fileops import TRANSFER_CHUNK, push_file
 from .records import ENTRY_SIZE, RecordBatch, RecordIndex, index_path
-from .routing import RingView
+from .routing import RingView, name_owned_by
 from .transport import Transport, error_reply, reply
 from .wire import Message, MessageKind, unpack_payload
 
@@ -104,8 +109,9 @@ class StorageNode:
         self._meta_lock = threading.RLock()
         self._name_locks: dict[str, threading.Lock] = {}
         self._stores: dict[str, _StoreBuffer] = {}
-        # (job, bucket) -> (ordinal, attempt, index entries) per batch, in file order
-        self._shuffle: dict[tuple[str, int], list[tuple[int, int, np.ndarray]]] = {}
+        # (job, bucket) -> (file name, [(ordinal, attempt, index entries)
+        # per batch, in file order])
+        self._shuffle: dict[tuple[str, int], tuple[str, list[tuple[int, int, np.ndarray]]]] = {}
         self._rng = random.Random(config.seed)
         self.spe_host = sphere.SpeHost(self)
         self._stop = threading.Event()
@@ -216,26 +222,31 @@ class StorageNode:
     def _register(self, files) -> None:
         """Tell the owners of the (name, FileMeta) pairs' names that this
         node holds them, with their STAT headers: one REGISTER {"holder",
-        "files": {name: header}} per remote owner, and the names this node
-        owns are registered here. Every owner is tried; the first failure
-        is raised afterwards. A name adds its length and about 50 bytes to
-        a REGISTER, so the 64 MiB frame cap holds about a million names per
+        "files": {name: header}} per remote owner, sent through
+        sphere.overlap, and the names this node owns are registered here.
+        Every owner is tried; the first failure, in owner order, is raised
+        afterwards. A name adds its length and about 50 bytes to a
+        REGISTER, so the 64 MiB frame cap holds about a million names per
         owner."""
         by_owner: dict[str, dict[str, dict]] = {}
         for name, meta in files:
             by_owner.setdefault(self.ring.owner(name).address, {})[name] = asdict(meta)
-        failure = None
-        for owner, headers in by_owner.items():
+
+        def tell(owner: str) -> SectorError | None:
             try:
                 if owner == self.address:
-                    self.register_holder(self.address, headers)
+                    self.register_holder(self.address, by_owner[owner])
                 else:
                     self.transport.open_channel(owner).call(
-                        MessageKind.REGISTER, {"holder": self.address, "files": headers})
+                        MessageKind.REGISTER, {"holder": self.address, "files": by_owner[owner]})
             except SectorError as exc:
-                failure = failure or exc
-        if failure is not None:
-            raise failure
+                return exc
+            return None
+
+        failures = [exc for exc in sphere.overlap(self.transport, by_owner, tell, by_owner)
+                    if exc is not None]
+        if failures:
+            raise failures[0]
 
     def register_holder(self, holder: str, headers: dict[str, dict]) -> None:
         """Record that holder has each named file, with its STAT header."""
@@ -360,7 +371,9 @@ class StorageNode:
     def write_output(self, name: str, data: bytes, index: RecordIndex,
                      target: str | None = None) -> dict:
         """Persist a job output file locally or on the target node, registered
-        in the ring either way. Returns the STAT header of the stored copy."""
+        in the ring either way: with no REGISTER when the target owns the
+        name, as a job names its outputs. Returns the STAT header of the
+        stored copy."""
         if target is None or target == self.address:
             return asdict(self.store_file(self.address, name, data, index, internal=True))
         channel = self.transport.open_channel(target)
@@ -375,12 +388,18 @@ class StorageNode:
         if ((sizes < 0) | (sizes > len(body))).any() or int(sizes.sum()) != len(body):
             raise IntegrityError("shuffle batch sizes add up to %d, the body has %d bytes"
                                  % (int(sizes.sum()), len(body)))
-        name = sphere.bucket_file_name(job, bucket)
+        with self._meta_lock:
+            state = self._shuffle.get((job, bucket))
+            if state is None:
+                # named at the first append, so that a ring change before
+                # FINALIZE_JOB cannot split the bucket across two names
+                name = name_owned_by(self.ring, sphere.bucket_file_name(job, bucket),
+                                     self.address)
+                state = self._shuffle[job, bucket] = (name, [])
+        name, batches = state
         path = self._path_for(name)
         with self._lock_for(name):
             path.parent.mkdir(parents=True, exist_ok=True)
-            with self._meta_lock:
-                batches = self._shuffle.setdefault((job, bucket), [])
             with path.open("ab") as fh:
                 offset = fh.tell()
                 fh.write(body)
@@ -390,16 +409,16 @@ class StorageNode:
         """Index the job's bucket files here, each from the batches of
         committed[ordinal], the attempt that completed segment `ordinal`
         (other attempts' bytes stay in the file as gaps), then register
-        them all at once."""
+        them all at once: here, unless the ring changed after a bucket's
+        first append."""
         with self._meta_lock:
-            keys = [key for key in self._shuffle if key[0] == job]
+            held = sorted((key[1], state) for key, state in self._shuffle.items()
+                          if key[0] == job)
         indexed, results = [], []
-        for key in sorted(keys):
-            _, bucket = key
-            name = sphere.bucket_file_name(job, bucket)
-            with self._lock_for(name):
+        for bucket, (name, batches) in held:
+            with self._lock_for(name):  # after any append still writing
                 with self._meta_lock:
-                    batches = self._shuffle.pop(key, [])
+                    self._shuffle.pop((job, bucket), None)
                 kept = [entries for ordinal, attempt, entries in batches
                         if 0 <= ordinal < len(committed) and committed[ordinal] == attempt]
                 index = RecordIndex(np.concatenate(kept) if kept else ())

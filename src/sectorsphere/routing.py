@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import itertools
 from dataclasses import dataclass
 
 from .errors import RoutingError
@@ -29,6 +30,17 @@ def hash_name(name: str) -> int:
 def distance(a: int, b: int) -> int:
     """Clockwise distance from a to b."""
     return (b - a) % RING_SIZE
+
+
+def name_owned_by(ring: "RingView", base: str, owner_address: str) -> str:
+    """Salt a file name until the ring places it on the desired node: base
+    itself, else base + ".1", ".2", ... A name with n members takes about n
+    hashes; an address off the ring raises RoutingError."""
+    ring.member(owner_address)
+    for salt in itertools.count():
+        name = base if salt == 0 else "%s.%d" % (base, salt)
+        if ring.owner(name).address == owner_address:
+            return name
 
 
 @dataclass(frozen=True)

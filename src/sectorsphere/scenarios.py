@@ -17,7 +17,7 @@ from scipy import stats
 
 from . import angle, benchmarks
 from .cluster import quick_cluster
-from .routing import RingView
+from .routing import name_owned_by
 from .transport import LinkProfile
 
 SCENARIO_NAMES = ("terasort-local", "terasort-wan", "angle-synthetic",
@@ -54,14 +54,6 @@ def run_scenario(name: str, workdir, out_path=None, **kwargs):
     if out_path:
         write_metrics(out_path, metrics)
     return metrics, ok
-
-
-def name_owned_by(ring: RingView, base: str, owner_address: str) -> str:
-    """Salt a file name until the ring places it on the desired node."""
-    for salt in itertools.count():
-        name = base if salt == 0 else "%s.%d" % (base, salt)
-        if ring.owner(name).address == owner_address:
-            return name
 
 
 # ----------------------------------------------------------------- terasort

@@ -6,7 +6,8 @@ are scheduled onto per-node processing elements with locality preference,
 each element runs the accept / read / apply / write loop, and outputs are
 routed back to the data's origin, written locally, shuffled by bucket to
 each bucket's one home node (see run_job), or returned to the client in
-the segment's SPE_RUN reply.
+the segment's SPE_RUN reply. A stored output is named so that the node
+holding it owns the name on the ring (see seg_file_name).
 
 Segments stay columnar through the engine. A segment is read as one
 RecordBatch (its bytes plus an (n, 2) entry array); a segment-scope
@@ -35,6 +36,7 @@ import numpy as np
 from .errors import JobError, NotFoundError, SectorError, TransportError
 from .fileops import first_holder, read_records_over, split_rows
 from .records import RecordBatch, RecordIndex
+from .routing import name_owned_by
 from .scheduler import Scheduler, SpeHandle
 from .wire import MessageKind
 
@@ -188,10 +190,18 @@ class OutputSpec:
 
 
 def seg_file_name(job: str, ordinal: int) -> str:
+    """The base of segment `ordinal`'s output name in LOCAL and ORIGIN mode.
+    The stored name is this base salted by routing.name_owned_by so that
+    the node that holds the output owns it on the ring; read it from the
+    segment's report."""
     return "%s/seg_%05d.dat" % (job, ordinal)
 
 
 def bucket_file_name(job: str, bucket: int) -> str:
+    """The base of a shuffle bucket's file name. Its home stores the bucket
+    under this base salted by routing.name_owned_by so that the home owns
+    it on the ring; read the name, and the bucket, from the FINALIZE_JOB
+    reply."""
     return "%s/bucket_%05d.dat" % (job, bucket)
 
 
@@ -353,7 +363,7 @@ class SpeHost:
         if not len(out):
             return []
         target = source if output.mode == OutputMode.ORIGIN else node.address
-        name = seg_file_name(job, segment.ordinal)
+        name = name_owned_by(node.ring, seg_file_name(job, segment.ordinal), target)
         data, index = out.pack()
         stat = node.write_output(name, data, index, target=target)
         return [{"name": name, "target": target, "stat": stat}]

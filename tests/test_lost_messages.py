@@ -15,9 +15,12 @@ KINDS = [MessageKind.SPE_RUN, MessageKind.SHUFFLE_APPEND, MessageKind.FINALIZE_J
          MessageKind.REGISTER, MessageKind.READ, MessageKind.MEMBERS]
 # (job, kind) -> occurrences lost, 1 and 2 unless the job sends fewer after
 # the fault is armed: terasort asks for the members for its destinations and
-# in each of its two jobs, the identity shuffle once in its one job
+# in each of its two jobs, the identity shuffle once in its one job; neither
+# sends a REGISTER, since each output's writer owns its name
 OCCURRENCES = {("terasort", MessageKind.MEMBERS): (1, 2, 3),
-               ("identity-shuffle", MessageKind.MEMBERS): (1,)}
+               ("identity-shuffle", MessageKind.MEMBERS): (1,),
+               ("terasort", MessageKind.REGISTER): (),
+               ("identity-shuffle", MessageKind.REGISTER): ()}
 
 
 def upload_records(client, name, records):
@@ -103,6 +106,23 @@ def test_one_lost_message_gives_the_right_output_or_job_error(make_cluster, monk
         got = None
     assert len(lost) == 1  # the case reaches the message it loses
     assert got is None or sorted(got) == sorted(records)
+
+
+@pytest.mark.parametrize("job", sorted(JOBS))
+def test_a_fault_free_job_sends_no_register(make_cluster, monkeypatch, job):
+    cluster = make_cluster(3)
+    client = cluster.client()
+    records, run = JOBS[job](client)
+    sent = []
+    dispatch = cluster.network.dispatch
+
+    def counted(local, peer, request):
+        sent.append(MessageKind(request.kind))
+        return dispatch(local, peer, request)
+
+    monkeypatch.setattr(cluster.network, "dispatch", counted)
+    assert sorted(run()) == sorted(records)
+    assert MessageKind.FINALIZE_JOB in sent and MessageKind.REGISTER not in sent
 
 
 def test_a_home_that_stops_answering_after_its_first_batch_fails_the_job(make_cluster,

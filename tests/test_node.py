@@ -299,11 +299,13 @@ def test_remote_read_beyond_transfer_chunk_loops(make_cluster, monkeypatch, gapp
 def test_shuffle_batches_finalize_to_the_same_index_bytes(make_cluster):
     import struct
 
+    from sectorsphere.routing import name_owned_by
     from sectorsphere.sphere import bucket_file_name
 
-    cluster = make_cluster(1)
-    node = next(iter(cluster.nodes.values()))
-    path = node._path_for(bucket_file_name("job-x", 2))
+    cluster = make_cluster(3)
+    node = cluster.nodes["node-0"]
+    name = name_owned_by(cluster.ring, bucket_file_name("job-x", 2), "node-0")
+    path = node._path_for(name)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(b"left over")  # appends start after what is there
     rng = random.Random(11)
@@ -315,22 +317,35 @@ def test_shuffle_batches_finalize_to_the_same_index_bytes(make_cluster):
             expected.append(struct.pack("<QQ", offset, size))
             offset += size
     files = node.finalize_job("job-x", [1, 1, 1, 1])
+    assert [(f["name"], f["bucket"]) for f in files] == [(name, 2)]
     assert files[0]["stat"] == dataclasses.asdict(node.meta(files[0]["name"]))
     assert files[0]["stat"]["records"] == len(expected) and files[0]["stat"]["size"] == offset
     assert path.with_name(path.name + ".idx").read_bytes() == b"".join(expected)
 
 
-def test_finalize_registers_at_every_owner_and_raises_the_first_failure(make_cluster,
-                                                                         monkeypatch):
+def test_a_bucket_named_before_a_ring_change_registers_at_its_new_owners(make_cluster,
+                                                                         monkeypatch, tmp_path):
+    from sectorsphere.cluster import NodeSpec
+    from sectorsphere.routing import name_owned_by
     from sectorsphere.sphere import bucket_file_name
 
     cluster = make_cluster(3)
+    before = cluster.ring
     node = cluster.nodes["node-0"]
-    for bucket in range(12):
+    for bucket in range(24):
         node.shuffle_append("job-reg", bucket, [3], b"abc", 0, 1)
-    names = [bucket_file_name("job-reg", bucket) for bucket in range(12)]
+    names = [name_owned_by(before, bucket_file_name("job-reg", bucket), "node-0")
+             for bucket in range(24)]
+    # two members join inside node-0's arc, each taking over some of its buckets
+    joining = [a for a in ("node-%d" % i for i in range(3, 100))
+               if before.owner(a).address == "node-0"][:2]
+    for address in joining:
+        cluster.add_node(NodeSpec(name=address, address=address,
+                                  data_dir=str(tmp_path / address), acl=frozenset({CLIENT})))
     owners = {name: cluster.ring.owner(name).address for name in names}
-    assert {"node-1", "node-2"} <= set(owners.values())
+    assert set(owners.values()) == {"node-0", *joining}
+    for bucket in range(24):  # a second batch goes to the name fixed at the first
+        node.shuffle_append("job-reg", bucket, [3], b"def", 1, 1)
     lost = []
     dispatch = cluster.network.dispatch
 
@@ -342,28 +357,49 @@ def test_finalize_registers_at_every_owner_and_raises_the_first_failure(make_clu
 
     monkeypatch.setattr(cluster.network, "dispatch", lose_the_first_register)
     with pytest.raises(TransportError, match="REGISTER lost"):
-        node.finalize_job("job-reg", [1])
-    header = {"records": 1, "size": 3, "indexed": True}
+        node.finalize_job("job-reg", [1, 1])
+    assert sorted(n for n in node.files if n.startswith("job-reg/")) == sorted(names)
+    header = {"records": 2, "size": 6, "indexed": True}
     for name, owner in owners.items():
         if owner == lost[0]:
             with pytest.raises(NotFoundError):
                 cluster.nodes[owner].lookup(name)
-        else:  # the other owner was still told, and this node registered its own
+        else:  # the other new owner was still told, and node-0 registered its own
             assert cluster.nodes[owner].lookup(name) == (["node-0"], header)
+
+
+def test_concurrent_first_appends_share_one_bucket_file(make_cluster):
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    cluster = make_cluster(3)
+    node = cluster.nodes["node-1"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:  # 8 senders race to open each of 3 buckets
+        with ThreadPoolExecutor(8) as pool:
+            list(pool.map(lambda i: [node.shuffle_append("job-race", bucket, [1, 2], b"abc", i, 1)
+                                     for bucket in range(3)], range(8), timeout=30))
+    finally:
+        sys.setswitchinterval(interval)
+    files = node.finalize_job("job-race", [1] * 8)
+    assert [f["bucket"] for f in files] == [0, 1, 2]
+    for f in files:
+        assert cluster.ring.owner(f["name"]).address == "node-1"
+        assert f["stat"] == {"records": 16, "size": 24, "indexed": True}
+        assert list(node.read_local(f["name"], 0, 16)[0]) == [b"a", b"bc"] * 8
 
 
 @pytest.mark.parametrize("sizes, body", [([5], b"0123456789"), ([12], b"0123456789"),
                                          ([-2, 12], b"0123456789")])
 def test_shuffle_batch_whose_sizes_miss_its_body_is_refused(make_cluster, sizes, body):
-    from sectorsphere.sphere import bucket_file_name
-
-    cluster = make_cluster(1)
-    node = next(iter(cluster.nodes.values()))
+    cluster = make_cluster(3)
+    node = cluster.nodes["node-0"]
     with pytest.raises(IntegrityError):
         node.shuffle_append("job-y", 0, sizes, body, 0, 1)
-    path = node._path_for(bucket_file_name("job-y", 0))
-    assert not path.exists() or path.read_bytes() == b""
+    assert not (node.data_dir / "job-y").exists() and node.finalize_job("job-y", [1]) == []
     node.shuffle_append("job-y", 0, [3], b"abc", 0, 1)
     files = node.finalize_job("job-y", [1])
     assert files[0]["stat"] == dataclasses.asdict(node.meta(files[0]["name"]))
     assert files[0]["stat"]["records"] == 1 and files[0]["stat"]["size"] == 3
+    assert list(node.read_local(files[0]["name"], 0, 1)[0]) == [b"abc"]

@@ -189,7 +189,7 @@ def test_finalize_calls_are_sent_at_once(make_cluster, monkeypatch, rtt_ms):
         assert len(started) == len(cluster.nodes)  # the job's workers, one per SPE
 
 
-def test_a_home_registers_its_buckets_in_one_register_per_owner(make_cluster, monkeypatch):
+def test_a_home_owns_its_buckets_and_sends_no_register(make_cluster, monkeypatch):
     cluster = make_cluster(3)
     client = cluster.client()
     rng = random.Random(44)
@@ -202,9 +202,9 @@ def test_a_home_registers_its_buckets_in_one_register_per_owner(make_cluster, mo
     out, report = client.run_job(["reg.dat"], "key-range", params=params,
                                  output=OutputSpec(mode=OutputMode.SHUFFLE, destinations=homes))
     assert report.ok and [f.records for f in out.files] == [30] * 20
-    for home in homes:  # 20 buckets over 3 homes: at most 2 other owners to tell
+    for home in homes:  # 20 buckets over 3 homes, each bucket named so its home owns it
         owners = {cluster.ring.owner(f.name).address for f in out.files if f.locations == (home,)}
-        assert sent[home][MessageKind.REGISTER] == len(owners - {home}) <= len(homes) - 1
+        assert owners == {home} and sent[home][MessageKind.REGISTER] == 0
     for f in out.files:
         holder, = f.locations
         client.forget(f.name)
@@ -216,11 +216,14 @@ def test_job_caches_the_holders_and_headers_of_its_outputs(make_cluster, monkeyp
     cluster = make_cluster(3)
     client = cluster.client()
     upload_records(client, "in.dat", [bytes([i]) * 8 for i in range(30)])
-    out, _ = client.run_job(["in.dat"], "identity", job_id="pinned")
+    # written back to the input's one holder, who owns each output's name,
+    # so a rerun under the same job id writes the same names
+    origin = OutputSpec(mode=OutputMode.ORIGIN)
+    out, _ = client.run_job(["in.dat"], "identity", output=origin, job_id="pinned")
     first = {name: client.known[name][1] for name in out.names}
     again = [bytes([i]) * 12 for i in range(45)]
     upload_records(client, "in.dat", again)
-    rerun, _ = client.run_job(["in.dat"], "identity", job_id="pinned")
+    rerun, _ = client.run_job(["in.dat"], "identity", output=origin, job_id="pinned")
     assert rerun.names == out.names
     for f in rerun.files:
         holder, = f.locations
@@ -673,6 +676,37 @@ def test_reannounce_sends_one_register_per_holder_and_owner(make_cluster, monkey
         client.forget(name)
         assert "node-3" not in client.locate(name)
         assert list(client.iter_records([name])) == [name.encode()] * 2
+
+
+def test_reannounce_registers_at_its_owners_at_once(make_cluster, monkeypatch, tmp_path):
+    """At 1 ms RTT, the REGISTERs a holder sends to two owners after a
+    ring change are in flight together."""
+    from sectorsphere.cluster import NodeSpec
+
+    cluster = make_cluster(3, profile=LinkProfile(default=1.0))
+    node = cluster.nodes["node-0"]
+    joined = cluster.ring.join("node-9")
+    # files node-0 holds whose names node-1 and node-2 own, also once node-9 joins
+    names = [scenarios.name_owned_by(joined, "held/%s.dat" % owner, owner)
+             for owner in ("node-1", "node-2")]
+    for name in names:
+        node.store_file(node.address, name, b"abc", RecordIndex([(0, 3)]), internal=True)
+    barrier = threading.Barrier(2, timeout=5)
+    held = []
+    dispatch = cluster.network.dispatch
+
+    def meeting(local, peer, request):
+        if request.kind == MessageKind.REGISTER and local == node.address:
+            held.append(peer)
+            barrier.wait()  # breaks unless both REGISTERs are in flight together
+        return dispatch(local, peer, request)
+
+    monkeypatch.setattr(cluster.network, "dispatch", meeting)
+    cluster.add_node(NodeSpec(name="node-9", address="node-9",
+                              data_dir=str(tmp_path / "node-9"), acl=frozenset({"client-0"})))
+    assert sorted(held) == ["node-1", "node-2"]
+    for name, owner in zip(names, ("node-1", "node-2")):
+        assert cluster.nodes[owner].lookup(name) == (["node-0"], held_stat(cluster, name, "node-0"))
 
 
 def test_reupload_with_a_new_size_shows_the_new_size(make_cluster):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from sectorsphere.errors import RoutingError
-from sectorsphere.routing import RING_SIZE, RingMember, RingView, hash_name
+from sectorsphere.routing import RING_SIZE, RingMember, RingView, hash_name, name_owned_by
 
 
 def linear_scan_successor(members, id):
@@ -145,3 +145,13 @@ def test_randomized_join_leave_sequence_keeps_invariants():
         assert ids == sorted(ids)
         assert len(set(ids)) == len(ids)
         assert {m.address for m in ring.members} == alive
+
+
+def test_name_owned_by_salts_until_the_member_owns_the_name():
+    ring = RingView.from_addresses("node-%d" % i for i in range(6))
+    for address in ring.addresses:
+        name = name_owned_by(ring, "job/bucket_00001.dat", address)
+        assert ring.owner(name).address == address
+        assert name == "job/bucket_00001.dat" or name.startswith("job/bucket_00001.dat.")
+    with pytest.raises(RoutingError):  # no salt reaches an address off the ring
+        name_owned_by(ring, "job/bucket_00001.dat", "node-9")

@@ -301,7 +301,7 @@ def test_origin_mode_writes_back_to_source_holder(make_cluster):
                                  output=OutputSpec(mode=OutputMode.ORIGIN),
                                  limits=SegmentLimits(200, 200))
     for f in report.output_files:
-        assert f["target"] == holder
+        assert f["target"] == holder == cluster.ring.owner(f["name"]).address
 
 
 def test_file_level_processing_without_index(make_cluster):
@@ -390,13 +390,13 @@ def test_shuffle_job_writes_indexed_bucket_files(make_cluster):
     assert report.ok
     destinations = sorted(cluster.nodes)
     got = []
-    for f in out.files:
-        recs = client.read_records(f.name, 0, f.records)
+    for f in report.output_files:
+        recs = client.read_records(f["name"], 0, f["stat"]["records"])
         got.extend(recs)
-        bucket = int(f.name.rsplit("_", 1)[1].split(".")[0])
-        assert f.locations[0] == destinations[bucket % 2]
+        assert f["target"] == destinations[f["bucket"] % 2]
+        assert cluster.ring.owner(f["name"]).address == f["target"]
         for r in recs:
-            assert r[0] == bucket
+            assert r[0] == f["bucket"]
     assert sorted(got) == sorted(records)
 
 
@@ -462,7 +462,9 @@ def test_segment_reads_from_the_next_holder_and_writes_back_there(make_cluster):
               "output": OutputSpec(mode=OutputMode.ORIGIN).to_header()}
     report, body = worker.spe_host.run_segment(client.address, header)
     assert report["status"] == "ok" and report["node"] == worker.address and body == b""
-    name = sphere.seg_file_name("j-far", 3)
+    name = report["outputs"][0]["name"]
+    assert name.startswith(sphere.seg_file_name("j-far", 3))
+    assert cluster.ring.owner(name).address == holder  # registered where it was written
     stat = dataclasses.asdict(cluster.nodes[holder].meta(name))
     assert stat["records"] == 8 and stat["size"] == sum(map(len, records[2:10]))
     assert report["outputs"] == [{"name": name, "target": holder, "stat": stat}]
@@ -486,9 +488,8 @@ def test_segment_operator_sets_buckets_and_acks_once(make_cluster):
         output=OutputSpec(mode=OutputMode.SHUFFLE, destinations=tuple(sorted(cluster.nodes))),
         limits=sphere.WHOLE_FILE_LIMITS)
     assert report.ok and [s["acks"] for s in report.segments] == [[150]]
-    got = {}
-    for f in out.files:
-        got[int(f.name.rsplit("_", 1)[1].split(".")[0])] = client.read_records(f.name, 0, f.records)
+    got = {f["bucket"]: client.read_records(f["name"], 0, f["stat"]["records"])
+           for f in report.output_files}
     assert got == {b: [r for r in records if r[0] % 3 == b] for b in range(3)}
 
 
