@@ -1,4 +1,5 @@
-"""A job that loses one message gives the right output or raises JobError."""
+"""A job that loses one message gives the right output or raises JobError,
+and a replication cycle that loses one REGISTER is made good by the next."""
 
 import random
 
@@ -123,6 +124,32 @@ def test_a_fault_free_job_sends_no_register(make_cluster, monkeypatch, job):
     monkeypatch.setattr(cluster.network, "dispatch", counted)
     assert sorted(run()) == sorted(records)
     assert MessageKind.FINALIZE_JOB in sent and MessageKind.REGISTER not in sent
+
+
+@pytest.mark.parametrize("side, occurrence",
+                         [(side, occurrence) for side in ("request", "reply")
+                          for occurrence in (1, 2)])
+def test_one_lost_register_in_a_replication_cycle_is_made_good_by_the_next(
+        make_cluster, monkeypatch, side, occurrence):
+    """A replica's holder, never its name's owner, is the one sender of
+    REGISTER left: its store fails either way, and the next cycle brings
+    every name to the target with each listed holder serving the file."""
+    cluster = make_cluster(4, replica_target=2)
+    client = cluster.client()
+    names = ["lost/replica-%d.dat" % i for i in range(6)]
+    for name in names:
+        upload_records(client, name, [name.encode()] * 2)
+    lost = lose(monkeypatch, cluster, MessageKind.REGISTER, side, occurrence)
+    pushed = cluster.replication_cycle()
+    assert len(lost) == 1  # the case reaches the message it loses
+    assert len([a for a in pushed if "dest" in a]) == len(names) - 1
+    cluster.replication_cycle()
+    assert cluster.location_counts(names) == dict.fromkeys(names, 2)
+    for name in names:
+        client.forget(name)
+        for holder in client.locate(name):
+            batch, _ = cluster.nodes[holder].read_local(name, 0, 2)
+            assert list(batch) == [name.encode()] * 2
 
 
 def test_a_home_that_stops_answering_after_its_first_batch_fails_the_job(make_cluster,
