@@ -7,25 +7,24 @@ reads and whole-file fetches, gates client uploads by an address ACL,
 coordinates replication for owned names, and hosts the compute workers
 that execute job segments.
 
-A file's STAT header (records, size, indexed) is the only description
-of a stored file. A holder registers its files with their names' ring
+A file's STAT header (records, size, indexed) is the only description of
+a stored file. A holder registers its files with their names' ring
 owners through _register, one REGISTER of many names per owner, each
-with its header, the owners at once over links that wait. The owner
-keeps the last header it was sent, and a LOOKUP reply carries it as
-`stat` next to `locations`. A job names each output so that its writer
-owns it (routing.name_owned_by): a shuffle bucket is owned by its home,
-a LOCAL or ORIGIN segment output by the node that stores it, so a job
-output is registered where it is written, with no REGISTER, unless the
-ring changed in between. The reply to the STORE_DATA piece that
-completes a store, and each file entry of a FINALIZE_JOB reply, carry
-the holder's header too, so the job that wrote a file hands it to the
-client. A holder may keep another version of the file than the one a
-header from a LOOKUP reply or the job that wrote the file describes (a
-replica not yet refreshed after a re-upload), so reads and fetches made
-against the header send the header itself as `expect`, and a holder
-whose header differs refuses them with StaleError. A shuffle bucket's
-home indexes, at FINALIZE_JOB, only the batches of the attempt that
-completed each segment.
+with its header. The owner keeps the last header it was sent, and a
+LOOKUP reply carries it as `stat` next to `locations`. A job names each
+output so that its writer owns it (routing.name_owned_by): a shuffle
+bucket is owned by its home, a LOCAL or ORIGIN segment output by the
+node that stores it, so a job output is registered where it is written,
+with no REGISTER, unless the ring changed in between. The reply to the
+STORE_DATA piece that completes a store, and each file entry of a
+FINALIZE_JOB reply, carry the holder's header too, so the job that wrote
+a file hands it to the client. A holder may keep another version of the
+file than the one a header from a LOOKUP reply or the job that wrote the
+file describes (a replica not yet refreshed after a re-upload), so reads
+and fetches made against the header send the header itself as `expect`,
+and a holder whose header differs refuses them with StaleError. A
+shuffle bucket's home indexes, at FINALIZE_JOB, only the batches of the
+attempt that completed each segment.
 """
 
 from __future__ import annotations
@@ -222,31 +221,26 @@ class StorageNode:
     def _register(self, files) -> None:
         """Tell the owners of the (name, FileMeta) pairs' names that this
         node holds them, with their STAT headers: one REGISTER {"holder",
-        "files": {name: header}} per remote owner, sent through
-        sphere.overlap, and the names this node owns are registered here.
-        Every owner is tried; the first failure, in owner order, is raised
-        afterwards. A name adds its length and about 50 bytes to a
-        REGISTER, so the 64 MiB frame cap holds about a million names per
+        "files": {name: header}} per remote owner, and the names this node
+        owns are registered here. Every owner is tried; the first failure
+        is raised afterwards. A name adds its length and about 50 bytes to
+        a REGISTER, so the 64 MiB frame cap holds about a million names per
         owner."""
         by_owner: dict[str, dict[str, dict]] = {}
         for name, meta in files:
             by_owner.setdefault(self.ring.owner(name).address, {})[name] = asdict(meta)
-
-        def tell(owner: str) -> SectorError | None:
+        failure = None
+        for owner, headers in by_owner.items():
             try:
                 if owner == self.address:
-                    self.register_holder(self.address, by_owner[owner])
+                    self.register_holder(self.address, headers)
                 else:
                     self.transport.open_channel(owner).call(
-                        MessageKind.REGISTER, {"holder": self.address, "files": by_owner[owner]})
+                        MessageKind.REGISTER, {"holder": self.address, "files": headers})
             except SectorError as exc:
-                return exc
-            return None
-
-        failures = [exc for exc in sphere.overlap(self.transport, by_owner, tell, by_owner)
-                    if exc is not None]
-        if failures:
-            raise failures[0]
+                failure = failure or exc
+        if failure is not None:
+            raise failure
 
     def register_holder(self, holder: str, headers: dict[str, dict]) -> None:
         """Record that holder has each named file, with its STAT header."""

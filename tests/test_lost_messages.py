@@ -9,8 +9,9 @@ from sectorsphere import sphere
 from sectorsphere.benchmarks import check_sorted, terasort
 from sectorsphere.errors import JobError, TransportError
 from sectorsphere.records import RecordIndex
+from sectorsphere.routing import name_owned_by
 from sectorsphere.sphere import OutputMode, OutputSpec, SegmentLimits
-from sectorsphere.wire import MessageKind
+from sectorsphere.wire import MessageKind, unpack_payload
 
 KINDS = [MessageKind.SPE_RUN, MessageKind.SHUFFLE_APPEND, MessageKind.FINALIZE_JOB,
          MessageKind.REGISTER, MessageKind.READ, MessageKind.MEMBERS]
@@ -173,3 +174,40 @@ def test_a_home_that_stops_answering_after_its_first_batch_fails_the_job(make_cl
     with pytest.raises(JobError):
         run()
     assert taken and set(taken) == {home}
+
+
+def test_a_lost_local_run_reply_leaves_the_attempt_output_under_its_writer_name(
+        make_cluster, monkeypatch):
+    """A LOCAL-mode segment whose SPE_RUN reply is lost is retried on
+    another node, which writes the output under a name it owns. The lost
+    attempt's output stays stored and registered at its writer under that
+    writer's name, and no output of the job names it."""
+    cluster = make_cluster(3)
+    client = cluster.client()
+    records = [b"lost-%03d" % i for i in range(120)]
+    upload_records(client, "lost/local.dat", records)
+    dropped = []
+    dispatch = cluster.network.dispatch
+
+    def drop_first_run_reply(local, peer, request):
+        response = dispatch(local, peer, request)
+        if request.kind == MessageKind.SPE_RUN and not dropped:
+            dropped.append((unpack_payload(request.payload)[0]["ordinal"], peer))
+            raise TransportError("SPE_RUN reply lost")
+        return response
+
+    monkeypatch.setattr(cluster.network, "dispatch", drop_first_run_reply)
+    out, report = client.run_job(["lost/local.dat"], "identity",
+                                 output=OutputSpec(mode=OutputMode.LOCAL),
+                                 limits=SegmentLimits(200, 200), job_id="lost-local")
+    (ordinal, writer), = dropped
+    assert report.ok and read_back(client, out) == records
+    retried, = [f for f in report.output_files if f["name"].startswith(
+        sphere.seg_file_name("lost-local", ordinal))]
+    assert retried["target"] != writer
+    left = {(address, name) for address, node in cluster.nodes.items()
+            for name in node.files if name.startswith("lost-local/")} - {
+        (f["target"], f["name"]) for f in report.output_files}
+    orphan = name_owned_by(cluster.ring, sphere.seg_file_name("lost-local", ordinal), writer)
+    assert left == {(writer, orphan)} and orphan not in out.names
+    assert cluster.nodes[writer].lookup(orphan)[0] == [writer]

@@ -212,23 +212,26 @@ def test_a_home_owns_its_buckets_and_sends_no_register(make_cluster, monkeypatch
         assert client.locate(f.name) == [holder]
 
 
-def test_job_caches_the_holders_and_headers_of_its_outputs(make_cluster, monkeypatch):
+@pytest.mark.parametrize("mode", [OutputMode.LOCAL, OutputMode.ORIGIN])
+def test_job_caches_the_holders_and_headers_of_its_outputs(make_cluster, monkeypatch, mode):
     cluster = make_cluster(3)
     client = cluster.client()
     upload_records(client, "in.dat", [bytes([i]) * 8 for i in range(30)])
-    # written back to the input's one holder, who owns each output's name,
-    # so a rerun under the same job id writes the same names
-    origin = OutputSpec(mode=OutputMode.ORIGIN)
-    out, _ = client.run_job(["in.dat"], "identity", output=origin, job_id="pinned")
+    output = OutputSpec(mode=mode)
+    out, _ = client.run_job(["in.dat"], "identity", output=output, job_id="pinned")
     first = {name: client.known[name][1] for name in out.names}
     again = [bytes([i]) * 12 for i in range(45)]
     upload_records(client, "in.dat", again)
-    rerun, _ = client.run_job(["in.dat"], "identity", output=origin, job_id="pinned")
-    assert rerun.names == out.names
+    rerun, _ = client.run_job(["in.dat"], "identity", output=output, job_id="pinned")
+    if mode == OutputMode.ORIGIN:
+        # written back to the input's one holder, who owns each output's
+        # name, so a rerun under the same job id writes the same names; in
+        # LOCAL mode a segment run on another node writes another name
+        assert rerun.names == out.names
     for f in rerun.files:
         holder, = f.locations
         assert client.known[f.name] == ([holder], held_stat(cluster, f.name, holder))
-        assert client.known[f.name][1] != first[f.name]
+        assert client.known[f.name][1] != first.get(f.name)
     sent = count_messages(monkeypatch, cluster)
     assert list(client.iter_records(rerun.names)) == again
     assert set(sent) == {MessageKind.READ}
@@ -676,37 +679,6 @@ def test_reannounce_sends_one_register_per_holder_and_owner(make_cluster, monkey
         client.forget(name)
         assert "node-3" not in client.locate(name)
         assert list(client.iter_records([name])) == [name.encode()] * 2
-
-
-def test_reannounce_registers_at_its_owners_at_once(make_cluster, monkeypatch, tmp_path):
-    """At 1 ms RTT, the REGISTERs a holder sends to two owners after a
-    ring change are in flight together."""
-    from sectorsphere.cluster import NodeSpec
-
-    cluster = make_cluster(3, profile=LinkProfile(default=1.0))
-    node = cluster.nodes["node-0"]
-    joined = cluster.ring.join("node-9")
-    # files node-0 holds whose names node-1 and node-2 own, also once node-9 joins
-    names = [scenarios.name_owned_by(joined, "held/%s.dat" % owner, owner)
-             for owner in ("node-1", "node-2")]
-    for name in names:
-        node.store_file(node.address, name, b"abc", RecordIndex([(0, 3)]), internal=True)
-    barrier = threading.Barrier(2, timeout=5)
-    held = []
-    dispatch = cluster.network.dispatch
-
-    def meeting(local, peer, request):
-        if request.kind == MessageKind.REGISTER and local == node.address:
-            held.append(peer)
-            barrier.wait()  # breaks unless both REGISTERs are in flight together
-        return dispatch(local, peer, request)
-
-    monkeypatch.setattr(cluster.network, "dispatch", meeting)
-    cluster.add_node(NodeSpec(name="node-9", address="node-9",
-                              data_dir=str(tmp_path / "node-9"), acl=frozenset({"client-0"})))
-    assert sorted(held) == ["node-1", "node-2"]
-    for name, owner in zip(names, ("node-1", "node-2")):
-        assert cluster.nodes[owner].lookup(name) == (["node-0"], held_stat(cluster, name, "node-0"))
 
 
 def test_reupload_with_a_new_size_shows_the_new_size(make_cluster):
