@@ -2,7 +2,10 @@
 
 Access follows the four-step protocol: connect to a known entry server,
 resolve replica locations through the server network's routing layer,
-open a (cached) data channel to a holder, then transfer. The entry server
+open a (cached) data channel to a holder, then transfer. Channels to the
+members that a call waits on a network for are connected ahead, all at
+once in the background, when the client learns the ring, so step 3 waits
+at most for the one connect in flight to its own peer. The entry server
 gives only the member list, asked once more when the first call cannot
 reach it: the client builds the ring from it and sends each upload and
 LOOKUP straight to the name's owner. When that owner cannot be reached,
@@ -119,7 +122,8 @@ class ClientSession:
 
     def members(self) -> list[str]:
         """The entry server's member list, asked once more when the first
-        call fails with TransportError; the client's ring is rebuilt from it."""
+        call fails with TransportError; the client's ring is rebuilt from it,
+        and the client starts connecting ahead to its members."""
         def ask():
             return self.transport.open_channel(self.entry_server).call(MessageKind.MEMBERS, {})
         try:
@@ -127,7 +131,30 @@ class ClientSession:
         except TransportError:
             header, _ = ask()
         self._ring = RingView.from_addresses(header["addresses"])
+        self._connect_ahead(header["addresses"])
         return header["addresses"]
+
+    def _connect_ahead(self, addresses) -> None:
+        """Start connecting to each member that a call waits on a network for
+        and that has no channel yet, from one background thread through
+        sphere.overlap, so that the handshakes overlap and a later call waits
+        only for its own peer's connect. A failed connect is dropped: the
+        call that needs the member tries again and raises TransportError."""
+        peers = [a for a in addresses
+                 if self.transport.waits_on(a) and not self.transport.has_channel(a)]
+        if not peers:
+            return
+
+        def connect(peer: str) -> None:
+            try:
+                self.transport.open_channel(peer)
+            except TransportError:
+                pass
+
+        def connect_all() -> None:
+            list(sphere.overlap(self.transport, peers, connect, peers))
+
+        threading.Thread(target=connect_all, name="connect-ahead", daemon=True).start()
 
     def _at_owner(self, name: str, attempt):
         """(owner, attempt(channel to owner)) at the name's owner; when the

@@ -90,10 +90,10 @@ def read_records_over(channel, name: str, offset: int, rows: int,
         header, body = channel.call(MessageKind.READ, {"name": name, "offset": offset,
                                                        "rows": rows, "expect": expect})
         got = header["rows"]
+        entries, records = split_rows(got, body, "READ of %s" % name)
         if not 0 < got <= rows:
             raise IntegrityError("READ of %s replied %d rows, asked for %d"
                                  % (name, got, rows))
-        entries, records = split_rows(got, body, "READ of %s" % name)
         heads.append(entries)
         parts.append(records)
         offset += got
@@ -103,13 +103,13 @@ def read_records_over(channel, name: str, offset: int, rows: int,
 
 
 def split_rows(rows: int, body: bytes, what: str) -> tuple[np.ndarray, memoryview]:
-    """A reply body laid out as `rows` .idx entries, then those records'
-    bytes back to back, as the (rows, 2) entries and the records' bytes.
-    IntegrityError unless the entries' sizes add up to the bytes that
-    follow them."""
+    """A body laid out as `rows` .idx entries, then those records' bytes
+    back to back, as the (rows, 2) entries and the records' bytes.
+    IntegrityError unless `rows` is a non-negative int and the entries'
+    sizes add up to the bytes that follow them."""
+    if type(rows) is not int or rows < 0 or rows * ENTRY_SIZE > len(body):
+        raise IntegrityError("%s sent %r rows in %d bytes" % (what, rows, len(body)))
     head = rows * ENTRY_SIZE
-    if rows < 0 or head > len(body):
-        raise IntegrityError("%s replied %d rows in %d bytes" % (what, rows, len(body)))
     entries = RecordIndex.from_bytes(body[:head]).array
     sizes, room = entries[:, 1], len(body) - head
     if (sizes > room).any() or int(sizes.sum()) != room:

@@ -47,7 +47,7 @@ from .errors import (
     StaleError,
     TransportError,
 )
-from .fileops import TRANSFER_CHUNK, push_file
+from .fileops import TRANSFER_CHUNK, push_file, split_rows
 from .records import ENTRY_SIZE, RecordBatch, RecordIndex, index_path
 from .routing import RingView, name_owned_by
 from .transport import Transport, error_reply, reply
@@ -467,7 +467,8 @@ class StorageNode:
             report, body = self.spe_host.run_segment(origin, header)
             return reply(msg, MessageKind.OK, report, body)
         if kind == MessageKind.SHUFFLE_APPEND:
-            self.shuffle_append(header["job"], header["bucket"], header["sizes"], body,
+            entries, records = split_rows(header["rows"], body, "SHUFFLE_APPEND")
+            self.shuffle_append(header["job"], header["bucket"], entries[:, 1], records,
                                 header["ordinal"], header["attempt"])
             return reply(msg, MessageKind.OK, {})
         if kind == MessageKind.FINALIZE_JOB:

@@ -173,8 +173,10 @@ def scenario_angle_synthetic(workdir, seed: int = 1, nodes: int = 3,
                              per_window: int = 60, shift_window: int = 20,
                              k: int = 3, cluster_seed: int = 99):
     """Plant a cluster relocation in the 21st window (index 20) of an
-    otherwise stable synthetic stream; the pipeline must flag exactly that
-    window and mark the planted cluster emergent."""
+    otherwise stable synthetic stream, or none with shift_window=None; the
+    distributed pipeline must flag the windows that run_pipeline_local flags
+    on the same vectors, the planted window among them, and mark the planted
+    cluster emergent."""
     workdir = Path(workdir)
     vectors, base = angle.synthetic_windows(
         n_windows=n_windows, blobs=blobs, dim=dim, per_window=per_window,
@@ -194,17 +196,20 @@ def scenario_angle_synthetic(workdir, seed: int = 1, nodes: int = 3,
         models, series = angle.run_pipeline_distributed(
             client, names, length=1.0, t0=0.0, k=k, seed=cluster_seed)
         elapsed = time.monotonic() - t
+    _, local = angle.run_pipeline_local(vectors, length=1.0, t0=0.0, k=k, seed=cluster_seed)
     ordered = [models[j] for j in sorted(models)]
     emergent = angle.collect_emergent(ordered, series)
     nearest = min((float(np.linalg.norm(np.array(c.center) - planted))
                    for c in emergent), default=float("inf"))
     metrics = {
         "windows": len(models), "flags": ",".join(str(f) for f in series.flags),
+        "local_flags": ",".join(str(f) for f in local.flags),
         "expected_flag": shift_window, "emergent_clusters": len(emergent),
         "planted_center_distance": nearest, "pipeline_s": elapsed,
-        "drift_at_shift": series.deltas[shift_window - 1],
+        "drift_at_shift": series.deltas[shift_window - 1] if shift_window else None,
     }
-    ok = (series.flags == [shift_window] and len(emergent) >= 1 and nearest < 0.5)
+    ok = (series.flags == local.flags and shift_window in series.flags
+          and len(emergent) >= 1 and nearest < 0.5)
     return metrics, ok
 
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import JobError, NotFoundError, SectorError, TransportError
 from .fileops import first_holder, read_records_over, split_rows
-from .records import RecordBatch, RecordIndex
+from .records import ENTRY_SIZE, RecordBatch, RecordIndex
 from .routing import name_owned_by
 from .scheduler import Scheduler, SpeHandle
 from .wire import MessageKind
@@ -372,15 +372,18 @@ class SpeHost:
                       ordinal: int, attempt: int) -> None:
         """Send each bucket's records, in output order, to its home
         homes[bucket % len(homes)] in batches cut after the record that brings
-        a batch to SHUFFLE_BATCH_BYTES, tagged with the ordinal and attempt.
-        Each home's batches go in order, the homes as overlap decides; a batch
-        that is not taken fails the attempt."""
+        a batch to SHUFFLE_BATCH_BYTES, each record counting its bytes and its
+        ENTRY_SIZE index entry, tagged with the ordinal and attempt. A batch
+        travels in the READ layout: its records' index entries, then their
+        bytes. Each home's batches go in order, the homes as overlap decides;
+        a batch that is not taken fails the attempt."""
         if not len(tagged.batch):
             return
         order = np.argsort(tagged.batch.buckets, kind="stable")
         grouped = tagged.batch.take(order)
         buckets, sizes = grouped.buckets, grouped.sizes
         ends = np.cumsum(sizes, dtype=np.int64)  # end of each record in grouped.data
+        weights = ends + ENTRY_SIZE * np.arange(1, len(ends) + 1)  # ends, entries included
         firsts = np.flatnonzero(np.diff(buckets)) + 1
         body = memoryview(grouped.data)
         sends: dict[str, list[tuple]] = {}
@@ -389,16 +392,18 @@ class SpeHost:
             home = homes[bucket % len(homes)]
             while lo < hi:
                 begin = int(ends[lo - 1]) if lo else 0
-                stop = min(hi, int(np.searchsorted(ends, begin + SHUFFLE_BATCH_BYTES)) + 1)
+                cut = begin + ENTRY_SIZE * lo + SHUFFLE_BATCH_BYTES
+                stop = min(hi, int(np.searchsorted(weights, cut)) + 1)
                 sends.setdefault(home, []).append(
-                    (bucket, sizes[lo:stop].tolist(), body[begin:int(ends[stop - 1])]))
+                    (bucket, stop - lo, RecordIndex.from_sizes(sizes[lo:stop]).to_bytes()
+                     + body[begin:int(ends[stop - 1])]))
                 lo = stop
 
         def send(home: str) -> None:
             channel = self.node.transport.open_channel(home)
-            for bucket, batch_sizes, batch in sends[home]:
+            for bucket, rows, batch in sends[home]:
                 channel.call(MessageKind.SHUFFLE_APPEND,
-                             {"job": job, "bucket": bucket, "sizes": batch_sizes,
+                             {"job": job, "bucket": bucket, "rows": rows,
                               "ordinal": ordinal, "attempt": attempt}, batch)
 
         list(overlap(self.node.transport, sends, send, sends))

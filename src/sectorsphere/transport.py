@@ -7,7 +7,8 @@ round-trip time, which makes multi-node wide-area experiments runnable
 in one process. The TCP backend frames messages over real sockets.
 
 Channels are cached per (local endpoint, peer) and are safe to share
-across threads; responses are matched to callers by request id.
+across threads; one connect to a peer is in flight at a time, and its
+callers share it. Responses are matched to callers by request id.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import queue
 import socket
 import socketserver
 import threading
+from concurrent.futures import Future
 
 from .clock import RealClock
 from .errors import RpcTimeoutError, TransportError, error_from_code
@@ -116,6 +118,7 @@ class Transport:
     def __init__(self, address: str):
         self.address = address
         self._channels: dict[str, Channel] = {}
+        self._connecting: dict[str, Future] = {}  # peer -> its connect in flight
         self._channels_lock = threading.Lock()
 
     def listen(self, handler) -> None:
@@ -129,27 +132,56 @@ class Transport:
         calls saves time."""
         return True
 
+    def has_channel(self, peer: str) -> bool:
+        """Whether peer has an open channel or a connect in flight."""
+        with self._channels_lock:
+            cached = self._channels.get(peer)
+            return peer in self._connecting or (cached is not None and cached.is_open)
+
     def open_channel(self, peer: str) -> Channel:
+        """The cached open channel to peer, else a new one. One connect to a
+        peer is in flight at a time: a caller whose peer is being connected
+        waits for that connect, and shares its channel or its error. A failed
+        connect is not remembered, so the next call tries again. A connect
+        that finishes after close() closes its channel and raises
+        TransportError."""
         if not peer:
             raise TransportError("empty peer address")
         with self._channels_lock:
             cached = self._channels.get(peer)
-        if cached is not None and cached.is_open:
-            return cached
+            if cached is not None and cached.is_open:
+                return cached
+            pending = self._connecting.get(peer)
+            leader = pending is None
+            if leader:
+                pending = self._connecting[peer] = Future()
+        if not leader:
+            return pending.result()
         # connect outside the lock, so that connecting to one peer does not
-        # hold up the channels to others; the first channel made is kept
-        channel = self._connect(peer)
-        with self._channels_lock:
-            cached = self._channels.get(peer)
-            if cached is None or not cached.is_open:
-                self._channels[peer] = cached = channel
-        if cached is not channel:
-            channel.close()
-        return cached
+        # hold up the channels to others
+        try:
+            channel = self._connect(peer)
+            with self._channels_lock:
+                kept = self._connecting.get(peer) is pending  # else close() came first
+                if kept:
+                    self._channels[peer] = channel
+            if not kept:
+                channel.close()
+                raise TransportError("%s closed while connecting to %s" % (self.address, peer))
+            pending.set_result(channel)
+            return channel
+        except BaseException as exc:
+            pending.set_exception(exc)
+            raise
+        finally:
+            with self._channels_lock:
+                if self._connecting.get(peer) is pending:
+                    del self._connecting[peer]
 
     def close(self) -> None:
         with self._channels_lock:
             channels, self._channels = list(self._channels.values()), {}
+            self._connecting = {}
         for channel in channels:
             channel.close()
 

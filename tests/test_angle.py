@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sectorsphere import scenarios
 from sectorsphere.angle import (
     ClusterModel,
     EmergentCluster,
@@ -377,3 +378,17 @@ def test_pinned_job_ids_register_the_same_file_names(make_cluster, tmp_path):
     assert registered[0] == registered[1]
     # the clustering job returns its models to the client and stores nothing
     assert {name.split("/")[0] for name in registered[0]} == {"ang", "pinned"}
+
+
+def test_angle_scenario_accepts_the_local_pipelines_extra_flags(tmp_path):
+    # the 10-window 3-sigma rule flags windows 23 and 36 as well on this stream
+    metrics, ok = scenarios.scenario_angle_synthetic(tmp_path, n_windows=60, per_window=500,
+                                                      shift_window=40)
+    flags = [int(f) for f in metrics["flags"].split(",")]
+    assert ok and 40 in flags and len(flags) > 1
+    assert metrics["flags"] == metrics["local_flags"]
+
+
+def test_angle_scenario_refuses_a_stream_with_no_shift(tmp_path):
+    metrics, ok = scenarios.scenario_angle_synthetic(tmp_path, shift_window=None)
+    assert not ok and metrics["flags"] == metrics["local_flags"]

@@ -43,6 +43,9 @@ def test_reply_body_is_decoded_and_capped_reads_continue():
     ({"rows": 1}, RecordIndex([(0, 2**63)]).to_bytes() + b"abc"),        # absurd size
     ({"rows": 0}, b""),                                                  # no progress
     ({"rows": 3}, RecordIndex([(0, 1)] * 3).to_bytes() + b"abc"),        # more than asked
+    ({"rows": 1.0}, RecordIndex([(0, 3)]).to_bytes() + b"abc"),          # a float
+    ({"rows": True}, RecordIndex([(0, 3)]).to_bytes() + b"abc"),         # a bool
+    ({"rows": "1"}, RecordIndex([(0, 3)]).to_bytes() + b"abc"),          # a string
 ])
 def test_malformed_read_reply_raises_integrity_error(header, body):
     with pytest.raises(IntegrityError):

@@ -36,11 +36,13 @@ def count_messages(monkeypatch, cluster, sender=None) -> collections.Counter:
 
 
 def count_threads(monkeypatch) -> list:
-    """Record every thread started from now on."""
+    """Record every thread started from now on, each with the thread that
+    started it as `started_by`."""
     started = []
     start = threading.Thread.start
 
     def recorded(thread):
+        thread.started_by = threading.current_thread()
         started.append(thread)
         start(thread)
 
@@ -509,7 +511,12 @@ def test_first_reads_of_names_not_looked_up_overlap(make_cluster, monkeypatch):
     sent = count_messages(monkeypatch, cluster)
     assert [list(batch) for batch in reader.iter_batches(names)] == files
     assert sorted(name for _, name in held) == names  # every LOOKUP met the others in flight
-    assert len(started) == len(names)
+    # the ring's first MEMBERS reply starts one connect-ahead thread, whose
+    # lanes connect to the members other than the entry; the rest are the reads'
+    ahead = [thread for thread in started if thread.name == "connect-ahead"]
+    connects = [thread for thread in started if thread.started_by in ahead]
+    assert len(ahead) == 1 and 1 <= len(connects) <= len(cluster.nodes) - 1
+    assert len(started) - len(ahead) - len(connects) == len(names)
     assert sent == {MessageKind.MEMBERS: 1, MessageKind.LOOKUP: len(names),
                     MessageKind.READ: len(names)}
 
@@ -527,6 +534,51 @@ def test_stream_names_over_zero_latency_links_are_looked_up_in_no_thread(make_cl
     assert [f.records for f in stream.files] == list(range(1, len(names) + 1))
     assert started == []
     assert sent == {MessageKind.LOOKUP: len(names)}
+
+
+@pytest.mark.parametrize("rtt_ms", [0.0, 1.0])
+def test_a_fresh_clients_connects_to_the_members_overlap(make_cluster, monkeypatch, rtt_ms):
+    cluster = make_cluster(4, profile=LinkProfile(default=rtt_ms))
+    client = cluster.client()
+    entry = client.entry_server
+    others = sorted(set(cluster.nodes) - {entry})
+    names = [scenarios.name_owned_by(cluster.ring, "ahead/%d.dat" % i, address)
+             for i, address in enumerate(others)]
+    barrier = threading.Barrier(len(others), timeout=5)
+    held = []
+    connect = cluster.network.connect
+
+    def meeting(local, peer):
+        if local == client.address and peer != entry:
+            held.append(peer)
+            if rtt_ms:
+                barrier.wait()
+        connect(local, peer)
+
+    monkeypatch.setattr(cluster.network, "connect", meeting)
+    started = count_threads(monkeypatch)
+    sent = count_messages(monkeypatch, cluster)
+    for name in names:  # one upload after another, each to its owner
+        upload_records(client, name, [b"r"])
+    # each member's connect met the others in flight, and no message was added
+    assert sorted(held) == others
+    assert sent == {MessageKind.MEMBERS: 1, MessageKind.STORE_DATA: len(names)}
+    if not rtt_ms:  # every connect in the caller's thread
+        assert started == []
+
+
+def test_a_dead_member_fails_only_the_calls_that_need_it(make_cluster):
+    cluster = make_cluster(3, profile=LinkProfile(default=1.0))
+    client = cluster.client()
+    dead = next(a for a in sorted(cluster.nodes) if a != client.entry_server)
+    cluster.network.unlisten(dead)  # still on the ring, but refuses connects
+    assert sorted(client.members()) == sorted(cluster.nodes)
+    alive = next(a for a in sorted(cluster.nodes) if a not in (dead, client.entry_server))
+    upload_records(client, scenarios.name_owned_by(cluster.ring, "alive.dat", alive), [b"r"])
+    with pytest.raises(TransportError):
+        upload_records(client, scenarios.name_owned_by(cluster.ring, "dead.dat", dead), [b"r"])
+    with pytest.raises(TransportError):
+        client.transport.open_channel(dead)
 
 
 @pytest.mark.parametrize("waits", [False, True], ids=["no-wait", "wait"])
@@ -742,6 +794,33 @@ def test_iter_records_again_sends_no_lookup(make_cluster, monkeypatch):
     sent = count_messages(monkeypatch, cluster)
     assert list(client.iter_records(["twice.dat"], batch_rows=2)) == [b"one", b"two", b"three"]
     assert sent == {MessageKind.READ: 2}
+
+
+@pytest.mark.parametrize("rows", [1.0, True, "1"], ids=["float", "bool", "string"])
+def test_a_row_count_that_is_not_an_int_is_refused(make_cluster, monkeypatch, rows):
+    from sectorsphere.transport import reply
+
+    cluster = make_cluster(2)
+    client = cluster.client()
+    home = client.transport.open_channel("node-0")
+    with pytest.raises(IntegrityError):
+        home.call(MessageKind.SHUFFLE_APPEND, {"job": "j", "bucket": 0, "rows": rows,
+                                               "ordinal": 0, "attempt": 1},
+                  RecordIndex.from_sizes([3]).to_bytes() + b"abc")
+    assert cluster.nodes["node-0"].finalize_job("j", [1]) == []
+    upload_records(client, "rows.dat", [b"abc"])
+    dispatch = cluster.network.dispatch
+
+    def bad_rows(local, peer, request):
+        response = dispatch(local, peer, request)
+        if request.kind == MessageKind.READ:
+            header, body = unpack_payload(response.payload)
+            response = reply(request, response.kind, {**header, "rows": rows}, body)
+        return response
+
+    monkeypatch.setattr(cluster.network, "dispatch", bad_rows)
+    with pytest.raises(IntegrityError):
+        list(client.iter_batches(["rows.dat"]))
 
 
 def test_holder_refuses_reads_and_fetches_for_another_version(make_cluster):

@@ -506,12 +506,12 @@ def test_shuffle_without_bucket_ids_or_bucket_function_fails(make_cluster):
 def test_shuffle_batches_cut_after_the_record_that_fills_them(make_cluster, monkeypatch):
     from sectorsphere.node import StorageNode
 
-    monkeypatch.setattr(sphere, "SHUFFLE_BATCH_BYTES", 40)
+    monkeypatch.setattr(sphere, "SHUFFLE_BATCH_BYTES", 80)
     sent = collections.defaultdict(list)
     append = StorageNode.shuffle_append
 
     def recording(node, job, bucket, sizes, body, ordinal, attempt):
-        sent[bucket].append(list(sizes))
+        sent[bucket].append([int(size) for size in sizes])
         return append(node, job, bucket, sizes, body, ordinal, attempt)
 
     monkeypatch.setattr(StorageNode, "shuffle_append", recording)
@@ -529,12 +529,40 @@ def test_shuffle_batches_cut_after_the_record_that_fills_them(make_cluster, monk
         expected, batch, size = [], [], 0
         for record in (r for r in records if r[0] % 2 == bucket):
             batch.append(len(record))
-            size += len(record)
-            if size >= 40:
+            size += len(record) + ENTRY_SIZE  # a record's index entry counts too
+            if size >= 80:
                 expected.append(batch)
                 batch, size = [], 0
         expected += [batch] if batch else []
         assert sent[bucket] == expected
+
+
+def test_a_shuffle_of_empty_records_is_cut_by_their_index_entries(make_cluster,
+                                                                   monkeypatch):
+    from sectorsphere.wire import MessageKind, unpack_payload
+
+    monkeypatch.setattr(sphere, "SHUFFLE_BATCH_BYTES", 10 * ENTRY_SIZE)
+    cluster = make_cluster(2)
+    client = cluster.client()
+    upload_records(client, "empty.dat", [b""] * 95)
+    bodies = []
+    dispatch = cluster.network.dispatch
+
+    def recording(local, peer, request):
+        if request.kind == MessageKind.SHUFFLE_APPEND:
+            bodies.append(unpack_payload(request.payload))
+        return dispatch(local, peer, request)
+
+    monkeypatch.setattr(cluster.network, "dispatch", recording)
+    sphere.register_bucket("test-zero", lambda record, params: 0)
+    out, report = client.run_job(["empty.dat"], "identity",
+                                 output=OutputSpec(mode=OutputMode.SHUFFLE, bucket="test-zero",
+                                                   destinations=tuple(sorted(cluster.nodes))),
+                                 limits=sphere.WHOLE_FILE_LIMITS)
+    assert report.ok and [(f.records, f.size) for f in out.files] == [(95, 0)]
+    # each batch stops at the record whose entry brings it to the cap
+    assert [header["rows"] for header, _ in bodies] == [10] * 9 + [5]
+    assert all(len(body) == ENTRY_SIZE * header["rows"] for header, body in bodies)
 
 
 @pytest.mark.parametrize("rtt_ms", [0.0, 2.0])

@@ -1,5 +1,9 @@
+import random
 import socket
+import sys
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -69,6 +73,127 @@ def test_channel_cache_reuses_open_channel(monkeypatch):
     for _ in range(10):
         first.rpc(Message(kind=MessageKind.PING, request_id=1))
     assert connects == [("cli", "srv")]
+
+
+def open_at_once(transport, peer, callers=8) -> list:
+    """open_channel(peer) from `callers` threads released together; each
+    result is a channel or the exception raised."""
+    barrier = threading.Barrier(callers, timeout=5)
+
+    def open_one(_):
+        barrier.wait()
+        try:
+            return transport.open_channel(peer)
+        except TransportError as exc:
+            return exc
+
+    with ThreadPoolExecutor(callers) as pool:
+        return list(pool.map(open_one, range(callers), timeout=30))
+
+
+def test_threads_opening_one_new_peer_share_one_connect(monkeypatch):
+    network, _, client = make_pair()
+    connects = []
+    connect = network.connect
+
+    def slow(local, peer):
+        connects.append(peer)
+        time.sleep(0.2)  # the other callers ask for the peer meanwhile
+        connect(local, peer)
+
+    monkeypatch.setattr(network, "connect", slow)
+    channels = open_at_once(client, "srv")
+    assert connects == ["srv"]
+    assert all(channel is channels[0] for channel in channels)
+    assert client.open_channel("srv") is channels[0]
+
+
+def test_racing_callers_make_one_connect_per_peer(monkeypatch):
+    network = InMemoryNetwork()
+    peers = ["p%d" % i for i in range(4)]
+    for peer in peers:
+        network.endpoint(peer).listen(echo_handler)
+    client = network.endpoint("cli")
+    connects = []
+    connect = network.connect
+
+    def counted(local, peer):
+        connects.append(peer)
+        time.sleep(0.001)
+        connect(local, peer)
+
+    monkeypatch.setattr(network, "connect", counted)
+
+    def open_all(seed):
+        order = random.Random(seed).sample(peers, len(peers))
+        return {peer: client.open_channel(peer) for peer in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(16) as pool:
+            opened = list(pool.map(open_all, range(64), timeout=30))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(connects) == peers
+    for peer in peers:
+        assert len({id(channels[peer]) for channels in opened}) == 1
+
+
+def test_a_failed_connect_fails_its_waiters_and_is_not_remembered(monkeypatch):
+    network = InMemoryNetwork()
+    client = network.endpoint("cli")
+    connects = []
+    connect = network.connect
+
+    def slow(local, peer):
+        connects.append(peer)
+        time.sleep(0.2)
+        connect(local, peer)
+
+    monkeypatch.setattr(network, "connect", slow)
+    results = open_at_once(client, "late")
+    assert connects == ["late"]
+    assert all(isinstance(result, TransportError) for result in results)
+    network.endpoint("late").listen(echo_handler)  # the next call tries again
+    header, _ = client.open_channel("late").call(MessageKind.PING, {})
+    assert header["echo"] and connects == ["late", "late"]
+
+
+def hold_connects(monkeypatch, transport):
+    """Make transport's connects wait, each after its channel is made, until
+    the returned release event is set; returns (made channels, entered
+    event, release event)."""
+    made, entered, release = [], threading.Event(), threading.Event()
+    connect = transport._connect
+
+    def held(peer):
+        channel = connect(peer)
+        made.append(channel)
+        entered.set()
+        release.wait(5)
+        return channel
+
+    monkeypatch.setattr(transport, "_connect", held)
+    return made, entered, release
+
+
+def close_during_connect(transport, peer, entered, release):
+    with ThreadPoolExecutor(1) as pool:
+        opening = pool.submit(transport.open_channel, peer)
+        assert entered.wait(5)
+        transport.close()
+        release.set()
+        with pytest.raises(TransportError):
+            opening.result(5)
+
+
+def test_a_connect_that_finishes_after_close_is_closed_and_not_cached(monkeypatch):
+    _, _, client = make_pair()
+    made, entered, release = hold_connects(monkeypatch, client)
+    close_during_connect(client, "srv", entered, release)
+    assert not made[0].is_open and not client.has_channel("srv")
+    assert client.open_channel("srv") is made[1]  # a new connect
 
 
 def test_loopback_channel_has_zero_rtt():
@@ -202,3 +327,37 @@ def test_tcp_rpc_timeout_when_server_never_replies():
         for conn in accepted:
             conn.close()
         listener.close()
+
+
+def test_tcp_threads_opening_one_new_peer_share_one_connect(tcp_server, monkeypatch):
+    address, _ = tcp_server
+    client = TcpTransport("127.0.0.1:0")
+    connects = []
+    connect = client._connect
+
+    def slow(peer):
+        connects.append(peer)
+        time.sleep(0.2)
+        return connect(peer)
+
+    monkeypatch.setattr(client, "_connect", slow)
+    try:
+        channels = open_at_once(client, address)
+        assert connects == [address]
+        assert all(channel is channels[0] for channel in channels)
+        header, _ = channels[0].call(MessageKind.PING, {})
+        assert header["echo"]
+    finally:
+        client.close()
+
+
+def test_tcp_connect_that_finishes_after_close_leaves_no_open_socket(tcp_server, monkeypatch):
+    address, _ = tcp_server
+    client = TcpTransport("127.0.0.1:0")
+    made, entered, release = hold_connects(monkeypatch, client)
+    try:
+        close_during_connect(client, address, entered, release)
+        assert not made[0].is_open and made[0]._sock.fileno() == -1
+        assert not client.has_channel(address)
+    finally:
+        client.close()
