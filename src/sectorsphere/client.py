@@ -2,10 +2,11 @@
 
 Access follows the four-step protocol: connect to a known entry server,
 resolve replica locations through the server network's routing layer,
-open a (cached) data channel to a holder, then transfer. Channels to the
-members that a call waits on a network for are connected ahead, all at
-once in the background, when the client learns the ring, so step 3 waits
-at most for the one connect in flight to its own peer. The entry server
+open a (cached) data channel to a holder, then transfer. Over in-memory
+links that wait, channels to the members are connected ahead, up to
+sphere.LANES at once in the background, when the client learns the ring,
+so step 3 waits at most for the one connect in flight to its own peer;
+over TCP each channel is connected at its first call. The entry server
 gives only the member list, asked once more when the first call cannot
 reach it: the client builds the ring from it and sends each upload and
 LOOKUP straight to the name's owner. When that owner cannot be reached,
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import logging
 import threading
+from collections import deque
 from pathlib import Path
 
 from . import sphere
@@ -54,6 +56,8 @@ class ClientSession:
         self.progress_events: list[dict] = []
         self._ring: RingView | None = None  # built from the last members() reply
         self._lock = threading.Lock()
+        self._ahead: list[threading.Thread] = []  # connect-ahead lanes started
+        self._closed = False
         self._listening = listen
         if listen:
             transport.listen(self._handle_message)
@@ -68,6 +72,15 @@ class ClientSession:
         return self.transport.address if self._listening else None
 
     def close(self) -> None:
+        """Close the transport once no connect-ahead lane can cache a channel
+        on it: a lane stops at its next peer, and a channel that a lane
+        connected after the first close goes with the second."""
+        with self._lock:
+            self._closed = True
+            ahead, self._ahead = self._ahead, []
+        self.transport.close()
+        for lane in ahead:
+            lane.join()
         self.transport.close()
 
     def _handle_message(self, origin: str, msg: Message) -> Message:
@@ -123,7 +136,8 @@ class ClientSession:
     def members(self) -> list[str]:
         """The entry server's member list, asked once more when the first
         call fails with TransportError; the client's ring is rebuilt from it,
-        and the client starts connecting ahead to its members."""
+        and the client starts connecting ahead to its members over in-memory
+        links that wait (see _connect_ahead)."""
         def ask():
             return self.transport.open_channel(self.entry_server).call(MessageKind.MEMBERS, {})
         try:
@@ -135,26 +149,33 @@ class ClientSession:
         return header["addresses"]
 
     def _connect_ahead(self, addresses) -> None:
-        """Start connecting to each member that a call waits on a network for
-        and that has no channel yet, from one background thread through
-        sphere.overlap, so that the handshakes overlap and a later call waits
-        only for its own peer's connect. A failed connect is dropped: the
-        call that needs the member tries again and raises TransportError."""
-        peers = [a for a in addresses
-                 if self.transport.waits_on(a) and not self.transport.has_channel(a)]
-        if not peers:
-            return
+        """Start connecting to each member that Transport.connect_ahead_pays
+        for and that has no channel yet, from up to sphere.LANES daemon
+        threads, so that the handshakes overlap and a later call waits only
+        for its own peer's connect. A failed connect is dropped: the call
+        that needs the member tries again and raises TransportError."""
+        peers = deque(a for a in addresses if self.transport.connect_ahead_pays(a)
+                      and not self.transport.has_channel(a))
 
-        def connect(peer: str) -> None:
-            try:
-                self.transport.open_channel(peer)
-            except TransportError:
-                pass
+        def lane() -> None:
+            while not self._closed:
+                try:
+                    peer = peers.popleft()
+                except IndexError:
+                    return
+                try:
+                    self.transport.open_channel(peer)
+                except TransportError:
+                    pass
 
-        def connect_all() -> None:
-            list(sphere.overlap(self.transport, peers, connect, peers))
-
-        threading.Thread(target=connect_all, name="connect-ahead", daemon=True).start()
+        with self._lock:
+            if self._closed:
+                return
+            self._ahead = [t for t in self._ahead if t.is_alive()]
+            for _ in range(min(sphere.LANES, len(peers))):
+                thread = threading.Thread(target=lane, name="connect-ahead", daemon=True)
+                thread.start()
+                self._ahead.append(thread)
 
     def _at_owner(self, name: str, attempt):
         """(owner, attempt(channel to owner)) at the name's owner; when the

@@ -373,15 +373,10 @@ class StorageNode:
         channel = self.transport.open_channel(target)
         return push_file(channel, name, data, index.to_bytes(), internal=True)
 
-    def shuffle_append(self, job: str, bucket: int, sizes: list[int], body: bytes,
+    def shuffle_append(self, job: str, bucket: int, sizes, body: bytes,
                        ordinal: int, attempt: int) -> None:
-        try:
-            sizes = np.array(sizes, dtype=np.int64).reshape(-1)
-        except (OverflowError, TypeError, ValueError) as exc:
-            raise IntegrityError("shuffle batch sizes are not record sizes: %s" % exc) from exc
-        if ((sizes < 0) | (sizes > len(body))).any() or int(sizes.sum()) != len(body):
-            raise IntegrityError("shuffle batch sizes add up to %d, the body has %d bytes"
-                                 % (int(sizes.sum()), len(body)))
+        """Append one batch to the bucket's file: `body` is its records back
+        to back, `sizes` their sizes, as split_rows checked them."""
         with self._meta_lock:
             state = self._shuffle.get((job, bucket))
             if state is None:

@@ -132,6 +132,13 @@ class Transport:
         calls saves time."""
         return True
 
+    def connect_ahead_pays(self, peer: str) -> bool:
+        """Whether a client connects to peer before its first call to it.
+        Only over an in-memory link that waits, where ingest was measured to
+        gain; a TCP client connects to a member at its first call, so that a
+        command opens no socket to a member it does not call."""
+        return False
+
     def has_channel(self, peer: str) -> bool:
         """Whether peer has an open channel or a connect in flight."""
         with self._channels_lock:
@@ -278,6 +285,9 @@ class InMemoryTransport(Transport):
 
     def waits_on(self, peer: str) -> bool:
         return self.network.profile.rtt(self.address, peer) > 0
+
+    def connect_ahead_pays(self, peer: str) -> bool:
+        return self.waits_on(peer)
 
     def close(self) -> None:
         self.stop_listening()

@@ -119,6 +119,37 @@ def test_upload_download_locate_over_sockets(tmp_path, tcp_cluster, capsys):
     assert dest.read_bytes() == source.read_bytes()
 
 
+def test_commands_connect_to_no_member_they_do_not_call(tmp_path):
+    from sectorsphere.routing import RingView, name_owned_by
+
+    silent = socket.socket()  # a member that never accepts
+    silent.bind(("127.0.0.1", 0))
+    silent.listen(8)
+    addresses = ["127.0.0.1:%d" % free_port() for _ in range(2)]
+    addresses.append("127.0.0.1:%d" % silent.getsockname()[1])
+    config = ClusterConfig(
+        nodes=[NodeSpec(name="n%d" % i, address=a, data_dir=str(tmp_path / ("n%d" % i)),
+                        acl=frozenset({"127.0.0.1"}))
+               for i, a in enumerate(addresses)],
+        replica_target=1)
+    nodes = [tcp_node(config, "n%d" % i) for i in range(2)]
+    try:
+        name = name_owned_by(RingView.from_addresses(addresses), "files/a.bin", addresses[1])
+        source = tmp_path / "a.bin"
+        source.write_bytes(b"abc")
+        assert cli.main(["upload", "--server", addresses[0], str(source), name]) == 0
+        assert cli.main(["locate", "--server", addresses[0], name]) == 0
+        assert cli.main(["download", "--server", addresses[0], name,
+                         str(tmp_path / "b.bin")]) == 0
+        silent.setblocking(False)
+        with pytest.raises(BlockingIOError):  # no connect is waiting to be accepted
+            silent.accept()
+    finally:
+        for node in nodes:
+            node.stop()
+        silent.close()
+
+
 def test_download_unknown_file_exits_nonzero(tcp_cluster, tmp_path):
     addresses, _ = tcp_cluster
     code = cli.main(["download", "--server", addresses[0],

@@ -391,12 +391,17 @@ def test_concurrent_first_appends_share_one_bucket_file(make_cluster):
 
 
 @pytest.mark.parametrize("sizes, body", [([5], b"0123456789"), ([12], b"0123456789"),
-                                         ([-2, 12], b"0123456789")])
+                                         ([2**64 - 2, 12], b"0123456789")])
 def test_shuffle_batch_whose_sizes_miss_its_body_is_refused(make_cluster, sizes, body):
+    import struct
+
     cluster = make_cluster(3)
     node = cluster.nodes["node-0"]
-    with pytest.raises(IntegrityError):
-        node.shuffle_append("job-y", 0, sizes, body, 0, 1)
+    entries = b"".join(struct.pack("<QQ", 0, size) for size in sizes)
+    with pytest.raises(IntegrityError):  # the last sizes add up to the body mod 2**64
+        cluster.client().transport.open_channel("node-0").call(
+            MessageKind.SHUFFLE_APPEND, {"job": "job-y", "bucket": 0, "rows": len(sizes),
+                                         "ordinal": 0, "attempt": 1}, entries + body)
     assert not (node.data_dir / "job-y").exists() and node.finalize_job("job-y", [1]) == []
     node.shuffle_append("job-y", 0, [3], b"abc", 0, 1)
     files = node.finalize_job("job-y", [1])

@@ -36,13 +36,11 @@ def count_messages(monkeypatch, cluster, sender=None) -> collections.Counter:
 
 
 def count_threads(monkeypatch) -> list:
-    """Record every thread started from now on, each with the thread that
-    started it as `started_by`."""
+    """Record every thread started from now on."""
     started = []
     start = threading.Thread.start
 
     def recorded(thread):
-        thread.started_by = threading.current_thread()
         started.append(thread)
         start(thread)
 
@@ -511,12 +509,11 @@ def test_first_reads_of_names_not_looked_up_overlap(make_cluster, monkeypatch):
     sent = count_messages(monkeypatch, cluster)
     assert [list(batch) for batch in reader.iter_batches(names)] == files
     assert sorted(name for _, name in held) == names  # every LOOKUP met the others in flight
-    # the ring's first MEMBERS reply starts one connect-ahead thread, whose
-    # lanes connect to the members other than the entry; the rest are the reads'
+    # the ring's first MEMBERS reply starts a connect-ahead lane for each
+    # member other than the entry; the rest are the reads'
     ahead = [thread for thread in started if thread.name == "connect-ahead"]
-    connects = [thread for thread in started if thread.started_by in ahead]
-    assert len(ahead) == 1 and 1 <= len(connects) <= len(cluster.nodes) - 1
-    assert len(started) - len(ahead) - len(connects) == len(names)
+    assert len(ahead) == len(cluster.nodes) - 1
+    assert len(started) - len(ahead) == len(names)
     assert sent == {MessageKind.MEMBERS: 1, MessageKind.LOOKUP: len(names),
                     MessageKind.READ: len(names)}
 
@@ -565,6 +562,38 @@ def test_a_fresh_clients_connects_to_the_members_overlap(make_cluster, monkeypat
     assert sent == {MessageKind.MEMBERS: 1, MessageKind.STORE_DATA: len(names)}
     if not rtt_ms:  # every connect in the caller's thread
         assert started == []
+
+
+def test_closing_a_client_stops_its_connect_ahead_lanes(make_cluster, monkeypatch):
+    cluster = make_cluster(sphere.LANES + 3, profile=LinkProfile(default=1.0))
+    client = cluster.client()
+    entered, release = threading.Semaphore(0), threading.Event()
+    connects = []
+    connect = cluster.network.connect
+
+    def held(local, peer):
+        if local == client.address and peer != client.entry_server:
+            connects.append(peer)
+            entered.release()
+            release.wait(5)
+        connect(local, peer)
+
+    monkeypatch.setattr(cluster.network, "connect", held)
+    started = count_threads(monkeypatch)
+    members = client.members()
+    for _ in range(sphere.LANES):  # every lane holds a connect; two members wait
+        assert entered.acquire(timeout=5)
+    closing = threading.Thread(target=client.close)
+    closing.start()
+    while any(client.transport.has_channel(peer) for peer in connects):
+        release.wait(0.001)  # until close() has dropped the connects in flight
+    release.set()
+    closing.join(5)
+    assert not closing.is_alive()
+    # close() returned after its lanes: none cached a channel or went on
+    assert not any(thread.is_alive() for thread in started if thread.name == "connect-ahead")
+    assert len(connects) == sphere.LANES
+    assert not any(client.transport.has_channel(peer) for peer in members)
 
 
 def test_a_dead_member_fails_only_the_calls_that_need_it(make_cluster):
