@@ -115,11 +115,11 @@ def sample_boundaries(session, stream: sphere.Stream, parts: int,
     """Pick parts-1 range boundaries from key quantiles of a sample.
 
     The sample is read as up to three contiguous runs per file (head,
-    middle, tail) totalling about sample_target records. The runs are read
-    through sphere.overlap: up to sphere.LANES at once when a call to one
-    of the files' nearest holders waits on a network, else one after
-    another. Each run is read against the file's header, which
-    resolve_stream has cached.
+    middle, tail) totalling about sample_target records, each file's runs
+    in one READ (see ClientSession.read_runs) against its header, which
+    resolve_stream has cached. The files are read through sphere.overlap:
+    up to sphere.LANES at once when a call to one of their nearest holders
+    waits on a network, else one after another.
     """
     if parts < 1:
         raise ValueError("need at least one partition")
@@ -127,23 +127,25 @@ def sample_boundaries(session, stream: sphere.Stream, parts: int,
     if total == 0 or parts == 1:
         return []
     per_file = max(1, sample_target // max(1, len(stream.files)))
-    runs = []
+    reads = []
     for f in stream.files:
         quota = min(per_file, f.records)
         run = max(1, quota // 3)
-        taken = 0
+        runs, taken = [], 0
         for start in sorted({0, max(0, f.records // 2 - run // 2), max(0, f.records - run)}):
             if taken >= quota:
                 break
             rows = min(run, f.records - start, quota - taken)
-            runs.append((f.name, start, rows))
+            runs.append((start, rows))
             taken += rows
+        if runs:
+            reads.append((f.name, runs))
 
-    def sample(run) -> list[bytes]:
-        return [record[:KEY_SIZE] for record in session.read_records(*run)]
+    def sample(read) -> list[bytes]:
+        return [record[:KEY_SIZE] for record in session.read_runs(*read)]
 
     holders = [f.locations[0] for f in stream.files if f.locations]
-    keys = sorted(key for sampled in sphere.overlap(session.transport, holders, sample, runs)
+    keys = sorted(key for sampled in sphere.overlap(session.transport, holders, sample, reads)
                   for key in sampled)
     boundaries = []
     for i in range(1, parts):

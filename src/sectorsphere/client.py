@@ -17,10 +17,17 @@ the owner. The client also listens on its own address so workers can
 stream progress back to it during jobs.
 
 The client keeps one cache, `known`: each name's holders and STAT
-header (records, size, indexed), from a LOOKUP reply or from the job
-that wrote the file, so reading a job's outputs by name sends no LOOKUP;
-holders confirm the header on every read, which sends it as `expect`. A
-stream's lookups and the first reads of several files go through
+header (records, size, indexed), from a LOOKUP reply, or from the upload
+or the job that wrote the file, with the upload's target or the job's
+writer as the one holder. So reading a file by name, or resolving it
+into a job's stream, sends no LOOKUP once the client has written the
+file; resolve_stream looks up only the names it does not know. Holders
+confirm the header on every read, a job's segment reads included, which
+send it as `expect`. A name this client wrote lists only its writer
+until a read there fails or the name is forgotten, so replicas made
+since the write are not read before then.
+
+A stream's lookups and the first reads of several files go through
 sphere.overlap: up to sphere.LANES at once when a call to one of their
 owners or holders waits on a network, else one after another in the
 caller's thread.
@@ -36,7 +43,7 @@ from pathlib import Path
 from . import sphere
 from .errors import NotFoundError, TransportError
 from .fileops import fetch_file, first_holder, push_file, read_records_over
-from .records import INDEX_SUFFIX, RecordIndex
+from .records import INDEX_SUFFIX, RecordBatch, RecordIndex
 from .routing import RingView
 from .transport import Transport, error_reply, reply
 from .wire import Message, MessageKind, unpack_payload
@@ -72,16 +79,14 @@ class ClientSession:
         return self.transport.address if self._listening else None
 
     def close(self) -> None:
-        """Close the transport once no connect-ahead lane can cache a channel
-        on it: a lane stops at its next peer, and a channel that a lane
-        connected after the first close goes with the second."""
+        """Close the transport, which then opens no channel, and wait for
+        the connect-ahead lanes: each stops at its next peer."""
         with self._lock:
             self._closed = True
             ahead, self._ahead = self._ahead, []
         self.transport.close()
         for lane in ahead:
             lane.join()
-        self.transport.close()
 
     def _handle_message(self, origin: str, msg: Message) -> Message:
         if msg.kind == MessageKind.PROGRESS:
@@ -208,9 +213,9 @@ class ClientSession:
         if index is not None:
             index.validate(len(data))
         index_bytes = index.to_bytes() if index is not None else None
-        target, _ = self._at_owner(
+        target, stat = self._at_owner(
             name, lambda channel: push_file(channel, name, data, index_bytes))
-        self.forget(name)
+        self.remember(name, [target], stat)
         return [target]
 
     def download(self, name: str, destination) -> int:
@@ -240,9 +245,15 @@ class ClientSession:
     def read_records(self, name: str, offset: int, rows: int) -> list[bytes]:
         """Records [offset, offset + rows) from the nearest holder that
         serves the file's header (see _against_header)."""
-        _, (records, _) = self._against_header(name, lambda channel, stat: read_records_over(
-            channel, name, offset, rows, stat))
-        return list(records)
+        return list(self.read_runs(name, [(offset, rows)]))
+
+    def read_runs(self, name: str, runs) -> RecordBatch:
+        """The records of runs [(offset, rows), ...] of the file, in run
+        order, as one batch from the nearest holder that serves the file's
+        header (see _against_header): one READ unless the reply is cut."""
+        _, (batch, _) = self._against_header(name, lambda channel, stat: read_records_over(
+            channel, name, runs, stat))
+        return batch
 
     def iter_records(self, names, batch_rows: int = 65536):
         """Iterate records of the named files in order, batching reads."""
@@ -259,7 +270,7 @@ class ClientSession:
         first, so no file is read at two versions."""
         def first_batch(name: str):
             return self._against_header(name, lambda channel, stat: read_records_over(
-                channel, name, 0, min(batch_rows, stat["records"]), stat))
+                channel, name, [(0, min(batch_rows, stat["records"]))], stat))
 
         names = list(names)
         with self._lock:
@@ -272,19 +283,29 @@ class ClientSession:
             while offset < stat["records"]:
                 rows = min(batch_rows, stat["records"] - offset)
                 _, (batch, _) = first_holder(self.transport, self.locate(name), lambda channel:
-                                             read_records_over(channel, name, offset, rows, stat))
+                                             read_records_over(channel, name, [(offset, rows)],
+                                                               stat))
                 yield batch
                 offset += rows
 
-    def _against_header(self, name: str, attempt) -> tuple[dict, object]:
-        """(header, attempt(channel, header)) at the nearest holder that
-        serves the file's cached header, else at the nearest holder of a
-        fresh LOOKUP's header. The holders confirm a header only through
-        requests that carry it, so a cached header of a file with no bytes
-        or no records, which may be answered without one, is not used."""
+    def _cached(self, name: str) -> tuple[list[str], dict] | None:
+        """The name's cached holders and header, if reads may be made
+        against them. The holders confirm a header only through requests
+        that carry it, so a cached header of a file with no bytes or no
+        records, which may be answered without one, is not used."""
         with self._lock:
             locations, stat = self.known.get(name, ((), None))
         if locations and stat is not None and stat["size"] and stat["records"]:
+            return list(locations), stat
+        return None
+
+    def _against_header(self, name: str, attempt) -> tuple[dict, object]:
+        """(header, attempt(channel, header)) at the nearest holder that
+        serves the file's cached header (see _cached), else at the nearest
+        holder of a fresh LOOKUP's header."""
+        cached = self._cached(name)
+        if cached is not None:
+            locations, stat = cached
             try:
                 return stat, first_holder(self.transport, locations,
                                           lambda channel: attempt(channel, stat))[1]
@@ -297,17 +318,19 @@ class ClientSession:
     # ------------------------------------------------------------------ jobs
 
     def resolve_stream(self, names) -> sphere.Stream:
-        """Build a job input stream from stored file names, each looked up
-        at its owner through sphere.overlap: up to sphere.LANES LOOKUPs at
-        once when a call to one of the owners waits on a network, else one
-        after another in the caller's thread."""
+        """Build a job input stream from stored file names, with the holders
+        and header of each that the client has cached (see _cached). The
+        others are looked up at their owners through sphere.overlap: up to
+        sphere.LANES LOOKUPs at once when a call to one of the owners waits
+        on a network, else one after another in the caller's thread. The
+        job's reads confirm each cached header (see sphere.run_job)."""
         names = list(names)
-        owners = {self.owner_of(name) for name in names}
-        found = sphere.overlap(self.transport, owners, self._lookup, names)
+        found = {name: self._cached(name) for name in names}
+        missing = [name for name, cached in found.items() if cached is None]
+        owners = {self.owner_of(name) for name in missing}
+        found.update(zip(missing, sphere.overlap(self.transport, owners, self._lookup, missing)))
         return sphere.Stream(files=tuple(
-            sphere.StreamFile(name=name, records=info["records"], size=info["size"],
-                              locations=tuple(locations))
-            for name, (locations, info) in zip(names, found)))
+            sphere.StreamFile.of(name, *found[name]) for name in names))
 
     def run_job(self, stream, operator_name: str, params: bytes = b"",
                 output: sphere.OutputSpec = sphere.OutputSpec(),

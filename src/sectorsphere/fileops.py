@@ -7,14 +7,18 @@ file that fits one chunk is stored by a single message; the reply to the
 piece that completes the stream is the stored file's STAT header. Files
 are fetched back in bounded ranges, so arbitrarily large files fit under
 the frame payload cap. Both the pieces and the ranges are TRANSFER_CHUNK
-bytes, as the module has it when the transfer starts.
+bytes, as the module has it when the transfer starts. A READ names runs
+of a file's records, [[offset, rows], ...], and its reply holds them in
+run order, cut before the record that takes the records and their
+ENTRY_SIZE index entries past TRANSFER_CHUNK bytes, as the node module
+has it; the reader asks for the rest in the next READ.
 
 A fetch or read made against a STAT header (records, size, indexed)
-that the caller got from a LOOKUP reply or the job that wrote the file
-carries the header itself as `expect`; a holder whose header differs
-raises StaleError instead of serving bytes of another version. Callers
-that may use any of a file's holders try them in order through
-first_holder.
+that the caller got from a LOOKUP reply, or from the store or the job
+that wrote the file, carries the header itself as `expect`; a holder
+whose header differs raises StaleError instead of serving bytes of
+another version. Callers that may use any of a file's holders try them
+in order through first_holder.
 """
 
 from __future__ import annotations
@@ -78,28 +82,42 @@ def _fetch_range(channel, kind, name: str, total: int, expect: dict) -> bytes:
     return b"".join(parts)
 
 
-def read_records_over(channel, name: str, offset: int, rows: int,
+def read_records_over(channel, name: str, runs,
                       expect: dict | None = None) -> tuple[RecordBatch, RecordIndex]:
-    """Read a run of records from the peer, following server-side byte caps.
-    Returns the records as one batch, and their index entries in the file.
-    With `expect`, the file's STAT header, the peer serves only the
-    version it describes."""
+    """Read runs of records, [(offset, rows), ...], from the peer: all in
+    one READ, unless the peer cuts its reply at TRANSFER_CHUNK bytes, when
+    the rest are asked for in the next. Returns the runs' records in run
+    order as one batch, and their index entries in the file. With
+    `expect`, the file's STAT header, the peer serves only the version it
+    describes."""
+    runs = [[offset, rows] for offset, rows in runs if rows]
     parts: list = []
     heads: list[np.ndarray] = []
-    while rows > 0:
-        header, body = channel.call(MessageKind.READ, {"name": name, "offset": offset,
-                                                       "rows": rows, "expect": expect})
+    while runs:
+        header, body = channel.call(MessageKind.READ, {"name": name, "runs": runs,
+                                                       "expect": expect})
         got = header["rows"]
         entries, records = split_rows(got, body, "READ of %s" % name)
-        if not 0 < got <= rows:
+        asked = sum(rows for _, rows in runs)
+        if not 0 < got <= asked:
             raise IntegrityError("READ of %s replied %d rows, asked for %d"
-                                 % (name, got, rows))
+                                 % (name, got, asked))
         heads.append(entries)
         parts.append(records)
-        offset += got
-        rows -= got
+        runs = _rest_of_runs(runs, got)
     index = RecordIndex(np.concatenate(heads) if heads else ())
     return RecordBatch(b"".join(parts), RecordIndex.from_sizes(index.array[:, 1])), index
+
+
+def _rest_of_runs(runs, done: int) -> list[list[int]]:
+    """The runs left once their first `done` rows are read."""
+    rest = []
+    for offset, rows in runs:
+        taken = min(done, rows)
+        done -= taken
+        if taken < rows:
+            rest.append([offset + taken, rows - taken])
+    return rest
 
 
 def split_rows(rows: int, body: bytes, what: str) -> tuple[np.ndarray, memoryview]:

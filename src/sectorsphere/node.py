@@ -94,6 +94,22 @@ class _StoreBuffer:
         return self.data_size + max(self.index_size, 0)
 
 
+def _checked_runs(runs, records: int, name: str) -> list[tuple[int, int]]:
+    """A read's `runs` of the file `name` of `records` records, as (offset,
+    rows) pairs. IntegrityError unless they are a non-empty list of pairs
+    of ints, RangeError unless each run has rows and lies in the file."""
+    if not isinstance(runs, (list, tuple)) or not runs or not all(
+            isinstance(run, (list, tuple)) and len(run) == 2
+            and all(type(n) is int for n in run) for run in runs):
+        raise IntegrityError("a read of %s names the runs %.80r, not (offset, rows) "
+                             "pairs of ints" % (name, runs))
+    for offset, rows in runs:
+        if offset < 0 or rows < 1 or offset + rows > records:
+            raise RangeError("record run [%d, %d) is empty or outside %s's %d records"
+                             % (offset, offset + rows, name, records))
+    return [(offset, rows) for offset, rows in runs]
+
+
 class StorageNode:
     def __init__(self, config: NodeConfig, transport: Transport, ring: RingView):
         self.config = config
@@ -270,49 +286,57 @@ class StorageNode:
 
     # ----------------------------------------------------------------- reads
 
-    def _index_rows(self, name: str, offset: int, rows: int, max_bytes: int | None = None,
-                    expect: dict | None = None) -> tuple[Path, np.ndarray]:
-        """The (n, 2) index entries of local records [offset, offset + rows),
-        cut before the first record past max_bytes but never to zero rows."""
-        meta = self.meta(name, expect)
-        path = self._path_for(name)
-        if not meta.indexed:
-            if offset != 0 or rows != 1:
-                raise RangeError("%s has no index; only (0, 1) reads are valid" % name)
-            return path, RecordIndex([(0, meta.size)]).array
-        if offset < 0 or rows < 0 or offset + rows > meta.records:
-            raise RangeError("record range [%d, %d) outside %s's %d records"
-                             % (offset, offset + rows, name, meta.records))
-        with index_path(path).open("rb") as fh:
-            fh.seek(offset * ENTRY_SIZE)
-            entries = RecordIndex.from_bytes(fh.read(rows * ENTRY_SIZE)).array
-        if len(entries) != rows:
-            raise IntegrityError("the index of %s is truncated" % name)
-        if max_bytes is not None and rows:
-            within = int(np.searchsorted(np.cumsum(entries[:, 1]), max_bytes, side="right"))
-            entries = entries[:max(1, within)]
-        return path, entries
-
-    def read_local(self, name: str, offset: int, rows: int) -> tuple[RecordBatch, RecordIndex]:
-        """Local records [offset, offset + rows) as one batch, and their
-        index entries in the file."""
-        return self._read_rows(name, offset, rows)
-
-    def _read_rows(self, name: str, offset: int, rows: int, max_bytes: int | None = None,
+    def read_local(self, name: str, offset: int, rows: int,
                    expect: dict | None = None) -> tuple[RecordBatch, RecordIndex]:
-        path, entries = self._index_rows(name, offset, rows, max_bytes, expect)
-        if not len(entries):
-            return RecordBatch(), RecordIndex(entries)
-        first = int(entries[0, 0])
-        length = int(entries[-1].sum()) - first
+        """Local records [offset, offset + rows) as one batch, and their
+        index entries in the file; with `expect`, only of the version that
+        STAT header describes (see meta)."""
+        return self._read_runs(name, [(offset, rows)], expect=expect)
+
+    def _read_runs(self, name: str, runs, max_bytes: int | None = None,
+                   expect: dict | None = None) -> tuple[RecordBatch, RecordIndex]:
+        """The local records of `runs`, [(offset, rows), ...], in run order,
+        as one batch, and their index entries in the file. With max_bytes,
+        cut before the first record that takes the records and their
+        ENTRY_SIZE entries past it, but never to zero rows. A file without
+        an index is one record."""
+        meta = self.meta(name, expect)
+        runs = _checked_runs(runs, meta.records, name)
+        path = self._path_for(name)
+        if meta.indexed:
+            with index_path(path).open("rb") as fh:
+                parts = []
+                for offset, rows in runs:
+                    fh.seek(offset * ENTRY_SIZE)
+                    parts.append(fh.read(rows * ENTRY_SIZE))
+            entries = RecordIndex.from_bytes(b"".join(parts)).array
+            if len(entries) != sum(rows for _, rows in runs):
+                raise IntegrityError("the index of %s is truncated" % name)
+        else:
+            entries = RecordIndex([(0, meta.size)]).array
+        if max_bytes is not None:
+            weights = np.cumsum(entries[:, 1] + ENTRY_SIZE)
+            entries = entries[:max(1, int(np.searchsorted(weights, max_bytes, side="right")))]
+        # each run's records are one span of the file, gaps included
+        spans, within, start, base = [], [], 0, 0
         with path.open("rb") as fh:
-            fh.seek(first)
-            span = fh.read(length)
-        if len(span) != length:
-            raise IntegrityError("%s is shorter than its index" % name)
-        within = entries.copy()
-        within[:, 0] -= first
-        return RecordBatch(span, within), RecordIndex(entries)
+            for _, rows in runs:
+                run = entries[start:start + rows]
+                if not len(run):
+                    break
+                start += len(run)
+                first = int(run[0, 0])
+                length = int(run[-1].sum()) - first
+                fh.seek(first)
+                spans.append(fh.read(length))
+                if len(spans[-1]) != length:
+                    raise IntegrityError("%s is shorter than its index" % name)
+                moved = run.copy()
+                moved[:, 0] -= first
+                moved[:, 0] += base
+                within.append(moved)
+                base += length
+        return RecordBatch(b"".join(spans), np.concatenate(within)), RecordIndex(entries)
 
     # ------------------------------------------------------------ replication
 
@@ -506,8 +530,9 @@ class StorageNode:
         return reply(msg, MessageKind.OK, asdict(meta))
 
     def _op_read(self, msg: Message, header: dict) -> Message:
-        """Index entries in the .idx layout, then the records' bytes."""
-        records, index = self._read_rows(header["name"], header["offset"], header["rows"],
+        """Index entries in the .idx layout, then the records' bytes, of the
+        header's runs, cut at TRANSFER_CHUNK bytes (see _read_runs)."""
+        records, index = self._read_runs(header["name"], header["runs"],
                                          max_bytes=TRANSFER_CHUNK, expect=header.get("expect"))
         return reply(msg, MessageKind.OK, {"rows": len(index)},
                      index.to_bytes() + records.pack()[0])

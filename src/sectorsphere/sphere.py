@@ -115,6 +115,18 @@ class StreamFile:
     records: int
     size: int
     locations: tuple[str, ...] = ()
+    indexed: bool = True
+
+    @classmethod
+    def of(cls, name: str, locations, stat: dict) -> "StreamFile":
+        """The file held at `locations` that the STAT header `stat` describes."""
+        return cls(name=name, records=stat["records"], size=stat["size"],
+                   locations=tuple(locations), indexed=stat["indexed"])
+
+    @property
+    def stat(self) -> dict:
+        """The file's STAT header, which the job's reads send as `expect`."""
+        return {"records": self.records, "size": self.size, "indexed": self.indexed}
 
 
 @dataclass(frozen=True)
@@ -265,27 +277,31 @@ class SpeHost:
         started = time.monotonic()
         report, body = self._execute(header["job"], segment, header["operator"],
                                      OutputSpec.from_header(header["output"]),
-                                     header.get("client"), header.get("attempt", 1))
+                                     header.get("client"), header.get("attempt", 1),
+                                     header.get("expect"))
         report["duration"] = time.monotonic() - started
         report["node"] = self.node.address
         report["ordinal"] = segment.ordinal
         return report, body
 
     def _execute(self, job: str, segment: DataSegment, operator_name: str,
-                 output: OutputSpec, client: str | None, attempt: int) -> tuple[dict, bytes]:
+                 output: OutputSpec, client: str | None, attempt: int,
+                 expect: dict | None) -> tuple[dict, bytes]:
         node = self.node
         fn, scope = get_operator(operator_name)
 
-        # step 2: read the segment as one batch, locally if held, else from
-        # the first other holder that answers
+        # step 2: read the segment as one batch of the version that the
+        # file's header `expect` describes, locally if held, else from the
+        # first other holder that serves it
         if node.holds(segment.file):
             source = node.address
-            records, _ = node.read_local(segment.file, segment.offset, segment.rows)
+            records, _ = node.read_local(segment.file, segment.offset, segment.rows,
+                                         expect=expect)
         else:
             source, (records, _) = first_holder(
                 node.transport, [a for a in segment.locations if a != node.address],
-                lambda channel: read_records_over(channel, segment.file,
-                                                  segment.offset, segment.rows))
+                lambda channel: read_records_over(
+                    channel, segment.file, [(segment.offset, segment.rows)], expect))
 
         # step 3: apply the operator into one output batch, acking progress
         acks: list[int] = []
@@ -496,6 +512,11 @@ def run_job(session, stream, operator_name: str, params: bytes = b"",
     each home indexes only the batches of the attempt that completed each
     segment. The homes are finalized through overlap, and a home that
     cannot be finalized fails the job.
+
+    Each segment is read against its file's STAT header in the stream,
+    which a holder of another version refuses with StaleError. A job that
+    raises JobError makes the session forget its inputs, so that a rerun
+    looks them up.
     """
     if not operator_registered(operator_name):
         raise JobError("operator %r is not registered" % operator_name)
@@ -503,6 +524,18 @@ def run_job(session, stream, operator_name: str, params: bytes = b"",
         raise JobError("bucket function %r is not registered" % output.bucket)
     if not isinstance(stream, Stream):
         stream = session.resolve_stream(stream)
+    try:
+        return _run_job(session, stream, operator_name, params, output, limits, job_id,
+                        spe_per_node)
+    except JobError:
+        for name in stream.names:
+            session.forget(name)
+        raise
+
+
+def _run_job(session, stream: Stream, operator_name: str, params: bytes, output: OutputSpec,
+             limits: SegmentLimits, job_id: str | None,
+             spe_per_node: int) -> tuple[Stream, JobReport]:
     job_id = job_id or "job-%s" % uuid.uuid4().hex[:10]
     nodes = session.members()
     if output.mode == OutputMode.SHUFFLE:
@@ -512,6 +545,7 @@ def run_job(session, stream, operator_name: str, params: bytes = b"",
         output = replace(output, destinations=homes)
     spes = [SpeHandle(node=n, slot=slot) for n in nodes for slot in range(spe_per_node)]
     segments = segment_stream(stream, len(spes), limits, params)
+    headers = {f.name: f.stat for f in stream.files}
     report = JobReport(job_id=job_id)
     started = time.monotonic()
 
@@ -530,6 +564,7 @@ def run_job(session, stream, operator_name: str, params: bytes = b"",
                 "file": task.segment.file, "offset": task.segment.offset,
                 "rows": task.segment.rows, "params": task.segment.params.hex(),
                 "locations": list(task.segment.locations),
+                "expect": headers[task.segment.file],
                 "operator": operator_name, "output": output.to_header(),
                 "client": getattr(session, "inbox_address", None),
             }
@@ -604,7 +639,5 @@ def run_job(session, stream, operator_name: str, params: bytes = b"",
                        failed_segments=report.failed)
 
     out_stream = Stream(files=tuple(
-        StreamFile(name=f["name"], records=f["stat"]["records"], size=f["stat"]["size"],
-                   locations=(f["target"],))
-        for f in output_files))
+        StreamFile.of(f["name"], (f["target"],), f["stat"]) for f in output_files))
     return out_stream, report

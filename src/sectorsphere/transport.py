@@ -120,6 +120,7 @@ class Transport:
         self._channels: dict[str, Channel] = {}
         self._connecting: dict[str, Future] = {}  # peer -> its connect in flight
         self._channels_lock = threading.Lock()
+        self._closed = False
 
     def listen(self, handler) -> None:
         raise NotImplementedError
@@ -149,12 +150,15 @@ class Transport:
         """The cached open channel to peer, else a new one. One connect to a
         peer is in flight at a time: a caller whose peer is being connected
         waits for that connect, and shares its channel or its error. A failed
-        connect is not remembered, so the next call tries again. A connect
-        that finishes after close() closes its channel and raises
-        TransportError."""
+        connect is not remembered, so the next call tries again. After
+        close(), the transport opens no channel: a call raises
+        TransportError, and a connect that finishes after close() closes
+        its channel and raises it too."""
         if not peer:
             raise TransportError("empty peer address")
         with self._channels_lock:
+            if self._closed:
+                raise TransportError("%s is closed" % self.address)
             cached = self._channels.get(peer)
             if cached is not None and cached.is_open:
                 return cached
@@ -169,7 +173,7 @@ class Transport:
         try:
             channel = self._connect(peer)
             with self._channels_lock:
-                kept = self._connecting.get(peer) is pending  # else close() came first
+                kept = not self._closed
                 if kept:
                     self._channels[peer] = channel
             if not kept:
@@ -187,6 +191,7 @@ class Transport:
 
     def close(self) -> None:
         with self._channels_lock:
+            self._closed = True
             channels, self._channels = list(self._channels.values()), {}
             self._connecting = {}
         for channel in channels:

@@ -30,10 +30,10 @@ def read_reply(entries, records):
 def test_reply_body_is_decoded_and_capped_reads_continue():
     channel = ReplyChannel(read_reply([(0, 3), (3, 2)], [b"abc", b"de"]),
                            read_reply([(9, 1)], [b"f"]))
-    records, entries = read_records_over(channel, "f.dat", 4, 3)
+    records, entries = read_records_over(channel, "f.dat", [(4, 3)])
     assert list(records) == [b"abc", b"de", b"f"]
     assert entries.array.tolist() == [[0, 3], [3, 2], [9, 1]]
-    assert [r["offset"] for r in channel.requests] == [4, 6]
+    assert [r["runs"] for r in channel.requests] == [[[4, 3]], [[6, 1]]]
 
 
 @pytest.mark.parametrize("header,body", [
@@ -49,7 +49,7 @@ def test_reply_body_is_decoded_and_capped_reads_continue():
 ])
 def test_malformed_read_reply_raises_integrity_error(header, body):
     with pytest.raises(IntegrityError):
-        read_records_over(ReplyChannel((header, body)), "f.dat", 0, 2)
+        read_records_over(ReplyChannel((header, body)), "f.dat", [(0, 2)])
 
 
 class Holders:

@@ -14,15 +14,25 @@ from sectorsphere.sphere import OutputMode, OutputSpec, SegmentLimits
 from sectorsphere.wire import MessageKind, unpack_payload
 
 KINDS = [MessageKind.SPE_RUN, MessageKind.SHUFFLE_APPEND, MessageKind.FINALIZE_JOB,
-         MessageKind.REGISTER, MessageKind.READ, MessageKind.MEMBERS]
-# (job, kind) -> occurrences lost, 1 and 2 unless the job sends fewer after
-# the fault is armed: terasort asks for the members for its destinations and
-# in each of its two jobs, the identity shuffle once in its one job; neither
-# sends a REGISTER, since each output's writer owns its name
-OCCURRENCES = {("terasort", MessageKind.MEMBERS): (1, 2, 3),
-               ("identity-shuffle", MessageKind.MEMBERS): (1,),
-               ("terasort", MessageKind.REGISTER): (),
-               ("identity-shuffle", MessageKind.REGISTER): ()}
+         MessageKind.REGISTER, MessageKind.READ, MessageKind.MEMBERS, MessageKind.LOOKUP]
+# Each job runs from the client that uploaded its input, which has the
+# input's holder and header cached, or from a second client, which looks
+# the input up and asks for the members first.
+RUNNERS = ("uploader", "reader")
+# (job, runner, kind) -> occurrences lost, 1 and 2 unless the job sends
+# fewer after the fault is armed: terasort asks for the members for its
+# destinations and in each of its two jobs, the identity shuffle once in
+# its one job, and the reader once more to learn the ring; only the reader
+# sends a LOOKUP, and no job sends a REGISTER, since each output's writer
+# owns its name
+OCCURRENCES = {("terasort", "uploader", MessageKind.MEMBERS): (1, 2, 3),
+               ("terasort", "reader", MessageKind.MEMBERS): (1, 2, 3, 4),
+               ("identity-shuffle", "uploader", MessageKind.MEMBERS): (1,),
+               ("identity-shuffle", "reader", MessageKind.MEMBERS): (1, 2),
+               **{(job, runner, MessageKind.LOOKUP): (1,) if runner == "reader" else ()
+                  for job in ("terasort", "identity-shuffle") for runner in RUNNERS},
+               **{(job, runner, MessageKind.REGISTER): ()
+                  for job in ("terasort", "identity-shuffle") for runner in RUNNERS}}
 
 
 def upload_records(client, name, records):
@@ -34,11 +44,11 @@ def read_back(client, stream) -> list[bytes]:
             for record in client.read_records(f.name, 0, f.records)]
 
 
-def run_terasort(client):
+def run_terasort(uploader, client):
     """3000 100-byte records sorted by key; the output in bucket order."""
     rng = random.Random(31)
     records = [rng.randbytes(100) for _ in range(3000)]
-    upload_records(client, "lost/tera.dat", records)
+    upload_records(uploader, "lost/tera.dat", records)
 
     def run():
         out, _ = terasort(client, ["lost/tera.dat"], job_id="lost-tera")
@@ -49,14 +59,14 @@ def run_terasort(client):
     return records, run
 
 
-def run_identity_shuffle(client):
+def run_identity_shuffle(uploader, client):
     """600 records shuffled by first byte to three homes in four segments."""
     rng = random.Random(32)
     records = [rng.randbytes(16) for _ in range(600)]
-    upload_records(client, "lost/shuffle.dat", records)
+    upload_records(uploader, "lost/shuffle.dat", records)
     sphere.register_bucket("lost-mod3", lambda record, params: record[0] % 3)
     spec = OutputSpec(mode=OutputMode.SHUFFLE, bucket="lost-mod3",
-                      destinations=tuple(sorted(client.members())))
+                      destinations=tuple(sorted(uploader.members())))
 
     def run():
         out, _ = client.run_job(["lost/shuffle.dat"], "identity", output=spec,
@@ -67,10 +77,17 @@ def run_identity_shuffle(client):
 
 
 JOBS = {"terasort": run_terasort, "identity-shuffle": run_identity_shuffle}
-CASES = [pytest.param(job, kind, side, occurrence,
-                      id="%s-%s-%s-%d" % (job, kind.name, side, occurrence))
-         for job in sorted(JOBS) for kind in KINDS for side in ("request", "reply")
-         for occurrence in OCCURRENCES.get((job, kind), (1, 2))]
+CASES = [pytest.param(job, runner, kind, side, occurrence,
+                      id="%s-%s-%s-%s-%d" % (job, runner, kind.name, side, occurrence))
+         for job in sorted(JOBS) for runner in RUNNERS for kind in KINDS
+         for side in ("request", "reply")
+         for occurrence in OCCURRENCES.get((job, runner, kind), (1, 2))]
+
+
+def job_clients(cluster, runner):
+    """(the client that uploads the input, the client that runs the job)."""
+    uploader = cluster.client()
+    return uploader, uploader if runner == "uploader" else cluster.client("client-1")
 
 
 def lose(monkeypatch, cluster, kind, side, occurrence) -> list:
@@ -95,12 +112,11 @@ def lose(monkeypatch, cluster, kind, side, occurrence) -> list:
     return lost
 
 
-@pytest.mark.parametrize("job, kind, side, occurrence", CASES)
-def test_one_lost_message_gives_the_right_output_or_job_error(make_cluster, monkeypatch,
-                                                              job, kind, side, occurrence):
+@pytest.mark.parametrize("job, runner, kind, side, occurrence", CASES)
+def test_one_lost_message_gives_the_right_output_or_job_error(make_cluster, monkeypatch, job,
+                                                              runner, kind, side, occurrence):
     cluster = make_cluster(3)
-    client = cluster.client()
-    records, run = JOBS[job](client)
+    records, run = JOBS[job](*job_clients(cluster, runner))
     lost = lose(monkeypatch, cluster, kind, side, occurrence)
     try:
         got = run()
@@ -114,7 +130,7 @@ def test_one_lost_message_gives_the_right_output_or_job_error(make_cluster, monk
 def test_a_fault_free_job_sends_no_register(make_cluster, monkeypatch, job):
     cluster = make_cluster(3)
     client = cluster.client()
-    records, run = JOBS[job](client)
+    records, run = JOBS[job](client, client)
     sent = []
     dispatch = cluster.network.dispatch
 
@@ -157,7 +173,7 @@ def test_a_home_that_stops_answering_after_its_first_batch_fails_the_job(make_cl
                                                                          monkeypatch):
     cluster = make_cluster(3)
     client = cluster.client()
-    _, run = run_identity_shuffle(client)
+    _, run = run_identity_shuffle(client, client)
     home = next(a for a in sorted(cluster.nodes) if a != client.entry_server
                 and not cluster.nodes[a].holds("lost/shuffle.dat"))
     dispatch = cluster.network.dispatch
@@ -211,3 +227,29 @@ def test_a_lost_local_run_reply_leaves_the_attempt_output_under_its_writer_name(
     orphan = name_owned_by(cluster.ring, sphere.seg_file_name("lost-local", ordinal), writer)
     assert left == {(writer, orphan)} and orphan not in out.names
     assert cluster.nodes[writer].lookup(orphan)[0] == [writer]
+
+
+def test_a_job_over_an_input_another_client_rewrote_fails_and_its_rerun_reads_the_new_one(
+        make_cluster):
+    """The uploader's cached header of its input is stale once another
+    client rewrites the input with another record count: every read of the
+    job refuses it, the job raises JobError and forgets the name, and the
+    rerun looks the name up and returns the new records."""
+    cluster = make_cluster(3, acl=("client-0", "client-1"))
+    client, other = cluster.client(), cluster.client("client-1")
+    upload_records(client, "lost/rewritten.dat", [b"old-%03d" % i for i in range(60)])
+    new = [b"new-%03d" % i for i in range(90)]
+    upload_records(other, "lost/rewritten.dat", new)
+
+    def run():
+        return client.run_job(["lost/rewritten.dat"], "identity",
+                              output=OutputSpec(mode=OutputMode.CLIENT),
+                              limits=SegmentLimits(200, 200), job_id="rewritten")[1]
+
+    with pytest.raises(JobError) as failure:
+        run()
+    assert failure.value.failed_segments and all(
+        "'records': 90" in f["error"] and "not {'records': 60" in f["error"]
+        for f in failure.value.failed_segments)  # each holder refused the old header
+    assert "lost/rewritten.dat" not in client.known
+    assert run().records == new

@@ -2,6 +2,7 @@ import dataclasses
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sectorsphere.errors import (AccessDeniedError, IntegrityError, NotFoundError,
@@ -130,7 +131,7 @@ def test_remote_read_equals_local_read(make_cluster):
     other = next(n for a, n in cluster.nodes.items() if a != holder.address)
     local_records, local_entries = holder.read_local("rr.dat", 3, 17)
     channel = other.transport.open_channel(holder.address)
-    remote_records, remote_entries = read_records_over(channel, "rr.dat", 3, 17)
+    remote_records, remote_entries = read_records_over(channel, "rr.dat", [(3, 17)])
     assert list(remote_records) == list(local_records)
     assert remote_entries == local_entries
 
@@ -252,8 +253,8 @@ def test_remote_read_equals_local_read_with_gaps(make_cluster):
         return list(records), entries
 
     assert read(holder.read_local, "gap.dat", 0, 5) == (expected, index)
-    assert read(read_records_over, channel, "gap.dat", 0, 5) == (expected, index)
-    assert read(read_records_over, channel, "gap.dat", 1, 3) == read(
+    assert read(read_records_over, channel, "gap.dat", [(0, 5)]) == (expected, index)
+    assert read(read_records_over, channel, "gap.dat", [(1, 3)]) == read(
         holder.read_local, "gap.dat", 1, 3)
 
 
@@ -288,12 +289,73 @@ def test_remote_read_beyond_transfer_chunk_loops(make_cluster, monkeypatch, gapp
             reads.append(kind)
             return channel.call(kind, header, body)
 
-    remote = read_records_over(Counting(), "big.dat", 2, 35)
+    remote = read_records_over(Counting(), "big.dat", [(2, 35)])
     local = holder.read_local("big.dat", 2, 35)
     assert remote[1] == local[1]
     assert list(remote[0]) == list(local[0]) == [
         data[o:o + s] for o, s in index.array[2:37].tolist()]
     assert len(reads) > 5 and set(reads) == {MessageKind.READ}
+
+
+def test_a_runs_read_cut_in_the_middle_of_a_run_continues(make_cluster, monkeypatch):
+    from sectorsphere import node as node_module
+
+    monkeypatch.setattr(node_module, "TRANSFER_CHUNK", 100)
+    cluster = make_cluster(2)
+    client = cluster.client()
+    rng = random.Random(8)
+    records = [rng.randbytes(rng.randrange(1, 30)) for _ in range(60)]
+    client.upload(b"".join(records), "runs.dat", RecordIndex.from_sizes(map(len, records)))
+    holder = owner_node(cluster, "runs.dat")
+    other = next(n for a, n in cluster.nodes.items() if a != holder.address)
+    channel = other.transport.open_channel(holder.address)
+    asked = []
+
+    class Recording:
+        def call(self, kind, header=None, body=b""):
+            asked.append(header["runs"])
+            return channel.call(kind, header, body)
+
+    runs = [(2, 12), (25, 3), (40, 20)]
+    batch, entries = read_records_over(Recording(), "runs.dat", runs)
+    assert list(batch) == [r for offset, rows in runs for r in records[offset:offset + rows]]
+    assert entries == RecordIndex(np.concatenate(
+        [holder.read_local("runs.dat", offset, rows)[1].array for offset, rows in runs]))
+    # a later READ starts inside a run that an earlier reply cut
+    starts = {offset for offset, _ in runs}
+    assert len(asked) > 1 and any(later[0][0] not in starts for later in asked[1:])
+
+
+def test_a_read_reply_counts_index_entries_toward_its_cap(make_cluster, monkeypatch):
+    from sectorsphere import node as node_module
+
+    monkeypatch.setattr(node_module, "TRANSFER_CHUNK", 1000)
+    cluster = make_cluster(2)
+    client = cluster.client()
+    records = [bytes([i % 251]) for i in range(5000)]
+    client.upload(b"".join(records), "ones.dat", RecordIndex.from_sizes([1] * len(records)))
+    channel = client.transport.open_channel(owner_node(cluster, "ones.dat").address)
+    header, body = channel.call(MessageKind.READ, {"name": "ones.dat", "runs": [[0, 5000]]})
+    assert 0 < header["rows"] and len(body) == 17 * header["rows"] <= 1000 + 17
+    assert list(client.iter_records(["ones.dat"])) == records
+
+
+@pytest.mark.parametrize("runs", [
+    [], [0, 2], [[0]], [[0, 1, 1]], "0,2", None,     # not a non-empty list of pairs
+    [[-1, 2]], [[0, -2]], [[0, 0]],                  # negative, or no rows
+    [[True, 1]], [[0, True]], [[0.0, 1]], [[0, 1.0]],  # a bool or a float
+    [[0, 1], [1, 2]],                                # past the end of the file
+], ids=repr)
+def test_a_read_of_bad_runs_is_refused(make_cluster, runs):
+    cluster = make_cluster(2)
+    client = cluster.client()
+    data, index = two_record_file()
+    client.upload(data, "r.dat", index)
+    channel = client.transport.open_channel(owner_node(cluster, "r.dat").address)
+    with pytest.raises((RangeError, IntegrityError)):
+        channel.call(MessageKind.READ, {"name": "r.dat", "runs": runs})
+    header, _ = channel.call(MessageKind.READ, {"name": "r.dat", "runs": [[1, 1], [0, 2]]})
+    assert header["rows"] == 3
 
 
 def test_shuffle_batches_finalize_to_the_same_index_bytes(make_cluster):

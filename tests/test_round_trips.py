@@ -50,8 +50,9 @@ def count_threads(monkeypatch) -> list:
 
 def meet_on_reads(monkeypatch, cluster, parties, first_only=False, kind=MessageKind.READ):
     """Hold the first `parties` READ requests, or requests of another
-    kind, (of offset 0 only, with first_only) until all of them are in
-    flight; a barrier that breaks after 5 s fails the call that waits on it."""
+    kind, (only READs whose first run starts at record 0, with first_only)
+    until all of them are in flight; a barrier that breaks after 5 s fails
+    the call that waits on it."""
     barrier = threading.Barrier(parties, timeout=5)
     held = []
     lock = threading.Lock()
@@ -61,7 +62,7 @@ def meet_on_reads(monkeypatch, cluster, parties, first_only=False, kind=MessageK
         if request.kind == kind:
             header, _ = unpack_payload(request.payload)
             with lock:
-                meet = len(held) < parties and not (first_only and header["offset"])
+                meet = len(held) < parties and not (first_only and header["runs"][0][0])
                 if meet:
                     held.append((peer, header["name"]))
             if meet:
@@ -380,12 +381,52 @@ def test_sample_reads_overlap_only_over_links_that_wait(make_cluster, monkeypatc
     boundaries = benchmarks.sample_boundaries(client, stream, 4, sample_target=len(records))
     keys = sorted(r[:benchmarks.KEY_SIZE] for r in records)
     assert boundaries == [keys[i * len(keys) // 4] for i in range(1, 4)]
-    assert sent == {MessageKind.READ: 3 * len(stream.files)}
+    assert sent == {MessageKind.READ: len(stream.files)}  # each file's three runs in one
     if rtt_ms:  # the first read of every lane met the others in flight
         assert len(started) == LANES
         assert {peer for peer, _ in held} == set(cluster.nodes)
     else:
         assert started == []
+
+
+def test_a_terasort_over_its_clients_uploads_sends_no_lookup_and_one_sample_read_a_file(
+        make_cluster, monkeypatch):
+    cluster = make_cluster(3, profile=LinkProfile(default=1.0))
+    client = cluster.client()
+    rng = random.Random(43)
+    files = {}
+    for i, address in enumerate(sorted(cluster.nodes)):
+        name = scenarios.name_owned_by(cluster.ring, "up/in-%d.dat" % i, address)
+        files[name] = [rng.randbytes(100) for _ in range(600)]
+        upload_records(client, name, files[name])
+    sampled, chosen = [], []
+    read_runs, sample_boundaries = client.read_runs, benchmarks.sample_boundaries
+
+    def recorded_runs(name, runs):
+        sampled.append((name, list(runs)))
+        return read_runs(name, runs)
+
+    def recorded_boundaries(*args, **kwargs):
+        chosen.append(sample_boundaries(*args, **kwargs))
+        return chosen[-1]
+
+    monkeypatch.setattr(client, "read_runs", recorded_runs)
+    monkeypatch.setattr(benchmarks, "sample_boundaries", recorded_boundaries)
+    sent = count_messages(monkeypatch, cluster, sender=client.address)
+    out, _ = benchmarks.terasort(client, list(files), job_id="uploaded", sample_target=300)
+    assert MessageKind.LOOKUP not in sent
+    assert sent[MessageKind.READ] == len(files)
+    # one READ a file, of its head, middle and tail runs
+    assert sorted(name for name, _ in sampled) == sorted(files)
+    assert all(len(runs) == 3 and runs[0][0] == 0 and sum(runs[-1]) == 600
+               for _, runs in sampled)
+    monkeypatch.undo()
+    keys = sorted(record[:benchmarks.KEY_SIZE] for name, runs in sampled
+                  for offset, rows in runs for record in client.read_records(name, offset, rows))
+    assert chosen == [[keys[i * len(keys) // 3] for i in (1, 2)]]
+    assert list(client.iter_records(out.names)) == sorted(
+        (r for records in files.values() for r in records),
+        key=lambda r: r[:benchmarks.KEY_SIZE])
 
 
 # ------------------------------------------------ job outputs read by name
@@ -481,10 +522,12 @@ def test_iter_batches_yields_in_stream_order_while_first_reads_overlap(make_clus
 
 def test_stream_names_are_looked_up_in_a_bounded_number_of_lanes(make_cluster, monkeypatch):
     cluster = make_cluster(2, profile=LinkProfile(default=1.0))
-    client = cluster.client()
+    writer = cluster.client()
     names = ["lanes/%02d.dat" % i for i in range(sphere.LANES + 5)]
     for i, name in enumerate(names):
-        upload_records(client, name, [b"r"] * (i + 1))
+        upload_records(writer, name, [b"r"] * (i + 1))
+    client = cluster.client("client-1")  # knows no name, so it looks each one up
+    client.members()
     started = count_threads(monkeypatch)
     held = meet_on_reads(monkeypatch, cluster, sphere.LANES, kind=MessageKind.LOOKUP)
     sent = count_messages(monkeypatch, cluster)
@@ -521,10 +564,12 @@ def test_first_reads_of_names_not_looked_up_overlap(make_cluster, monkeypatch):
 def test_stream_names_over_zero_latency_links_are_looked_up_in_no_thread(make_cluster,
                                                                         monkeypatch):
     cluster = make_cluster(3)
-    client = cluster.client()
+    writer = cluster.client()
     names = ["inline/%02d.dat" % i for i in range(12)]
     for i, name in enumerate(names):
-        upload_records(client, name, [b"r"] * (i + 1))
+        upload_records(writer, name, [b"r"] * (i + 1))
+    client = cluster.client("client-1")  # knows no name, so it looks each one up
+    client.members()
     started = count_threads(monkeypatch)
     sent = count_messages(monkeypatch, cluster)
     stream = client.resolve_stream(names)
@@ -859,12 +904,12 @@ def test_holder_refuses_reads_and_fetches_for_another_version(make_cluster):
     stat = held_stat(cluster, "v.dat")
     channel = client.transport.open_channel(client.owner_of("v.dat"))
     with pytest.raises(StaleError):
-        read_records_over(channel, "v.dat", 0, 1, {**stat, "records": 3})
+        read_records_over(channel, "v.dat", [(0, 1)], {**stat, "records": 3})
     with pytest.raises(StaleError):
         fetch_file(channel, "v.dat", stat={**stat, "size": 99})
     with pytest.raises(StaleError):
         fetch_file(channel, "v.dat", stat={**stat, "indexed": False})
-    assert list(read_records_over(channel, "v.dat", 0, 2, stat)[0]) == [
+    assert list(read_records_over(channel, "v.dat", [(0, 2)], stat)[0]) == [
         b"one", b"two"]
 
 
@@ -880,6 +925,9 @@ def test_reads_skip_a_replica_left_at_an_old_version(make_cluster, tmp_path):
     new = [b"c" * 7, b"d" * 7, b"e" * 7]
     upload_records(client, "old.dat", new)
     assert list(cluster.nodes[stale].read_local("old.dat", 0, 2)[0]) == [b"a" * 5, b"b" * 5]
+    assert client.locate("old.dat") == [owner]  # the upload's target, and no other holder
+    assert list(client.iter_records(["old.dat"])) == new
+    client.forget("old.dat")
     assert client.locate("old.dat")[0] == stale
     assert client.download("old.dat", tmp_path / "old.dat") == 21
     assert (tmp_path / "old.dat").read_bytes() == b"".join(new)

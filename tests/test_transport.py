@@ -193,7 +193,9 @@ def test_a_connect_that_finishes_after_close_is_closed_and_not_cached(monkeypatc
     made, entered, release = hold_connects(monkeypatch, client)
     close_during_connect(client, "srv", entered, release)
     assert not made[0].is_open and not client.has_channel("srv")
-    assert client.open_channel("srv") is made[1]  # a new connect
+    with pytest.raises(TransportError):  # a closed transport stays closed
+        client.open_channel("srv")
+    assert len(made) == 1
 
 
 def test_loopback_channel_has_zero_rtt():
@@ -361,3 +363,14 @@ def test_tcp_connect_that_finishes_after_close_leaves_no_open_socket(tcp_server,
         assert not client.has_channel(address)
     finally:
         client.close()
+
+
+def test_a_closed_tcp_transport_opens_no_channel(tcp_server):
+    address, _ = tcp_server
+    client = TcpTransport("127.0.0.1:0")
+    channel = client.open_channel(address)
+    client.close()
+    assert not channel.is_open and channel._sock.fileno() == -1
+    with pytest.raises(TransportError):
+        client.open_channel(address)
+    assert not client.has_channel(address)
