@@ -110,6 +110,17 @@ def _checked_runs(runs, records: int, name: str) -> list[tuple[int, int]]:
     return [(offset, rows) for offset, rows in runs]
 
 
+def _first_rows(runs, limit: int) -> list[tuple[int, int]]:
+    """The runs cut after their first `limit` rows."""
+    kept = []
+    for offset, rows in runs:
+        if limit <= 0:
+            break
+        kept.append((offset, min(rows, limit)))
+        limit -= rows
+    return kept
+
+
 class StorageNode:
     def __init__(self, config: NodeConfig, transport: Transport, ring: RingView):
         self.config = config
@@ -302,6 +313,8 @@ class StorageNode:
         an index is one record."""
         meta = self.meta(name, expect)
         runs = _checked_runs(runs, meta.records, name)
+        if max_bytes is not None:  # each row takes ENTRY_SIZE bytes at least
+            runs = _first_rows(runs, max_bytes // ENTRY_SIZE + 1)
         path = self._path_for(name)
         if meta.indexed:
             with index_path(path).open("rb") as fh:

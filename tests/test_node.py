@@ -335,8 +335,19 @@ def test_a_read_reply_counts_index_entries_toward_its_cap(make_cluster, monkeypa
     records = [bytes([i % 251]) for i in range(5000)]
     client.upload(b"".join(records), "ones.dat", RecordIndex.from_sizes([1] * len(records)))
     channel = client.transport.open_channel(owner_node(cluster, "ones.dat").address)
-    header, body = channel.call(MessageKind.READ, {"name": "ones.dat", "runs": [[0, 5000]]})
-    assert 0 < header["rows"] and len(body) == 17 * header["rows"] <= 1000 + 17
+    parsed = []
+    from_bytes = RecordIndex.from_bytes.__func__
+
+    def recorded(cls, blob):
+        parsed.append(len(blob))
+        return from_bytes(cls, blob)
+
+    monkeypatch.setattr(RecordIndex, "from_bytes", classmethod(recorded))
+    for runs in ([[0, 5000]], [[0, 5000]] * 100):
+        header, body = channel.call(MessageKind.READ, {"name": "ones.dat", "runs": runs})
+        assert 0 < header["rows"] and len(body) == 17 * header["rows"] <= 1000 + 17
+    # the node reads no more of the index than a reply can hold
+    assert max(parsed) <= 16 * (1000 // 16 + 1)
     assert list(client.iter_records(["ones.dat"])) == records
 
 
