@@ -104,20 +104,23 @@ def read_records_over(channel, name: str, runs,
                                  % (name, got, asked))
         heads.append(entries)
         parts.append(records)
-        runs = _rest_of_runs(runs, got)
+        _, runs = cut_runs(runs, got)
     index = RecordIndex(np.concatenate(heads) if heads else ())
     return RecordBatch(b"".join(parts), RecordIndex.from_sizes(index.array[:, 1])), index
 
 
-def _rest_of_runs(runs, done: int) -> list[list[int]]:
-    """The runs left once their first `done` rows are read."""
-    rest = []
-    for offset, rows in runs:
-        taken = min(done, rows)
-        done -= taken
-        if taken < rows:
-            rest.append([offset + taken, rows - taken])
-    return rest
+def cut_runs(runs, rows: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Runs [(offset, rows), ...] cut after their first `rows` rows: (the
+    runs before the cut, the runs after it)."""
+    head, rest = [], []
+    for offset, count in runs:
+        taken = max(0, min(rows, count))
+        rows -= taken
+        if taken:
+            head.append([offset, taken])
+        if taken < count:
+            rest.append([offset + taken, count - taken])
+    return head, rest
 
 
 def split_rows(rows: int, body: bytes, what: str) -> tuple[np.ndarray, memoryview]:

@@ -47,7 +47,7 @@ from .errors import (
     StaleError,
     TransportError,
 )
-from .fileops import TRANSFER_CHUNK, push_file, split_rows
+from .fileops import TRANSFER_CHUNK, cut_runs, push_file, split_rows
 from .records import ENTRY_SIZE, RecordBatch, RecordIndex, index_path
 from .routing import RingView, name_owned_by
 from .transport import Transport, error_reply, reply
@@ -108,17 +108,6 @@ def _checked_runs(runs, records: int, name: str) -> list[tuple[int, int]]:
             raise RangeError("record run [%d, %d) is empty or outside %s's %d records"
                              % (offset, offset + rows, name, records))
     return [(offset, rows) for offset, rows in runs]
-
-
-def _first_rows(runs, limit: int) -> list[tuple[int, int]]:
-    """The runs cut after their first `limit` rows."""
-    kept = []
-    for offset, rows in runs:
-        if limit <= 0:
-            break
-        kept.append((offset, min(rows, limit)))
-        limit -= rows
-    return kept
 
 
 class StorageNode:
@@ -314,7 +303,7 @@ class StorageNode:
         meta = self.meta(name, expect)
         runs = _checked_runs(runs, meta.records, name)
         if max_bytes is not None:  # each row takes ENTRY_SIZE bytes at least
-            runs = _first_rows(runs, max_bytes // ENTRY_SIZE + 1)
+            runs, _ = cut_runs(runs, max_bytes // ENTRY_SIZE + 1)
         path = self._path_for(name)
         if meta.indexed:
             with index_path(path).open("rb") as fh:
