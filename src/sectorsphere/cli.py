@@ -31,9 +31,8 @@ EXIT_JOB = 4
 EXIT_VALIDATION = 5
 
 
-def _client(server: str, listen: bool = False) -> ClientSession:
-    local = "0.0.0.0:0"
-    return ClientSession(TcpTransport(local), server, listen=listen)
+def _client(server: str) -> ClientSession:
+    return ClientSession(TcpTransport("0.0.0.0:0"), server)
 
 
 def cmd_node(args) -> int:

@@ -7,14 +7,13 @@ links that wait, channels to the members are connected ahead, up to
 sphere.LANES at once in the background, when the client learns the ring,
 so step 3 waits at most for the one connect in flight to its own peer;
 over TCP each channel is connected at its first call. The entry server
-gives only the member list, asked once more when the first call cannot
-reach it: the client builds the ring from it and sends each upload and
-LOOKUP straight to the name's owner. When that owner cannot be reached,
-the client asks the entry for the members once more and tries the owner
-on the new ring. A live node that no longer owns the name still answers:
-it forwards a LOOKUP to the owner, and a file stored on it registers with
-the owner. The client also listens on its own address so workers can
-stream progress back to it during jobs.
+gives only the member list: the client builds the ring from it and sends
+each upload and LOOKUP straight to the name's owner. When the entry
+cannot be reached, the other members of the last ring give the list.
+When an owner cannot be reached, the client asks for the members once
+more and tries the owner on the new ring. A live node that no longer
+owns the name still answers: it forwards a LOOKUP to the owner, and a
+file stored on it registers with the owner.
 
 The client keeps one cache, `known`: each name's holders and STAT
 header (records, size, indexed), from a LOOKUP reply, or from the upload
@@ -45,38 +44,28 @@ from .errors import NotFoundError, TransportError
 from .fileops import fetch_file, first_holder, push_file, read_records_over
 from .records import INDEX_SUFFIX, RecordBatch, RecordIndex
 from .routing import RingView
-from .transport import Transport, error_reply, reply
-from .wire import Message, MessageKind, unpack_payload
+from .transport import Transport
+from .wire import MessageKind
 
 log = logging.getLogger(__name__)
 
 
 class ClientSession:
-    def __init__(self, transport: Transport, entry_server: str,
-                 profile=None, listen: bool = True):
+    def __init__(self, transport: Transport, entry_server: str, profile=None):
         self.transport = transport
         self.entry_server = entry_server
         self.profile = profile
         # name -> (holders nearest first, STAT header); the header is a hint
         # only, that holders confirm on every read or fetch made against it
         self.known: dict[str, tuple[list[str], dict]] = {}
-        self.progress_events: list[dict] = []
         self._ring: RingView | None = None  # built from the last members() reply
         self._lock = threading.Lock()
         self._ahead: list[threading.Thread] = []  # connect-ahead lanes started
         self._closed = False
-        self._listening = listen
-        if listen:
-            transport.listen(self._handle_message)
 
     @property
     def address(self) -> str:
         return self.transport.address
-
-    @property
-    def inbox_address(self) -> str | None:
-        """Where workers may send progress messages; None when not listening."""
-        return self.transport.address if self._listening else None
 
     def close(self) -> None:
         """Close the transport, which then opens no channel, and wait for
@@ -87,16 +76,6 @@ class ClientSession:
         self.transport.close()
         for lane in ahead:
             lane.join()
-
-    def _handle_message(self, origin: str, msg: Message) -> Message:
-        if msg.kind == MessageKind.PROGRESS:
-            header, _ = unpack_payload(msg.payload)
-            with self._lock:
-                self.progress_events.append(header)
-            return reply(msg, MessageKind.OK, {})
-        if msg.kind == MessageKind.PING:
-            return reply(msg, MessageKind.OK, {"pong": True})
-        return error_reply(msg, "internal", "clients only accept progress messages")
 
     # ---------------------------------------------------------------- lookup
 
@@ -139,16 +118,23 @@ class ClientSession:
         return self._ring.owner(name).address
 
     def members(self) -> list[str]:
-        """The entry server's member list, asked once more when the first
-        call fails with TransportError; the client's ring is rebuilt from it,
-        and the client starts connecting ahead to its members over in-memory
-        links that wait (see _connect_ahead)."""
-        def ask():
-            return self.transport.open_channel(self.entry_server).call(MessageKind.MEMBERS, {})
-        try:
-            header, _ = ask()
-        except TransportError:
-            header, _ = ask()
+        """The entry server's member list. When the entry cannot be reached,
+        the other members of the last ring are asked in turn, or, with no
+        ring known yet, the entry once more; the last TransportError is
+        raised when none answers. The client's ring is rebuilt from the
+        list, and the client starts connecting ahead to its members over
+        in-memory links that wait (see _connect_ahead)."""
+        if self._ring is None:
+            fallbacks = [self.entry_server]
+        else:
+            fallbacks = [a for a in self._ring.addresses if a != self.entry_server]
+        for tried, peer in enumerate([self.entry_server, *fallbacks]):
+            try:
+                header, _ = self.transport.open_channel(peer).call(MessageKind.MEMBERS, {})
+                break
+            except TransportError:
+                if tried == len(fallbacks):
+                    raise
         self._ring = RingView.from_addresses(header["addresses"])
         self._connect_ahead(header["addresses"])
         return header["addresses"]

@@ -33,7 +33,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import JobError, NotFoundError, SectorError, TransportError
+from .errors import JobError, NotFoundError, SectorError
 from .fileops import first_holder, read_records_over, split_rows
 from .records import ENTRY_SIZE, RecordBatch, RecordIndex
 from .routing import name_owned_by
@@ -277,15 +277,14 @@ class SpeHost:
         started = time.monotonic()
         report, body = self._execute(header["job"], segment, header["operator"],
                                      OutputSpec.from_header(header["output"]),
-                                     header.get("client"), header.get("attempt", 1),
-                                     header.get("expect"))
+                                     header.get("attempt", 1), header.get("expect"))
         report["duration"] = time.monotonic() - started
         report["node"] = self.node.address
         report["ordinal"] = segment.ordinal
         return report, body
 
     def _execute(self, job: str, segment: DataSegment, operator_name: str,
-                 output: OutputSpec, client: str | None, attempt: int,
+                 output: OutputSpec, attempt: int,
                  expect: dict | None) -> tuple[dict, bytes]:
         node = self.node
         fn, scope = get_operator(operator_name)
@@ -304,13 +303,14 @@ class SpeHost:
                     channel, segment.file, [(segment.offset, segment.rows)], expect))
 
         # step 3: apply the operator into one output batch, acking progress
+        # in the segment's report
         acks: list[int] = []
         try:
             if scope == "segment":
                 out = fn(records, segment.params)
                 if not isinstance(out, RecordBatch):
                     out = RecordBatch.from_records(() if out is None else out)
-                self._ack(acks, client, job, segment, len(records))
+                acks.append(len(records))
             else:
                 produced: list = []
                 every = max(1, segment.rows // 10)
@@ -321,7 +321,7 @@ class SpeHost:
                     elif result is not None:
                         produced.extend(result)
                     if i % every == 0 or i == len(records):
-                        self._ack(acks, client, job, segment, i)
+                        acks.append(i)
                 out = RecordBatch.from_records(produced)
             if output.mode == OutputMode.SHUFFLE and out.buckets is None:
                 out = out.with_buckets(_bucket_ids(out, output, segment.params))
@@ -344,30 +344,6 @@ class SpeHost:
                                               CLIENT_REPLY_BYTES)), b""
         report["rows"] = len(index)
         return report, body
-
-    def _ack(self, acks: list[int], client: str | None, job: str,
-             segment: DataSegment, processed: int) -> None:
-        """Record an ack, and send it to the client's inbox as a one-way
-        PROGRESS: from a thread of its own when the link to the client waits
-        on a network, so that neither a connect nor the send holds up the
-        segment, else in this thread."""
-        acks.append(processed)
-        if not client:
-            return
-        transport = self.node.transport
-        header = {"job": job, "ordinal": segment.ordinal, "processed": processed,
-                  "rows": segment.rows, "node": self.node.address}
-
-        def send() -> None:
-            try:
-                transport.open_channel(client).send_oneway(MessageKind.PROGRESS, header)
-            except TransportError:
-                pass
-
-        if transport.waits_on(client):
-            threading.Thread(target=send, daemon=True).start()
-        else:
-            send()
 
     def _write_outputs(self, job: str, segment: DataSegment, out: RecordBatch,
                        output: OutputSpec, source: str, attempt: int) -> list[dict]:
@@ -566,7 +542,6 @@ def _run_job(session, stream: Stream, operator_name: str, params: bytes, output:
                 "locations": list(task.segment.locations),
                 "expect": headers[task.segment.file],
                 "operator": operator_name, "output": output.to_header(),
-                "client": getattr(session, "inbox_address", None),
             }
             try:
                 channel = session.transport.open_channel(spe.node)

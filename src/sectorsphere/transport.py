@@ -88,9 +88,6 @@ class Channel:
     def rpc(self, request: Message, timeout: float | None = None) -> Message:
         raise NotImplementedError
 
-    def send_oneway(self, kind: int, header: dict, body: bytes = b"") -> None:
-        raise NotImplementedError
-
     def close(self) -> None:
         raise NotImplementedError
 
@@ -239,7 +236,9 @@ class InMemoryNetwork:
 
     def dispatch_oneway(self, local: str, peer: str, request: Message) -> None:
         """Deliver in the sender's thread after half the round trip, and
-        drop the reply; a message to a peer nobody listens at is lost."""
+        drop the reply; a message to a peer nobody listens at is lost.
+        Nothing in the package calls it; it stays until ssbench/tracing.py
+        stops wrapping it."""
         self.clock.sleep(self.profile.rtt(local, peer) / 2000.0)
         try:
             self._handler_for(peer)(local, request)
@@ -261,13 +260,6 @@ class InMemoryChannel(Channel):
         if self._closed:
             raise TransportError("channel to %s is closed" % self.peer)
         return self._network.dispatch(self.local, self.peer, request)
-
-    def send_oneway(self, kind: int, header: dict, body: bytes = b"") -> None:
-        if self._closed:
-            return
-        msg = Message(kind=kind, request_id=self.next_request_id(),
-                      payload=pack_payload(header, body))
-        self._network.dispatch_oneway(self.local, self.peer, msg)
 
     def close(self) -> None:
         self._closed = True
@@ -376,18 +368,6 @@ class TcpChannel(Channel):
         if response is None:
             raise TransportError("connection to %s lost" % self.peer)
         return response
-
-    def send_oneway(self, kind: int, header: dict, body: bytes = b"") -> None:
-        if self._closed:
-            return
-        msg = Message(kind=kind, request_id=self.next_request_id(),
-                      payload=pack_payload(header, body))
-        try:
-            data = encode_message(msg)
-            with self._send_lock:
-                self._sock.sendall(data)
-        except OSError:
-            self.close()
 
     def close(self) -> None:
         self._closed = True

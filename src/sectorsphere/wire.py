@@ -32,7 +32,6 @@ class MessageKind(enum.IntEnum):
     FETCH_INDEX = 14
     REPLICATE = 15
     SPE_RUN = 16
-    PROGRESS = 18
     SHUFFLE_APPEND = 19
     FINALIZE_JOB = 20
 

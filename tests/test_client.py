@@ -4,6 +4,8 @@ import pytest
 
 from sectorsphere.errors import NotFoundError, SectorError, TransportError
 from sectorsphere.records import RecordIndex
+from sectorsphere.routing import name_owned_by
+from sectorsphere.sphere import OutputMode, OutputSpec
 from sectorsphere.transport import LinkProfile
 from sectorsphere.wire import MessageKind
 
@@ -158,3 +160,59 @@ def test_run_job_on_no_files_is_a_sector_error(make_cluster, names):
     client = make_cluster(2).client()
     with pytest.raises(SectorError, match="empty stream"):
         client.run_job(names, "identity")
+
+
+def test_a_killed_entry_leaves_the_other_members_of_the_last_ring_to_ask(make_cluster,
+                                                                        tmp_path):
+    cluster = make_cluster(3)
+    client = cluster.client(entry="node-0")
+    rng = random.Random(21)
+    records = {}
+    for i, address in enumerate(["node-1", "node-2"]):
+        name = name_owned_by(cluster.ring, "entry/in-%d.dat" % i, address)
+        records[name] = [rng.randbytes(12) for _ in range(40)]
+        client.upload(b"".join(records[name]), name, RecordIndex.uniform(40, 12))
+    client.members()
+    cluster.kill("node-0")
+    _, report = client.run_job(list(records), "identity",
+                               output=OutputSpec(mode=OutputMode.CLIENT))
+    assert report.ok
+    assert sorted(report.records) == sorted(r for rs in records.values() for r in rs)
+    assert sorted(client.members()) == ["node-1", "node-2"]
+    name = next(iter(records))
+    assert client.download(name, tmp_path / "got.dat") == 480
+    assert (tmp_path / "got.dat").read_bytes() == b"".join(records[name])
+
+
+def test_members_raises_when_no_member_of_the_last_ring_answers(make_cluster, monkeypatch):
+    cluster = make_cluster(3)
+    client = cluster.client(entry="node-0")
+    ring = client.members()
+    asked = []  # the peer of each call or connect, as it is tried
+    network = cluster.network
+    dispatch, connect = network.dispatch, network.connect
+
+    def noted_call(local, peer, request):
+        asked.append(peer)
+        return dispatch(local, peer, request)
+
+    def noted_connect(local, peer):
+        asked.append(peer)
+        return connect(local, peer)
+
+    monkeypatch.setattr(network, "dispatch", noted_call)
+    monkeypatch.setattr(network, "connect", noted_connect)
+    for address in ring:
+        network.unlisten(address)
+    with pytest.raises(TransportError):
+        client.members()
+    assert asked == ["node-0"] + [a for a in ring if a != "node-0"]
+
+
+def test_a_client_registers_no_handler_on_the_network(make_cluster):
+    cluster = make_cluster(2)
+    client = cluster.client()
+    client.upload(b"payload", "a.bin")
+    for node in cluster.nodes.values():
+        with pytest.raises(TransportError):
+            node.transport.open_channel(client.address)

@@ -9,7 +9,7 @@ from sectorsphere.errors import (AccessDeniedError, IntegrityError, NotFoundErro
                                  RangeError, TransportError)
 from sectorsphere.fileops import read_records_over
 from sectorsphere.records import RecordIndex
-from sectorsphere.wire import MessageKind
+from sectorsphere.wire import Message, MessageKind, unpack_payload
 
 CLIENT = "client-0"
 
@@ -481,3 +481,20 @@ def test_shuffle_batch_whose_sizes_miss_its_body_is_refused(make_cluster, sizes,
     assert files[0]["stat"] == dataclasses.asdict(node.meta(files[0]["name"]))
     assert files[0]["stat"]["records"] == 1 and files[0]["stat"]["size"] == 3
     assert list(node.read_local(files[0]["name"], 0, 1)[0]) == [b"abc"]
+
+
+def test_a_node_serves_every_message_kind_but_the_replies(make_cluster):
+    cluster = make_cluster(1)
+    client = cluster.client()
+    channel = client.transport.open_channel(next(iter(cluster.nodes)))
+
+    def answer(kind) -> str:
+        response = channel.rpc(Message(kind=kind, request_id=channel.next_request_id()))
+        if response.kind != MessageKind.ERROR:
+            return "ok"
+        return unpack_payload(response.payload)[0]["message"]
+
+    assert "unsupported message kind" in answer(99)  # what a kind no node serves gets
+    answers = {kind.name: answer(kind) for kind in MessageKind
+               if kind not in (MessageKind.OK, MessageKind.ERROR)}
+    assert not [name for name, said in answers.items() if "unsupported message kind" in said]
