@@ -530,11 +530,9 @@ def _run_job(session, stream: Stream, operator_name: str, params: bytes, output:
     returned: dict[int, RecordBatch] = {}  # client mode: ordinal -> its records
     committed = [0] * len(segments)  # ordinal -> the attempt that completed it
 
-    def worker(spe: SpeHandle):
-        while True:
-            task = sched.next_for(spe)
-            if task is None:
-                return
+    def worker(spe: SpeHandle, task):
+        task = task or sched.next_for(spe)
+        while task is not None:
             header = {
                 "job": job_id, "ordinal": task.segment.ordinal, "attempt": task.attempts,
                 "file": task.segment.file, "offset": task.segment.offset,
@@ -569,10 +567,14 @@ def _run_job(session, stream: Stream, operator_name: str, params: bytes, output:
                 sched.complete(spe, task)
             else:
                 sched.fail(spe, task, result.get("error", "segment failed"))
+            task = sched.next_for(spe)
 
     # one thread per SPE, never fewer: a worker with nothing local waits
-    # for an idle worker on a replica node
-    threads = [threading.Thread(target=worker, args=(spe,), daemon=True) for spe in spes]
+    # for an idle worker on a replica node. Each SPE takes its first
+    # segment here, before any worker runs, so that a worker started first
+    # cannot take every segment before the others start.
+    threads = [threading.Thread(target=worker, args=(spe, sched.try_next(spe)), daemon=True)
+               for spe in spes]
     for thread in threads:
         thread.start()
     for thread in threads:
