@@ -50,32 +50,28 @@ def cmd_node(args) -> int:
 
 
 def cmd_upload(args) -> int:
-    session = _client(args.server)
-    locations = session.upload(Path(args.source), args.name)
+    with _client(args.server) as session:
+        locations = session.upload(Path(args.source), args.name)
     print("stored %s on %s" % (args.name, ", ".join(locations)))
-    session.close()
     return EXIT_OK
 
 
 def cmd_download(args) -> int:
-    session = _client(args.server)
-    n = session.download(args.name, Path(args.destination))
+    with _client(args.server) as session:
+        n = session.download(args.name, Path(args.destination))
     print("downloaded %s: %d bytes -> %s" % (args.name, n, args.destination))
-    session.close()
     return EXIT_OK
 
 
 def cmd_locate(args) -> int:
-    session = _client(args.server)
-    for location in session.locate(args.name):
-        print(location)
-    session.close()
+    with _client(args.server) as session:
+        for location in session.locate(args.name):
+            print(location)
     return EXIT_OK
 
 
 def cmd_submit(args) -> int:
     descriptor = json.loads(Path(args.job).read_text())
-    session = _client(descriptor["server"])
     limits = sphere.DEFAULT_LIMITS
     if "limits" in descriptor:
         limits = sphere.SegmentLimits(descriptor["limits"]["s_min"],
@@ -83,16 +79,16 @@ def cmd_submit(args) -> int:
     output = sphere.OutputSpec.from_header(
         {"mode": sphere.OutputMode.LOCAL, **descriptor.get("output", {})})
     try:
-        _, report = session.run_job(
-            descriptor["files"], descriptor["operator"],
-            params=bytes.fromhex(descriptor.get("params", "")),
-            output=output, limits=limits, job_id=descriptor.get("job_id"))
+        with _client(descriptor["server"]) as session:
+            _, report = session.run_job(
+                descriptor["files"], descriptor["operator"],
+                params=bytes.fromhex(descriptor.get("params", "")),
+                output=output, limits=limits, job_id=descriptor.get("job_id"))
     except JobError as exc:
         print("job failed: %s" % exc, file=sys.stderr)
         for failure in exc.failed_segments:
             print("  segment %(ordinal)d of %(file)s on %(node)s: %(error)s"
                   % failure, file=sys.stderr)
-        session.close()
         return EXIT_JOB
     for seg in sorted(report.segments, key=lambda s: s["ordinal"]):
         print("segment %4d %-8s node=%s rows=%d"
@@ -106,7 +102,6 @@ def cmd_submit(args) -> int:
         print("records returned: %d" % len(report.records))
     else:
         print("output files: %s" % ", ".join(f["name"] for f in report.output_files))
-    session.close()
     return EXIT_OK
 
 
@@ -118,18 +113,17 @@ def cmd_teragen(args) -> int:
 
 def cmd_terasort(args) -> int:
     descriptor = json.loads(Path(args.job).read_text())
-    session = _client(descriptor["server"])
-    t = time.monotonic()
-    out_stream, reports = benchmarks.terasort(
-        session, descriptor["files"],
-        destinations=descriptor.get("destinations"),
-        job_id=descriptor.get("job_id"))
-    elapsed = time.monotonic() - t
+    with _client(descriptor["server"]) as session:
+        t = time.monotonic()
+        out_stream, reports = benchmarks.terasort(
+            session, descriptor["files"],
+            destinations=descriptor.get("destinations"),
+            job_id=descriptor.get("job_id"))
+        elapsed = time.monotonic() - t
     print("terasort: %d files -> %d sorted buckets in %.3fs"
           % (len(descriptor["files"]), len(out_stream.files), elapsed))
     for f in out_stream.files:
         print("  %s records=%d on %s" % (f.name, f.records, f.locations[0]))
-    session.close()
     return EXIT_OK
 
 

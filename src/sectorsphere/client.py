@@ -15,12 +15,12 @@ more and tries the owner on the new ring. A live node that no longer
 owns the name still answers: it forwards a LOOKUP to the owner, and a
 file stored on it registers with the owner.
 
-The client keeps one cache, `known`: each name's holders and STAT
-header (records, size, indexed), from a LOOKUP reply, or from the upload
-or the job that wrote the file, with the upload's target or the job's
-writer as the one holder. So reading a file by name, or resolving it
-into a job's stream, sends no LOOKUP once the client has written the
-file; resolve_stream looks up only the names it does not know. Holders
+The client keeps one cache, `known`: each name's sphere.StreamFile, its
+holders and STAT header, from a LOOKUP reply, or from the upload or the
+job that wrote the file, with the upload's target or the job's writer
+as the one holder; a job's streams are made of the same objects. So
+reading a file by name, or resolving it into a job's stream, sends no
+LOOKUP once the client has written the file; resolve_stream looks up only the names it does not know. Holders
 confirm the header on every read, a job's segment reads included, which
 send it as `expect`. A name this client wrote lists only its writer
 until a read there fails or the name is forgotten, so replicas made
@@ -55,9 +55,9 @@ class ClientSession:
         self.transport = transport
         self.entry_server = entry_server
         self.profile = profile
-        # name -> (holders nearest first, STAT header); the header is a hint
-        # only, that holders confirm on every read or fetch made against it
-        self.known: dict[str, tuple[list[str], dict]] = {}
+        # name -> the file, holders nearest first; its header is a hint that
+        # holders confirm on every read made against it. Never changed in place.
+        self.known: dict[str, sphere.StreamFile] = {}
         self._ring: RingView | None = None  # built from the last members() reply
         self._lock = threading.Lock()
         self._ahead: list[threading.Thread] = []  # connect-ahead lanes started
@@ -66,6 +66,12 @@ class ClientSession:
     @property
     def address(self) -> str:
         return self.transport.address
+
+    def __enter__(self) -> "ClientSession":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def close(self) -> None:
         """Close the transport, which then opens no channel, and wait for
@@ -82,14 +88,12 @@ class ClientSession:
     def locate(self, name: str) -> list[str]:
         """Resolve every node holding a replica, nearest (by rtt) first."""
         with self._lock:
-            holders, _ = self.known.get(name, ((), None))
-        if holders:
-            return list(holders)
-        return self._lookup(name)[0]
+            known = self.known.get(name)
+        return list((known or self._lookup(name)).locations)
 
-    def _lookup(self, name: str) -> tuple[list[str], dict]:
+    def _lookup(self, name: str) -> sphere.StreamFile:
         """Ask the name's owner for the holders, nearest first, and for the
-        file's STAT header; both are cached."""
+        file's STAT header; the file is cached."""
         try:
             _, (header, _) = self._at_owner(name, lambda channel: channel.call(
                 MessageKind.LOOKUP, {"name": name}))
@@ -99,13 +103,14 @@ class ClientSession:
         locations = header["locations"]
         if self.profile is not None:
             locations.sort(key=lambda a: (self.profile.rtt(self.address, a), a))
-        self.remember(name, locations, header["stat"])
-        return locations, header["stat"]
+        found = sphere.StreamFile(name, header["stat"], tuple(locations))
+        self.remember(found)
+        return found
 
-    def remember(self, name: str, locations: list[str], stat: dict) -> None:
-        """Cache the name's holders, nearest first, and its STAT header."""
+    def remember(self, file: sphere.StreamFile) -> None:
+        """Cache the file, with its holders nearest first and its STAT header."""
         with self._lock:
-            self.known[name] = (list(locations), stat)
+            self.known[file.name] = file
 
     def forget(self, name: str) -> None:
         with self._lock:
@@ -201,7 +206,7 @@ class ClientSession:
         index_bytes = index.to_bytes() if index is not None else None
         target, stat = self._at_owner(
             name, lambda channel: push_file(channel, name, data, index_bytes))
-        self.remember(name, [target], stat)
+        self.remember(sphere.StreamFile(name, stat, (target,)))
         return [target]
 
     def download(self, name: str, destination) -> int:
@@ -226,7 +231,7 @@ class ClientSession:
         """The file's STAT header as the name's owner has it registered.
         Each call asks afresh: a cached header goes stale unseen when another
         client rewrites the file, and no holder is asked here to confirm it."""
-        return self._lookup(name)[1]
+        return self._lookup(name).stat
 
     def read_records(self, name: str, offset: int, rows: int) -> list[bytes]:
         """Records [offset, offset + rows) from the nearest holder that
@@ -252,54 +257,50 @@ class ClientSession:
         sphere.overlap, with each file's cached nearest holder, or its owner
         when the client has not looked it up, as the peers: over links that
         wait, up to sphere.LANES of them ahead of the file being yielded. A
-        file's later reads go one after another, against the header of its
-        first, so no file is read at two versions."""
+        file's later reads go one after another, each through
+        _against_header but with the header of its first as `expect`, so no
+        file is read at two versions."""
         def first_batch(name: str):
             return self._against_header(name, lambda channel, stat: read_records_over(
                 channel, name, [(0, min(batch_rows, stat["records"]))], stat))
 
         names = list(names)
         with self._lock:
-            cached = {n: self.known[n][0] for n in names if n in self.known}
-        peers = {cached[n][0] if cached.get(n) else self.owner_of(n) for n in names}
+            known = {n: self.known[n] for n in names if n in self.known}
+        peers = {known[n].locations[0] if n in known else self.owner_of(n) for n in names}
         firsts = sphere.overlap(self.transport, peers, first_batch, names)
         for name, (stat, (batch, _)) in zip(names, firsts):
             yield batch
-            offset = len(batch)
-            while offset < stat["records"]:
-                rows = min(batch_rows, stat["records"] - offset)
-                _, (batch, _) = first_holder(self.transport, self.locate(name), lambda channel:
-                                             read_records_over(channel, name, [(offset, rows)],
-                                                               stat))
+            for offset in range(len(batch), stat["records"], batch_rows):
+                runs = [(offset, min(batch_rows, stat["records"] - offset))]
+                _, (batch, _) = self._against_header(name, lambda channel, _: read_records_over(
+                    channel, name, runs, stat))
                 yield batch
-                offset += rows
 
-    def _cached(self, name: str) -> tuple[list[str], dict] | None:
-        """The name's cached holders and header, if reads may be made
-        against them. The holders confirm a header only through requests
-        that carry it, so a cached header of a file with no bytes or no
-        records, which may be answered without one, is not used."""
+    def _cached(self, name: str) -> sphere.StreamFile | None:
+        """The name's cached file, if reads may be made against its header.
+        The holders confirm a header only through requests that carry it,
+        so a cached header of a file with no bytes or no records, which may
+        be answered without one, is not used."""
         with self._lock:
-            locations, stat = self.known.get(name, ((), None))
-        if locations and stat is not None and stat["size"] and stat["records"]:
-            return list(locations), stat
-        return None
+            known = self.known.get(name)
+        return known if known is not None and known.size and known.records else None
 
     def _against_header(self, name: str, attempt) -> tuple[dict, object]:
         """(header, attempt(channel, header)) at the nearest holder that
         serves the file's cached header (see _cached), else at the nearest
         holder of a fresh LOOKUP's header."""
+        def at_holders(file: sphere.StreamFile):
+            return file.stat, first_holder(self.transport, file.locations,
+                                           lambda channel: attempt(channel, file.stat))[1]
+
         cached = self._cached(name)
         if cached is not None:
-            locations, stat = cached
             try:
-                return stat, first_holder(self.transport, locations,
-                                          lambda channel: attempt(channel, stat))[1]
+                return at_holders(cached)
             except (TransportError, NotFoundError):
                 self.forget(name)
-        locations, stat = self._lookup(name)
-        return stat, first_holder(self.transport, locations,
-                                  lambda channel: attempt(channel, stat))[1]
+        return at_holders(self._lookup(name))
 
     # ------------------------------------------------------------------ jobs
 
@@ -315,8 +316,7 @@ class ClientSession:
         missing = [name for name, cached in found.items() if cached is None]
         owners = {self.owner_of(name) for name in missing}
         found.update(zip(missing, sphere.overlap(self.transport, owners, self._lookup, missing)))
-        return sphere.Stream(files=tuple(
-            sphere.StreamFile.of(name, *found[name]) for name in names))
+        return sphere.Stream(files=tuple(found[name] for name in names))
 
     def run_job(self, stream, operator_name: str, params: bytes = b"",
                 output: sphere.OutputSpec = sphere.OutputSpec(),

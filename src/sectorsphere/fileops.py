@@ -1,19 +1,20 @@
 """Chunked file transfer over control channels.
 
-A store is one byte stream, the file's data followed by its index, cut
-into TRANSFER_CHUNK pieces that each travel as a STORE_DATA call. Every
-piece repeats the store's header and a token chosen by the sender, so a
-file that fits one chunk is stored by a single message; the reply to the
-piece that completes the stream is the stored file's STAT header. Files
-are fetched back in bounded ranges, so arbitrarily large files fit under
-the frame payload cap. Both the pieces and the ranges are TRANSFER_CHUNK
-bytes, as the module has it when the transfer starts. A READ names runs
-of a file's records, [[offset, rows], ...], and its reply holds them in
-run order, cut before the record that takes the records and their
-ENTRY_SIZE index entries past TRANSFER_CHUNK bytes, as the node module
-has it; the reader asks for the rest in the next READ.
+A file travels as one byte stream, its data followed by its index, both
+ways. A store cuts it into TRANSFER_CHUNK pieces that each travel as a
+STORE_DATA call. Every piece repeats the store's header and a token
+chosen by the sender, so a file that fits one chunk is stored by a
+single message; the reply to the piece that completes the stream is the
+stored file's STAT header. A fetch reads the stream back in FETCH
+ranges, so arbitrarily large files fit under the frame payload cap.
+Both the pieces and the ranges are TRANSFER_CHUNK bytes, as the module
+has it when the transfer starts. A READ names runs of a file's records,
+[[offset, rows], ...], and its reply holds them in run order, cut
+before the record that takes the records and their ENTRY_SIZE index
+entries past TRANSFER_CHUNK bytes, as the node module has it; the
+reader asks for the rest in the next READ.
 
-A fetch or read made against a STAT header (records, size, indexed)
+A fetch or read made against a STAT header (built by file_header alone)
 that the caller got from a LOOKUP reply, or from the store or the job
 that wrote the file, carries the header itself as `expect`; a holder
 whose header differs raises StaleError instead of serving bytes of
@@ -44,7 +45,7 @@ def push_file(channel, name: str, data: bytes, index_bytes: bytes | None,
         "data_size": len(data),
         "index_size": len(index_bytes) if index_bytes is not None else -1,
         "internal": internal,
-        "token": new_token(),
+        "token": uuid.uuid4().hex,
     }
     total = len(data) + len(index)
     done: dict = {}
@@ -55,31 +56,34 @@ def push_file(channel, name: str, data: bytes, index_bytes: bytes | None,
     return done
 
 
+def file_header(records: int, size: int, indexed: bool) -> dict:
+    """A stored file's STAT header; an unindexed file is one record. A
+    header is never changed in place, so holders and caches share it."""
+    return {"records": records, "size": size, "indexed": indexed}
+
+
+def stream_size(stat: dict) -> int:
+    """The bytes of the store stream of the file that `stat` describes."""
+    return stat["size"] + (ENTRY_SIZE * stat["records"] if stat["indexed"] else 0)
+
+
 def fetch_file(channel, name: str, stat: dict) -> tuple[bytes, bytes | None]:
-    """Fetch a file and its index (ENTRY_SIZE bytes a record), as its STAT
-    header `stat` describes them, from the channel's peer; the peer
-    refuses with StaleError if its copy is not the one described."""
-    data = _fetch_range(channel, MessageKind.FETCH, name, stat["size"], stat)
-    index_bytes = None
-    if stat["indexed"]:
-        index_bytes = _fetch_range(channel, MessageKind.FETCH_INDEX, name,
-                                   ENTRY_SIZE * stat["records"], stat)
-    return data, index_bytes
-
-
-def _fetch_range(channel, kind, name: str, total: int, expect: dict) -> bytes:
-    parts = []
-    offset = 0
-    while offset < total:
+    """Fetch a file and its index as its STAT header `stat` describes them:
+    the store stream in TRANSFER_CHUNK ranges, cut at the data's size. The
+    peer refuses with StaleError if its copy is not the one described."""
+    size, total = stat["size"], stream_size(stat)
+    data, index = [], []
+    for offset in range(0, total, TRANSFER_CHUNK):
         length = min(TRANSFER_CHUNK, total - offset)
-        header, body = channel.call(kind, {"name": name, "offset": offset,
-                                           "length": length, "expect": expect})
+        _, body = channel.call(MessageKind.FETCH, {"name": name, "offset": offset,
+                                                   "length": length, "expect": stat})
         if len(body) != length:
             raise IntegrityError("short fetch of %s: wanted %d bytes, got %d"
                                  % (name, length, len(body)))
-        parts.append(body)
-        offset += length
-    return b"".join(parts)
+        cut = max(0, size - offset)  # the data's bytes in this range
+        data.append(body[:cut])
+        index.append(body[cut:])
+    return b"".join(data), b"".join(index) if stat["indexed"] else None
 
 
 def read_records_over(channel, name: str, runs,
@@ -151,7 +155,3 @@ def first_holder(transport, holders, attempt) -> tuple:
         except (TransportError, NotFoundError) as exc:
             error = exc
     raise error
-
-
-def new_token() -> str:
-    return uuid.uuid4().hex

@@ -7,8 +7,8 @@ reads and whole-file fetches, gates client uploads by an address ACL,
 coordinates replication for owned names, and hosts the compute workers
 that execute job segments.
 
-A file's STAT header (records, size, indexed) is the only description of
-a stored file. A holder registers its files with their names' ring
+A file's STAT header (see fileops.file_header) is the only description
+of a stored file. A holder registers its files with their names' ring
 owners through _register, one REGISTER of many names per owner, each
 with its header. The owner keeps the last header it was sent, and a
 LOOKUP reply carries it as `stat` next to `locations`. A job names each
@@ -22,9 +22,10 @@ a file hands it to the client. A holder may keep another version of the
 file than the one a header from a LOOKUP reply or the job that wrote the
 file describes (a replica not yet refreshed after a re-upload), so reads
 and fetches made against the header send the header itself as `expect`,
-and a holder whose header differs refuses them with StaleError. A
-shuffle bucket's home indexes, at FINALIZE_JOB, only the batches of the
-attempt that completed each segment.
+and a holder whose header differs refuses them with StaleError. A FETCH
+serves a range of the store stream, data then index. A shuffle bucket's
+home indexes, at FINALIZE_JOB, only the batches of the attempt that
+completed each segment.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 import logging
 import random
 import threading
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +48,8 @@ from .errors import (
     StaleError,
     TransportError,
 )
-from .fileops import TRANSFER_CHUNK, cut_runs, push_file, split_rows
+from .fileops import (TRANSFER_CHUNK, cut_runs, file_header, push_file, split_rows,
+                      stream_size)
 from .records import ENTRY_SIZE, RecordBatch, RecordIndex, index_path
 from .routing import RingView, name_owned_by
 from .transport import Transport, error_reply, reply
@@ -70,13 +72,6 @@ class NodeConfig:
     def __post_init__(self):
         if self.replica_target < 1:
             raise ValueError("replica target must be >= 1")
-
-
-@dataclass
-class FileMeta:
-    records: int
-    size: int
-    indexed: bool
 
 
 @dataclass
@@ -118,7 +113,7 @@ class StorageNode:
         self.address = config.address
         self.data_dir = Path(config.data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
-        self.files: dict[str, FileMeta] = {}
+        self.files: dict[str, dict] = {}  # name -> STAT header, never changed in place
         self.registry: dict[str, list[str]] = {}
         self.stats: dict[str, dict] = {}   # owned name -> its last registered STAT header
         self._meta_lock = threading.RLock()
@@ -189,21 +184,21 @@ class StorageNode:
         with self._meta_lock:
             return name in self.files
 
-    def meta(self, name: str, expect: dict | None = None) -> FileMeta:
+    def meta(self, name: str, expect: dict | None = None) -> dict:
         """The local file's STAT header; with `expect`, a header the caller
         holds, StaleError unless the local copy is the one it describes."""
         with self._meta_lock:
-            meta = self.files.get(name)
-        if meta is None:
+            stat = self.files.get(name)
+        if stat is None:
             raise NotFoundError("%s is not stored on %s" % (name, self.address))
-        if expect is not None and asdict(meta) != expect:
-            raise StaleError("%s on %s is %s, not %s" % (name, self.address, asdict(meta), expect))
-        return meta
+        if expect is not None and stat != expect:
+            raise StaleError("%s on %s is %s, not %s" % (name, self.address, stat, expect))
+        return stat
 
     # ----------------------------------------------------------------- store
 
     def store_file(self, sender: str, name: str, data: bytes,
-                   index: RecordIndex | None, internal: bool = False) -> FileMeta:
+                   index: RecordIndex | None, internal: bool = False) -> dict:
         self._check_write_access(sender, internal)
         if index is not None:
             index.validate(len(data))
@@ -213,12 +208,12 @@ class StorageNode:
             path.write_bytes(data)
             if index is not None:
                 index_path(path).write_bytes(index.to_bytes())
-            meta = FileMeta(records=len(index) if index is not None else 1,
-                            size=len(data), indexed=index is not None)
+            stat = file_header(len(index) if index is not None else 1, len(data),
+                               index is not None)
             with self._meta_lock:
-                self.files[name] = meta
-        self._register([(name, meta)])
-        return meta
+                self.files[name] = stat
+        self._register([(name, stat)])
+        return stat
 
     def _check_write_access(self, origin: str, internal: bool) -> None:
         if internal:
@@ -235,16 +230,16 @@ class StorageNode:
                 "%s is not in the write ACL of %s" % (origin, self.address))
 
     def _register(self, files) -> None:
-        """Tell the owners of the (name, FileMeta) pairs' names that this
-        node holds them, with their STAT headers: one REGISTER {"holder",
+        """Tell the owners of the (name, STAT header) pairs' names that this
+        node holds them, with their headers: one REGISTER {"holder",
         "files": {name: header}} per remote owner, and the names this node
         owns are registered here. Every owner is tried; the first failure
         is raised afterwards. A name adds its length and about 50 bytes to
         a REGISTER, so the 64 MiB frame cap holds about a million names per
         owner."""
         by_owner: dict[str, dict[str, dict]] = {}
-        for name, meta in files:
-            by_owner.setdefault(self.ring.owner(name).address, {})[name] = asdict(meta)
+        for name, stat in files:
+            by_owner.setdefault(self.ring.owner(name).address, {})[name] = stat
         failure = None
         for owner, headers in by_owner.items():
             try:
@@ -300,12 +295,12 @@ class StorageNode:
         cut before the first record that takes the records and their
         ENTRY_SIZE entries past it, but never to zero rows. A file without
         an index is one record."""
-        meta = self.meta(name, expect)
-        runs = _checked_runs(runs, meta.records, name)
+        stat = self.meta(name, expect)
+        runs = _checked_runs(runs, stat["records"], name)
         if max_bytes is not None:  # each row takes ENTRY_SIZE bytes at least
             runs, _ = cut_runs(runs, max_bytes // ENTRY_SIZE + 1)
         path = self._path_for(name)
-        if meta.indexed:
+        if stat["indexed"]:
             with index_path(path).open("rb") as fh:
                 parts = []
                 for offset, rows in runs:
@@ -315,7 +310,7 @@ class StorageNode:
             if len(entries) != sum(rows for _, rows in runs):
                 raise IntegrityError("the index of %s is truncated" % name)
         else:
-            entries = RecordIndex([(0, meta.size)]).array
+            entries = RecordIndex([(0, stat["size"])]).array
         if max_bytes is not None:
             weights = np.cumsum(entries[:, 1] + ENTRY_SIZE)
             entries = entries[:max(1, int(np.searchsorted(weights, max_bytes, side="right")))]
@@ -379,10 +374,10 @@ class StorageNode:
 
     def push_replica(self, name: str, dest: str) -> None:
         """Copy a local file and its index to another node."""
-        meta = self.meta(name)
+        stat = self.meta(name)
         path = self._path_for(name)
         data = path.read_bytes()
-        index_bytes = index_path(path).read_bytes() if meta.indexed else None
+        index_bytes = index_path(path).read_bytes() if stat["indexed"] else None
         channel = self.transport.open_channel(dest)
         push_file(channel, name, data, index_bytes, internal=True)
 
@@ -395,7 +390,7 @@ class StorageNode:
         name, as a job names its outputs. Returns the STAT header of the
         stored copy."""
         if target is None or target == self.address:
-            return asdict(self.store_file(self.address, name, data, index, internal=True))
+            return self.store_file(self.address, name, data, index, internal=True)
         channel = self.transport.open_channel(target)
         return push_file(channel, name, data, index.to_bytes(), internal=True)
 
@@ -441,11 +436,11 @@ class StorageNode:
                 data_len = path.stat().st_size
                 index.validate(data_len)
                 index_path(path).write_bytes(index.to_bytes())
-                meta = FileMeta(records=len(index), size=data_len, indexed=True)
+                stat = file_header(len(index), data_len, True)
                 with self._meta_lock:
-                    self.files[name] = meta
-            indexed.append((name, meta))
-            results.append({"name": name, "bucket": bucket, "stat": asdict(meta)})
+                    self.files[name] = stat
+            indexed.append((name, stat))
+            results.append({"name": name, "bucket": bucket, "stat": stat})
         self._register(indexed)
         return results
 
@@ -478,9 +473,7 @@ class StorageNode:
         if kind == MessageKind.READ:
             return self._op_read(msg, header)
         if kind == MessageKind.FETCH:
-            return self._op_fetch(msg, header, index_file=False)
-        if kind == MessageKind.FETCH_INDEX:
-            return self._op_fetch(msg, header, index_file=True)
+            return self._op_fetch(msg, header)
         if kind == MessageKind.REPLICATE:
             self.push_replica(header["name"], header["dest"])
             return reply(msg, MessageKind.OK, {})
@@ -527,9 +520,9 @@ class StorageNode:
         index = None
         if buffer.index_size >= 0:
             index = RecordIndex.from_bytes(stream[buffer.data_size:])
-        meta = self.store_file(buffer.sender, buffer.name, stream[:buffer.data_size],
+        stat = self.store_file(buffer.sender, buffer.name, stream[:buffer.data_size],
                                index, internal=buffer.internal)
-        return reply(msg, MessageKind.OK, asdict(meta))
+        return reply(msg, MessageKind.OK, stat)
 
     def _op_read(self, msg: Message, header: dict) -> Message:
         """Index entries in the .idx layout, then the records' bytes, of the
@@ -539,20 +532,22 @@ class StorageNode:
         return reply(msg, MessageKind.OK, {"rows": len(index)},
                      index.to_bytes() + records.pack()[0])
 
-    def _op_fetch(self, msg: Message, header: dict, index_file: bool) -> Message:
-        meta = self.meta(header["name"], header.get("expect"))
-        path = self._path_for(header["name"])
-        if index_file:
-            if not meta.indexed:
-                raise NotFoundError("%s has no index" % header["name"])
-            path = index_path(path)
-        offset, length = header["offset"], header["length"]
+    def _op_fetch(self, msg: Message, header: dict) -> Message:
+        """Bytes [offset, offset + length) of the store stream: data, then index."""
+        name, offset, length = header["name"], header["offset"], header["length"]
+        stat = self.meta(name, header.get("expect"))
         if offset < 0 or not 0 <= length <= TRANSFER_CHUNK:
             raise RangeError("fetch of %d bytes at %d is negative or over the chunk limit"
                              % (length, offset))
-        with path.open("rb") as fh:
-            fh.seek(offset)
-            body = fh.read(length)
-        if len(body) != length:
-            raise RangeError("fetch range beyond end of %s" % header["name"])
-        return reply(msg, MessageKind.OK, {}, body)
+        size, end = stat["size"], offset + length
+        if end > stream_size(stat):
+            raise RangeError("fetch range beyond end of %s" % name)
+        path = self._path_for(name)
+        parts = []  # a file shorter than its header gives a short reply
+        for part, start, stop in ((path, offset, min(end, size)),
+                                  (index_path(path), max(0, offset - size), end - size)):
+            if start < stop:
+                with part.open("rb") as fh:
+                    fh.seek(start)
+                    parts.append(fh.read(stop - start))
+        return reply(msg, MessageKind.OK, {}, b"".join(parts))

@@ -111,22 +111,19 @@ register_operator("one-per-record", lambda record, params: (b"\x01",))
 
 @dataclass(frozen=True)
 class StreamFile:
+    """A stored file: its name, its STAT header (see fileops.file_header),
+    which the job's reads send as `expect`, and its holders, nearest first."""
     name: str
-    records: int
-    size: int
-    locations: tuple[str, ...] = ()
-    indexed: bool = True
-
-    @classmethod
-    def of(cls, name: str, locations, stat: dict) -> "StreamFile":
-        """The file held at `locations` that the STAT header `stat` describes."""
-        return cls(name=name, records=stat["records"], size=stat["size"],
-                   locations=tuple(locations), indexed=stat["indexed"])
+    stat: dict
+    locations: tuple[str, ...]
 
     @property
-    def stat(self) -> dict:
-        """The file's STAT header, which the job's reads send as `expect`."""
-        return {"records": self.records, "size": self.size, "indexed": self.indexed}
+    def records(self) -> int:
+        return self.stat["records"]
+
+    @property
+    def size(self) -> int:
+        return self.stat["size"]
 
 
 @dataclass(frozen=True)
@@ -604,17 +601,16 @@ def _run_job(session, stream: Stream, operator_name: str, params: bytes, output:
                 output_files.extend(seg_report["outputs"])
     report.output_files = output_files
     report.elapsed = time.monotonic() - started
-    for f in output_files:
+    out_stream = Stream(files=tuple(
+        StreamFile(f["name"], f["stat"], (f["target"],)) for f in output_files))
+    for f in out_stream.files:
         # the holder's own header, so reads by name need no LOOKUP; it
         # replaces what a run under the same job_id left cached
-        session.remember(f["name"], [f["target"]], f["stat"])
+        session.remember(f)
 
     if report.failed:
         raise JobError("job %s failed on %d segment(s): %s"
                        % (job_id, len(report.failed),
                           sorted(f["ordinal"] for f in report.failed)),
                        failed_segments=report.failed)
-
-    out_stream = Stream(files=tuple(
-        StreamFile.of(f["name"], (f["target"],), f["stat"]) for f in output_files))
     return out_stream, report

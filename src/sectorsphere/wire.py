@@ -29,7 +29,6 @@ class MessageKind(enum.IntEnum):
     STORE_DATA = 9
     READ = 12
     FETCH = 13
-    FETCH_INDEX = 14
     REPLICATE = 15
     SPE_RUN = 16
     SHUFFLE_APPEND = 19

@@ -5,6 +5,7 @@ import pytest
 
 from sectorsphere import cli
 from sectorsphere.benchmarks import KEY_SIZE, RECORD_SIZE
+from sectorsphere.client import ClientSession
 from sectorsphere.cluster import ClusterConfig, NodeSpec, parse_cluster_config, tcp_node
 from sectorsphere.errors import ConfigError
 from sectorsphere.records import RecordIndex, read_record_file, write_record_file
@@ -14,6 +15,19 @@ def free_port():
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
         return s.getsockname()[1]
+
+
+def record_closes(monkeypatch) -> list:
+    """Record every ClientSession that is closed from now on, once per close."""
+    closed = []
+    close = ClientSession.close
+
+    def recorded(session):
+        closed.append(session)
+        close(session)
+
+    monkeypatch.setattr(ClientSession, "close", recorded)
+    return closed
 
 
 def test_teragen_command(tmp_path):
@@ -150,11 +164,13 @@ def test_commands_connect_to_no_member_they_do_not_call(tmp_path):
         silent.close()
 
 
-def test_download_unknown_file_exits_nonzero(tcp_cluster, tmp_path):
+def test_download_unknown_file_exits_nonzero(tcp_cluster, tmp_path, monkeypatch):
     addresses, _ = tcp_cluster
+    closed = record_closes(monkeypatch)
     code = cli.main(["download", "--server", addresses[0],
                      "ghost.bin", str(tmp_path / "x")])
     assert code not in (0, None)
+    assert len(closed) == 1
 
 
 def test_submit_identity_job_over_sockets(tmp_path, tcp_cluster, capsys):
@@ -207,13 +223,15 @@ def test_submit_with_no_files_exits_with_an_error(tmp_path, tcp_cluster, capsys)
     assert "cannot segment an empty stream" in capsys.readouterr().err
 
 
-def test_submit_unknown_operator_is_job_error(tmp_path, tcp_cluster):
+def test_submit_unknown_operator_is_job_error(tmp_path, tcp_cluster, monkeypatch):
     addresses, _ = tcp_cluster
     descriptor = tmp_path / "bad.json"
     descriptor.write_text(json.dumps({
         "server": addresses[0], "files": ["whatever"],
         "operator": "does-not-exist"}))
+    closed = record_closes(monkeypatch)
     assert cli.main(["submit", "--job", str(descriptor)]) == cli.EXIT_JOB
+    assert len(closed) == 1
 
 
 def test_eight_node_wan_profile_cluster_runs_terasort(tmp_path):

@@ -89,6 +89,21 @@ def test_download_survives_one_dead_replica(make_cluster, tmp_path):
     assert dest.read_bytes() == data
 
 
+def test_later_batches_fall_back_to_a_replica_when_the_cached_holder_dies(make_cluster):
+    cluster = make_cluster(4, replica_target=2)
+    client = cluster.client()
+    records = [b"rec-%02d" % i for i in range(30)]
+    client.upload(b"".join(records), "batched.dat", RecordIndex.uniform(30, 6))
+    cluster.replication_cycle()
+    holder, = client.locate("batched.dat")  # the upload's target, as the client cached it
+    batches = client.iter_batches(["batched.dat"], batch_rows=10)
+    got = list(next(batches))
+    cluster.kill(holder)
+    for batch in batches:
+        got.extend(batch)
+    assert got == records
+
+
 def test_failed_download_leaves_no_destination(make_cluster, tmp_path):
     cluster = make_cluster(2)
     client = cluster.client()

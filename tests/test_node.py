@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from pathlib import Path
 
@@ -113,10 +112,22 @@ def test_fetch_of_a_negative_range_is_refused_before_the_file_is_opened(make_clu
         return real_open(path, *args, **kwargs)
 
     monkeypatch.setattr(Path, "open", recorded)
-    for kind in (MessageKind.FETCH, MessageKind.FETCH_INDEX):
-        with pytest.raises(RangeError):
-            channel.call(kind, {"name": "r.dat", "offset": offset, "length": length})
+    with pytest.raises(RangeError):
+        channel.call(MessageKind.FETCH, {"name": "r.dat", "offset": offset, "length": length})
     assert opened == []
+
+
+@pytest.mark.parametrize("offset, length", [(0, 53), (52, 1), (53, 0), (100, 1)])
+def test_fetch_past_the_end_of_the_store_stream_is_refused(make_cluster, offset, length):
+    cluster = make_cluster(2)
+    client = cluster.client()
+    data, index = two_record_file()
+    client.upload(data, "r.dat", index)  # a stream of 20 data and 32 index bytes
+    channel = client.transport.open_channel(owner_node(cluster, "r.dat").address)
+    with pytest.raises(RangeError):
+        channel.call(MessageKind.FETCH, {"name": "r.dat", "offset": offset, "length": length})
+    _, body = channel.call(MessageKind.FETCH, {"name": "r.dat", "offset": 18, "length": 34})
+    assert body == data[18:] + index.to_bytes()
 
 
 def test_remote_read_equals_local_read(make_cluster):
@@ -214,8 +225,8 @@ def test_file_without_index_is_file_level(make_cluster):
     client = cluster.client()
     client.upload(b"no index here", "plain.bin")
     node = owner_node(cluster, "plain.bin")
-    meta = node.meta("plain.bin")
-    assert not meta.indexed and meta.records == 1
+    stat = node.meta("plain.bin")
+    assert not stat["indexed"] and stat["records"] == 1
     records, entries = node.read_local("plain.bin", 0, 1)
     assert list(records) == [b"no index here"]
     with pytest.raises(RangeError):
@@ -391,7 +402,7 @@ def test_shuffle_batches_finalize_to_the_same_index_bytes(make_cluster):
             offset += size
     files = node.finalize_job("job-x", [1, 1, 1, 1])
     assert [(f["name"], f["bucket"]) for f in files] == [(name, 2)]
-    assert files[0]["stat"] == dataclasses.asdict(node.meta(files[0]["name"]))
+    assert files[0]["stat"] == node.meta(files[0]["name"])
     assert files[0]["stat"]["records"] == len(expected) and files[0]["stat"]["size"] == offset
     assert path.with_name(path.name + ".idx").read_bytes() == b"".join(expected)
 
@@ -478,7 +489,7 @@ def test_shuffle_batch_whose_sizes_miss_its_body_is_refused(make_cluster, sizes,
     assert not (node.data_dir / "job-y").exists() and node.finalize_job("job-y", [1]) == []
     node.shuffle_append("job-y", 0, [3], b"abc", 0, 1)
     files = node.finalize_job("job-y", [1])
-    assert files[0]["stat"] == dataclasses.asdict(node.meta(files[0]["name"]))
+    assert files[0]["stat"] == node.meta(files[0]["name"])
     assert files[0]["stat"]["records"] == 1 and files[0]["stat"]["size"] == 3
     assert list(node.read_local(files[0]["name"], 0, 1)[0]) == [b"abc"]
 

@@ -1,7 +1,6 @@
 """Messages that a store, a job and a lookup send, counted on the network."""
 
 import collections
-import dataclasses
 import json
 import random
 import sys
@@ -79,7 +78,7 @@ def owner_node(cluster, name):
 
 def held_stat(cluster, name, holder=None) -> dict:
     node = cluster.nodes[holder] if holder else owner_node(cluster, name)
-    return dataclasses.asdict(node.meta(name))
+    return node.meta(name)
 
 
 def upload_records(client, name, records):
@@ -114,10 +113,12 @@ def test_store_stream_straddling_chunk_edges_comes_back_equal(make_cluster, monk
     channel = client.transport.open_channel(owner)
     sent = count_messages(monkeypatch, cluster)
     done = push_file(channel, "edges.dat", data, index_bytes)
-    assert done == dataclasses.asdict(cluster.nodes[owner].meta("edges.dat"))
+    assert done == cluster.nodes[owner].meta("edges.dat")
     assert done == {"records": 3, "size": 50, "indexed": True}
     assert sent == {MessageKind.STORE_DATA: -(-98 // chunk)}
+    sent.clear()
     assert fetch_file(channel, "edges.dat", done) == (data, index_bytes)
+    assert sent == {MessageKind.FETCH: -(-98 // chunk)}
 
 
 @pytest.mark.parametrize("index", [None, RecordIndex([])])
@@ -220,7 +221,7 @@ def test_job_caches_the_holders_and_headers_of_its_outputs(make_cluster, monkeyp
     upload_records(client, "in.dat", [bytes([i]) * 8 for i in range(30)])
     output = OutputSpec(mode=mode)
     out, _ = client.run_job(["in.dat"], "identity", output=output, job_id="pinned")
-    first = {name: client.known[name][1] for name in out.names}
+    first = {name: client.known[name].stat for name in out.names}
     again = [bytes([i]) * 12 for i in range(45)]
     upload_records(client, "in.dat", again)
     rerun, _ = client.run_job(["in.dat"], "identity", output=output, job_id="pinned")
@@ -231,8 +232,9 @@ def test_job_caches_the_holders_and_headers_of_its_outputs(make_cluster, monkeyp
         assert rerun.names == out.names
     for f in rerun.files:
         holder, = f.locations
-        assert client.known[f.name] == ([holder], held_stat(cluster, f.name, holder))
-        assert client.known[f.name][1] != first.get(f.name)
+        assert client.known[f.name] is f
+        assert f.stat == held_stat(cluster, f.name, holder)
+        assert f.stat != first.get(f.name)
     sent = count_messages(monkeypatch, cluster)
     assert list(client.iter_records(rerun.names)) == again
     assert set(sent) == {MessageKind.READ}
@@ -452,7 +454,7 @@ def test_a_stale_output_header_is_refused_and_looked_up_once(make_cluster, monke
     # an output that its ring owner holds, so that a re-upload replaces it there
     name = next(f.name for f in out.files
                 if f.locations == (cluster.ring.owner(f.name).address,))
-    assert reader.known[name][1]["size"] == 30
+    assert reader.known[name].size == 30
     new = [b"new-%d" % i for i in range(7)]
     upload_records(writer, name, new)
     sent = count_messages(monkeypatch, cluster, sender=reader.address)
@@ -462,7 +464,7 @@ def test_a_stale_output_header_is_refused_and_looked_up_once(make_cluster, monke
         assert reader.download(name, tmp_path / "out.dat") == len(b"".join(new))
         assert (tmp_path / "out.dat").read_bytes() == b"".join(new)
     assert sent[MessageKind.LOOKUP] == 1
-    assert reader.known[name][1] == held_stat(cluster, name)
+    assert reader.known[name].stat == held_stat(cluster, name)
 
 
 def test_output_reads_fall_back_to_a_replica_when_the_holder_dies(make_cluster, tmp_path):

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import random
 
 import pytest
@@ -8,6 +7,7 @@ from hypothesis import strategies as st
 
 from sectorsphere import sphere
 from sectorsphere.errors import JobError, NotFoundError, SectorError
+from sectorsphere.fileops import file_header
 from sectorsphere.records import ENTRY_SIZE, RecordIndex
 from sectorsphere.scheduler import SpeHandle, validate_schedule
 from sectorsphere.sphere import (
@@ -27,7 +27,7 @@ def stream_of(*files):
 
 def unit_file(name, records, locations=("n0",)):
     """1-byte records so sizes read as 'units'."""
-    return StreamFile(name=name, records=records, size=records,
+    return StreamFile(name=name, stat=file_header(records, records, True),
                       locations=tuple(locations))
 
 
@@ -73,8 +73,9 @@ def test_tiling_oracle_random_streams(data):
     for i in range(n_files):
         records = data.draw(st.integers(0, 200))
         record_size = data.draw(st.integers(1, 64))
-        files.append(StreamFile(name="f%d" % i, records=records,
-                                size=records * record_size, locations=("n",)))
+        files.append(StreamFile(name="f%d" % i,
+                                stat=file_header(records, records * record_size, True),
+                                locations=("n",)))
     n_spe = data.draw(st.integers(1, 8))
     s_min = data.draw(st.integers(1, 512))
     s_max = data.draw(st.integers(s_min, 4096))
@@ -460,7 +461,7 @@ def test_segment_reads_from_the_next_holder_and_writes_back_there(make_cluster):
     name = report["outputs"][0]["name"]
     assert name.startswith(sphere.seg_file_name("j-far", 3))
     assert cluster.ring.owner(name).address == holder  # registered where it was written
-    stat = dataclasses.asdict(cluster.nodes[holder].meta(name))
+    stat = cluster.nodes[holder].meta(name)
     assert stat["records"] == 8 and stat["size"] == sum(map(len, records[2:10]))
     assert report["outputs"] == [{"name": name, "target": holder, "stat": stat}]
     assert list(cluster.nodes[holder].read_local(name, 0, 8)[0]) == records[2:10]
