@@ -117,9 +117,10 @@ def sample_boundaries(session, stream: sphere.Stream, parts: int,
     The sample is read as up to three contiguous runs per file (head,
     middle, tail) totalling about sample_target records, each file's runs
     in one READ (see ClientSession.read_runs) against its header, which
-    resolve_stream has cached. The files are read through sphere.overlap:
-    up to sphere.LANES at once when a call to one of their nearest holders
-    waits on a network, else one after another.
+    resolve_stream has cached. The files are read through the session's
+    Transport.overlap: up to transport.LANES at once on its executor when a
+    call to one of their nearest holders waits on a network, else one
+    after another in the caller's thread.
     """
     if parts < 1:
         raise ValueError("need at least one partition")
@@ -145,7 +146,7 @@ def sample_boundaries(session, stream: sphere.Stream, parts: int,
         return [record[:KEY_SIZE] for record in session.read_runs(*read)]
 
     holders = [f.locations[0] for f in stream.files if f.locations]
-    keys = sorted(key for sampled in sphere.overlap(session.transport, holders, sample, reads)
+    keys = sorted(key for sampled in session.transport.overlap(holders, sample, reads)
                   for key in sampled)
     boundaries = []
     for i in range(1, parts):

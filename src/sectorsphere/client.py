@@ -2,13 +2,11 @@
 
 Access follows the four-step protocol: connect to a known entry server,
 resolve replica locations through the server network's routing layer,
-open a (cached) data channel to a holder, then transfer. Over in-memory
-links that wait, channels to the members are connected ahead, up to
-sphere.LANES at once in the background, when the client learns the ring,
-so step 3 waits at most for the one connect in flight to its own peer;
-over TCP each channel is connected at its first call. The entry server
-gives only the member list: the client builds the ring from it and sends
-each upload and LOOKUP straight to the name's owner. When the entry
+open a (cached) data channel to a holder, then transfer. The entry server
+gives only the member list: the client builds the ring from it, and sends
+each upload and LOOKUP straight to the name's owner. The transport
+connects ahead to the members (Transport.connect_ahead), so that step 3
+waits at most for the one connect in flight to its own peer. When the entry
 cannot be reached, the other members of the last ring give the list.
 When an owner cannot be reached, the client asks for the members once
 more and tries the owner on the new ring. A live node that no longer
@@ -26,17 +24,13 @@ send it as `expect`. A name this client wrote lists only its writer
 until a read there fails or the name is forgotten, so replicas made
 since the write are not read before then.
 
-A stream's lookups and the first reads of several files go through
-sphere.overlap: up to sphere.LANES at once when a call to one of their
-owners or holders waits on a network, else one after another in the
-caller's thread.
+A stream's lookups and the first reads of several files go side by side
+through Transport.overlap. The session starts no thread of its own.
 """
 
 from __future__ import annotations
 
-import logging
 import threading
-from collections import deque
 from pathlib import Path
 
 from . import sphere
@@ -46,8 +40,6 @@ from .records import INDEX_SUFFIX, RecordBatch, RecordIndex
 from .routing import RingView
 from .transport import Transport
 from .wire import MessageKind
-
-log = logging.getLogger(__name__)
 
 
 class ClientSession:
@@ -60,8 +52,6 @@ class ClientSession:
         self.known: dict[str, sphere.StreamFile] = {}
         self._ring: RingView | None = None  # built from the last members() reply
         self._lock = threading.Lock()
-        self._ahead: list[threading.Thread] = []  # connect-ahead lanes started
-        self._closed = False
 
     @property
     def address(self) -> str:
@@ -74,14 +64,9 @@ class ClientSession:
         self.close()
 
     def close(self) -> None:
-        """Close the transport, which then opens no channel, and wait for
-        the connect-ahead lanes: each stops at its next peer."""
-        with self._lock:
-            self._closed = True
-            ahead, self._ahead = self._ahead, []
+        """Close the transport, which then opens no channel and stops its
+        executor (see Transport.close)."""
         self.transport.close()
-        for lane in ahead:
-            lane.join()
 
     # ---------------------------------------------------------------- lookup
 
@@ -127,8 +112,8 @@ class ClientSession:
         the other members of the last ring are asked in turn, or, with no
         ring known yet, the entry once more; the last TransportError is
         raised when none answers. The client's ring is rebuilt from the
-        list, and the client starts connecting ahead to its members over
-        in-memory links that wait (see _connect_ahead)."""
+        list, and the transport starts connecting ahead to its members
+        (see Transport.connect_ahead)."""
         if self._ring is None:
             fallbacks = [self.entry_server]
         else:
@@ -141,37 +126,8 @@ class ClientSession:
                 if tried == len(fallbacks):
                     raise
         self._ring = RingView.from_addresses(header["addresses"])
-        self._connect_ahead(header["addresses"])
+        self.transport.connect_ahead(header["addresses"])
         return header["addresses"]
-
-    def _connect_ahead(self, addresses) -> None:
-        """Start connecting to each member that Transport.connect_ahead_pays
-        for and that has no channel yet, from up to sphere.LANES daemon
-        threads, so that the handshakes overlap and a later call waits only
-        for its own peer's connect. A failed connect is dropped: the call
-        that needs the member tries again and raises TransportError."""
-        peers = deque(a for a in addresses if self.transport.connect_ahead_pays(a)
-                      and not self.transport.has_channel(a))
-
-        def lane() -> None:
-            while not self._closed:
-                try:
-                    peer = peers.popleft()
-                except IndexError:
-                    return
-                try:
-                    self.transport.open_channel(peer)
-                except TransportError:
-                    pass
-
-        with self._lock:
-            if self._closed:
-                return
-            self._ahead = [t for t in self._ahead if t.is_alive()]
-            for _ in range(min(sphere.LANES, len(peers))):
-                thread = threading.Thread(target=lane, name="connect-ahead", daemon=True)
-                thread.start()
-                self._ahead.append(thread)
 
     def _at_owner(self, name: str, attempt):
         """(owner, attempt(channel to owner)) at the name's owner; when the
@@ -253,11 +209,10 @@ class ClientSession:
 
     def iter_batches(self, names, batch_rows: int = 65536):
         """The records of the named files in order, one RecordBatch of at
-        most batch_rows records per read. The files' first reads go through
-        sphere.overlap, with each file's cached nearest holder, or its owner
-        when the client has not looked it up, as the peers: over links that
-        wait, up to sphere.LANES of them ahead of the file being yielded. A
-        file's later reads go one after another, each through
+        most batch_rows records per read. The files' first reads go side by
+        side through Transport.overlap, with each file's cached nearest
+        holder, or its owner when the client has not looked it up, as the
+        peers. A file's later reads go one after another, each through
         _against_header but with the header of its first as `expect`, so no
         file is read at two versions."""
         def first_batch(name: str):
@@ -268,7 +223,7 @@ class ClientSession:
         with self._lock:
             known = {n: self.known[n] for n in names if n in self.known}
         peers = {known[n].locations[0] if n in known else self.owner_of(n) for n in names}
-        firsts = sphere.overlap(self.transport, peers, first_batch, names)
+        firsts = self.transport.overlap(peers, first_batch, names)
         for name, (stat, (batch, _)) in zip(names, firsts):
             yield batch
             for offset in range(len(batch), stat["records"], batch_rows):
@@ -307,15 +262,14 @@ class ClientSession:
     def resolve_stream(self, names) -> sphere.Stream:
         """Build a job input stream from stored file names, with the holders
         and header of each that the client has cached (see _cached). The
-        others are looked up at their owners through sphere.overlap: up to
-        sphere.LANES LOOKUPs at once when a call to one of the owners waits
-        on a network, else one after another in the caller's thread. The
-        job's reads confirm each cached header (see sphere.run_job)."""
+        others are looked up at their owners side by side, through
+        Transport.overlap. The job's reads confirm each cached header (see
+        sphere.run_job)."""
         names = list(names)
         found = {name: self._cached(name) for name in names}
         missing = [name for name, cached in found.items() if cached is None]
         owners = {self.owner_of(name) for name in missing}
-        found.update(zip(missing, sphere.overlap(self.transport, owners, self._lookup, missing)))
+        found.update(zip(missing, self.transport.overlap(owners, self._lookup, missing)))
         return sphere.Stream(files=tuple(found[name] for name in names))
 
     def run_job(self, stream, operator_name: str, params: bytes = b"",

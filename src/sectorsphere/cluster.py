@@ -9,7 +9,6 @@ text with one section per node.
 from __future__ import annotations
 
 import configparser
-import threading
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -113,7 +112,6 @@ class LocalCluster:
         self.ring = RingView.from_addresses(n.address for n in config.nodes)
         self.nodes: dict[str, StorageNode] = {}
         self._clients: list[ClientSession] = []
-        self._lock = threading.Lock()
         for spec in config.nodes:
             self._build_node(spec)
 

@@ -125,16 +125,13 @@ class StorageNode:
         self._rng = random.Random(config.seed)
         self.spe_host = sphere.SpeHost(self)
         self._stop = threading.Event()
-        self._replication_thread = None
 
     # ------------------------------------------------------------------ setup
 
     def start(self, replicate_in_background: bool = False) -> None:
         self.transport.listen(self.handle_message)
         if replicate_in_background:
-            self._replication_thread = threading.Thread(
-                target=self._replication_loop, daemon=True)
-            self._replication_thread.start()
+            threading.Thread(target=self._replication_loop, daemon=True).start()
 
     def stop(self) -> None:
         self._stop.set()

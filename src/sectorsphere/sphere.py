@@ -26,10 +26,7 @@ import math
 import threading
 import time
 import uuid
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import islice
 
 import numpy as np
 
@@ -45,7 +42,6 @@ log = logging.getLogger(__name__)
 SHUFFLE_BATCH_BYTES = 2 * 1024 * 1024
 CLIENT_REPLY_BYTES = 1024 * 1024  # most output one segment returns in its reply
 JOB_TIMEOUT = 600.0  # seconds a job waits for one segment's SPE_RUN reply
-LANES = 8  # most calls of one overlap in flight at once, over links that wait
 
 
 # ----------------------------------------------------------------- registry
@@ -364,8 +360,9 @@ class SpeHost:
         a batch to SHUFFLE_BATCH_BYTES, each record counting its bytes and its
         ENTRY_SIZE index entry, tagged with the ordinal and attempt. A batch
         travels in the READ layout: its records' index entries, then their
-        bytes. Each home's batches go in order, the homes as overlap decides;
-        a batch that is not taken fails the attempt."""
+        bytes. Each home's batches go in order, the homes side by side on
+        the node's transport (Transport.overlap) over links that wait; a
+        batch that is not taken fails the attempt."""
         if not len(tagged.batch):
             return
         order = np.argsort(tagged.batch.buckets, kind="stable")
@@ -395,7 +392,7 @@ class SpeHost:
                              {"job": job, "bucket": bucket, "rows": rows,
                               "ordinal": ordinal, "attempt": attempt}, batch)
 
-        list(overlap(self.node.transport, sends, send, sends))
+        list(self.node.transport.overlap(sends, send, sends))
 
 
 def _failed(segment: DataSegment, acks: list[int], error: str) -> dict:
@@ -424,30 +421,6 @@ def _bucket_ids(out: RecordBatch, output: OutputSpec, params: bytes) -> np.ndarr
                        dtype=np.int64, count=len(out))
 
 
-def overlap(transport, peers, fn, items):
-    """fn(item) for every item, as an iterator of the results in item
-    order that raises a call's exception in place of its result. When a
-    call to any of `peers` waits on a network, up to LANES calls are in
-    flight at once, each started as the caller takes the result LANES
-    places before it; else each call runs in the caller's thread when the
-    caller reaches it. Threads save no time without a network wait (one
-    interpreter lock), and each one that allocates keeps a malloc arena.
-    No call outlives the iteration, also when the caller closes it early."""
-    if not any(map(transport.waits_on, peers)):
-        yield from map(fn, items)
-        return
-    items = iter(items)
-    pool = ThreadPoolExecutor(LANES)
-    try:
-        pending = deque(pool.submit(fn, item) for item in islice(items, LANES))
-        while pending:
-            result = pending.popleft().result()
-            pending.extend(pool.submit(fn, item) for item in islice(items, 1))
-            yield result
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 # --------------------------------------------------------------- job client
 
 @dataclass
@@ -472,7 +445,9 @@ def run_job(session, stream, operator_name: str, params: bytes = b"",
     """Apply a registered operator to every record of the stream, a Stream
     or the names of stored files, exactly once. Each node runs up to
     spe_per_node of the job's segments at once: the job has one worker
-    thread per SPE, each sending its segments one after another.
+    thread per SPE, each sending its segments one after another, never
+    capped by the transport's executor: a worker with nothing local waits
+    for an idle worker on a replica node.
 
     Returns the output stream (files registered in storage) and the job
     report. Failed segments are retried once on a different node before
@@ -483,8 +458,9 @@ def run_job(session, stream, operator_name: str, params: bytes = b"",
     A shuffle's homes, fixed at the start, are the destinations in the
     member list. A batch that its home does not take fails the attempt;
     each home indexes only the batches of the attempt that completed each
-    segment. The homes are finalized through overlap, and a home that
-    cannot be finalized fails the job.
+    segment. The homes are finalized side by side on the session's
+    transport (Transport.overlap), and a home that cannot be finalized
+    fails the job.
 
     Each segment is read against its file's STAT header in the stream,
     which a holder of another version refuses with StaleError. A job that
@@ -592,7 +568,7 @@ def _run_job(session, stream: Stream, operator_name: str, params: bytes, output:
                 raise JobError("cannot finalize %s on %s: %s" % (job_id, home, exc)) from exc
 
         homes = output.destinations
-        for home, result in zip(homes, overlap(session.transport, homes, finalize, homes)):
+        for home, result in zip(homes, session.transport.overlap(homes, finalize, homes)):
             output_files.extend({**info, "target": home} for info in result["files"])
         output_files.sort(key=lambda f: f["bucket"])
     else:

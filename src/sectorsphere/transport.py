@@ -13,13 +13,16 @@ callers share it. Responses are matched to callers by request id.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import logging
 import queue
 import socket
 import socketserver
 import threading
-from concurrent.futures import Future
+from collections import deque
+from concurrent.futures import CancelledError, Future, ThreadPoolExecutor, wait
+from itertools import islice
 
 from .clock import RealClock
 from .errors import RpcTimeoutError, TransportError, error_from_code
@@ -37,6 +40,7 @@ from .wire import (
 log = logging.getLogger(__name__)
 
 DEFAULT_TIMEOUT = 10.0
+LANES = 8  # threads of a transport's executor: the most calls of its fan-outs in flight
 
 
 class LinkProfile:
@@ -110,17 +114,23 @@ class Channel:
 
 class Transport:
     """One endpoint's view of the network: listen for requests, open cached
-    channels to peers."""
+    channels to peers, and run fan-outs and connects ahead on one executor
+    of LANES threads, started at its first use."""
 
     def __init__(self, address: str):
         self.address = address
         self._channels: dict[str, Channel] = {}
         self._connecting: dict[str, Future] = {}  # peer -> its connect in flight
-        self._channels_lock = threading.Lock()
+        self._channels_lock = threading.Lock()  # also guards _closed and _executor
         self._closed = False
+        self._executor: ThreadPoolExecutor | None = None
+        self._lane = threading.local()  # .executor is set on the executor's own threads
 
     def listen(self, handler) -> None:
         raise NotImplementedError
+
+    def stop_listening(self) -> None:
+        """Serve no more requests; close() does this first."""
 
     def _connect(self, peer: str) -> Channel:
         raise NotImplementedError
@@ -130,12 +140,54 @@ class Transport:
         calls saves time."""
         return True
 
-    def connect_ahead_pays(self, peer: str) -> bool:
-        """Whether a client connects to peer before its first call to it.
-        Only over an in-memory link that waits, where ingest was measured to
-        gain; a TCP client connects to a member at its first call, so that a
-        command opens no socket to a member it does not call."""
-        return False
+    def connect_ahead(self, peers) -> None:
+        """Connect to peers ahead of their first calls where that pays. Over
+        TCP it does not: a command opens no socket to a member it does not call."""
+
+    def _submit(self, fn, *args) -> Future:
+        """fn(*args) queued on the executor, which starts at its first use."""
+        with self._channels_lock:
+            if self._closed:
+                raise TransportError("%s is closed" % self.address)
+            if self._executor is None:
+                self._executor = ThreadPoolExecutor(
+                    LANES, thread_name_prefix="lanes-%s" % self.address,
+                    initializer=setattr, initargs=(self._lane, "executor", True))
+            executor = self._executor
+        try:  # outside the lock, as a submit may start a thread
+            return executor.submit(fn, *args)
+        except RuntimeError:  # close() shut the executor down meanwhile
+            raise TransportError("%s is closed" % self.address) from None
+
+    def overlap(self, peers, fn, items):
+        """fn(item) for every item, as an iterator of the results in item
+        order that raises a call's exception in place of its result. When a
+        call to any of `peers` waits on a network, the calls run on the
+        executor, each queued as the caller takes the result LANES places
+        before it; else each in the caller's thread when the caller reaches
+        it, as threads save no time without a network wait (one interpreter
+        lock). No call outlives the iteration, also when the caller closes
+        it early; a call that close() cancels raises TransportError.
+
+        No call on the executor waits on a call queued on the same executor,
+        which could then fill with calls that wait on calls that never start:
+        no fan-out call makes a fan-out on its own transport."""
+        if not any(map(self.waits_on, peers)):
+            yield from map(fn, items)
+            return
+        items = iter(items)
+        pending = deque()
+        try:
+            pending.extend(self._submit(fn, item) for item in islice(items, LANES))
+            while pending:
+                try:
+                    result = pending.popleft().result()
+                except CancelledError:
+                    raise TransportError("%s closed during a call" % self.address) from None
+                pending.extend(self._submit(fn, item) for item in islice(items, 1))
+                yield result
+        finally:  # a cancelled call never starts; wait for those that did
+            wait([call for call in pending if not call.cancel()])
 
     def has_channel(self, peer: str) -> bool:
         """Whether peer has an open channel or a connect in flight."""
@@ -187,12 +239,20 @@ class Transport:
                     del self._connecting[peer]
 
     def close(self) -> None:
+        """Stop listening, close every channel and shut the executor down:
+        its queued calls are cancelled, and its running ones waited for,
+        unless close() runs on one of the executor's own threads."""
+        self.stop_listening()
         with self._channels_lock:
             self._closed = True
             channels, self._channels = list(self._channels.values()), {}
             self._connecting = {}
+            executor, self._executor = self._executor, None
         for channel in channels:
             channel.close()
+        if executor is not None:
+            executor.shutdown(wait=not getattr(self._lane, "executor", False),
+                              cancel_futures=True)
 
 
 class InMemoryNetwork:
@@ -283,12 +343,14 @@ class InMemoryTransport(Transport):
     def waits_on(self, peer: str) -> bool:
         return self.network.profile.rtt(self.address, peer) > 0
 
-    def connect_ahead_pays(self, peer: str) -> bool:
-        return self.waits_on(peer)
-
-    def close(self) -> None:
-        self.stop_listening()
-        super().close()
+    def connect_ahead(self, peers) -> None:
+        """Queue on the executor a connect to each of peers whose link waits
+        and that has no channel yet. A failed connect is dropped with its
+        Future: the call that needs the peer tries again and raises
+        TransportError."""
+        for peer in peers:
+            if self.waits_on(peer) and not self.has_channel(peer):
+                self._submit(self.open_channel, peer)
 
 
 def _recv_exactly(sock: socket.socket, n: int) -> bytes:
@@ -322,8 +384,7 @@ class TcpChannel(Channel):
         self._pending: dict[int, queue.SimpleQueue] = {}
         self._pending_lock = threading.Lock()
         self._closed = False
-        self._receiver = threading.Thread(target=self._receive_loop, daemon=True)
-        self._receiver.start()
+        threading.Thread(target=self._receive_loop, daemon=True).start()
 
     @property
     def is_open(self) -> bool:
@@ -371,16 +432,35 @@ class TcpChannel(Channel):
 
     def close(self) -> None:
         self._closed = True
-        try:
+        with contextlib.suppress(OSError):
             self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
         self._sock.close()
 
 
 class _TcpServer(socketserver.ThreadingTCPServer):
+    """Closing the server also shuts down the connections it accepted, so
+    that their threads end and a stopped node answers no one."""
+
     allow_reuse_address = True
     daemon_threads = True
+
+    def __init__(self, *args):
+        self.accepted = set()  # sockets of the connections being served
+        super().__init__(*args)
+
+    def process_request(self, request, client_address):
+        self.accepted.add(request)
+        super().process_request(request, client_address)
+
+    def close_request(self, request):
+        self.accepted.discard(request)
+        super().close_request(request)
+
+    def server_close(self):
+        super().server_close()
+        for request in list(self.accepted):
+            with contextlib.suppress(OSError):  # closed by its own thread meanwhile
+                request.shutdown(socket.SHUT_RDWR)
 
 
 class TcpTransport(Transport):
@@ -390,7 +470,6 @@ class TcpTransport(Transport):
     def __init__(self, address: str):
         super().__init__(address)
         self._server = None
-        self._server_thread = None
 
     @staticmethod
     def split(address: str) -> tuple[str, int]:
@@ -414,12 +493,9 @@ class TcpTransport(Transport):
                     except Exception as exc:  # handler bugs must not kill the server
                         log.exception("unhandled error serving kind=%s", msg.kind)
                         response = error_reply(msg, "internal", str(exc))
-                    try:
-                        data = encode_message(response)
-                        with write_lock:
-                            sock.sendall(data)
-                    except OSError:
-                        pass
+                    data = encode_message(response)
+                    with write_lock, contextlib.suppress(OSError):
+                        sock.sendall(data)
 
                 try:
                     while True:
@@ -432,9 +508,8 @@ class TcpTransport(Transport):
             self._server = _TcpServer((host, port), FrameHandler)
         except OSError as exc:
             raise TransportError("cannot listen on %s: %s" % (self.address, exc))
-        self._server_thread = threading.Thread(target=self._server.serve_forever,
-                                               kwargs={"poll_interval": 0.05}, daemon=True)
-        self._server_thread.start()
+        threading.Thread(target=self._server.serve_forever, kwargs={"poll_interval": 0.05},
+                         daemon=True).start()
 
     def _connect(self, peer: str) -> Channel:
         host, port = self.split(peer)
@@ -450,7 +525,3 @@ class TcpTransport(Transport):
             self._server.shutdown()
             self._server.server_close()
             self._server = None
-
-    def close(self) -> None:
-        self.stop_listening()
-        super().close()

@@ -1,3 +1,5 @@
+import threading
+
 import pytest
 from hypothesis import settings
 
@@ -21,3 +23,17 @@ def make_cluster(tmp_path):
     yield factory
     for cluster in made:
         cluster.stop()
+
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """Every thread started from the set-up of this fixture on."""
+    started = []
+    start = threading.Thread.start
+
+    def recorded(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recorded)
+    return started

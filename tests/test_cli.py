@@ -1,5 +1,6 @@
 import json
 import socket
+import time
 
 import pytest
 
@@ -112,7 +113,7 @@ def tcp_cluster(tmp_path):
                for i, a in enumerate(addresses)],
         replica_target=1)
     nodes = [tcp_node(config, "n%d" % i) for i in range(2)]
-    yield addresses, config
+    yield addresses, nodes
     for node in nodes:
         node.stop()
 
@@ -232,6 +233,31 @@ def test_submit_unknown_operator_is_job_error(tmp_path, tcp_cluster, monkeypatch
     closed = record_closes(monkeypatch)
     assert cli.main(["submit", "--job", str(descriptor)]) == cli.EXIT_JOB
     assert len(closed) == 1
+
+
+def test_a_terasort_over_sockets_leaves_no_thread_once_the_nodes_stop(tmp_path, started_threads,
+                                                                     tcp_cluster, capsys):
+    addresses, nodes = tcp_cluster
+    names = []
+    for part in range(2):
+        source = tmp_path / ("tera-%d.dat" % part)
+        assert cli.main(["teragen", "--records", "400", "--seed", str(part + 1),
+                         "--out", str(source)]) == 0
+        names.append("tera/part-%d.dat" % part)
+        assert cli.main(["upload", "--server", addresses[0], str(source), names[-1]]) == 0
+    descriptor = tmp_path / "terasort.json"
+    descriptor.write_text(json.dumps({"server": addresses[1], "files": names}))
+    assert cli.main(["terasort", "--job", str(descriptor)]) == 0
+    assert "2 files -> 2 sorted buckets" in capsys.readouterr().out
+    for node in nodes:
+        node.stop()
+    # the nodes' server and replication threads, their executors, their
+    # connection and frame threads, the CLI's client and job threads and
+    # every channel's receiver end
+    deadline = time.monotonic() + 5
+    for thread in started_threads:
+        thread.join(max(0.0, deadline - time.monotonic()))
+    assert [thread.name for thread in started_threads if thread.is_alive()] == []
 
 
 def test_eight_node_wan_profile_cluster_runs_terasort(tmp_path):

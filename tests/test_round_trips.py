@@ -15,7 +15,7 @@ from sectorsphere.errors import AccessDeniedError, IntegrityError, StaleError, T
 from sectorsphere.fileops import fetch_file, push_file, read_records_over
 from sectorsphere.records import RecordIndex
 from sectorsphere.sphere import OutputMode, OutputSpec, SegmentLimits
-from sectorsphere.transport import LinkProfile
+from sectorsphere.transport import LANES, LinkProfile, Transport
 from sectorsphere.wire import MessageKind, unpack_payload
 
 
@@ -45,6 +45,24 @@ def count_threads(monkeypatch) -> list:
 
     monkeypatch.setattr(threading.Thread, "start", recorded)
     return started
+
+
+def track_running(monkeypatch, target, attribute) -> list:
+    """Wrap target.attribute so that the list returned holds one token for
+    each of its calls still running."""
+    running = []
+    fn = getattr(target, attribute)
+
+    def tracked(*args, **kwargs):
+        token = object()
+        running.append(token)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            running.remove(token)
+
+    monkeypatch.setattr(target, attribute, tracked)
+    return running
 
 
 def meet_on_reads(monkeypatch, cluster, parties, first_only=False, kind=MessageKind.READ):
@@ -323,6 +341,43 @@ def test_a_zero_latency_terasort_starts_only_its_jobs_workers(make_cluster, monk
     assert len(started) == 2 * len(cluster.nodes)
 
 
+def test_a_second_terasort_starts_no_fan_out_thread(make_cluster, monkeypatch):
+    cluster = make_cluster(3, profile=LinkProfile(default=1.0))
+    client = cluster.client()
+    rng = random.Random(47)
+    names = []
+    for i, address in enumerate(sorted(cluster.nodes)):
+        names.append(scenarios.name_owned_by(cluster.ring, "again/in-%d.dat" % i, address))
+        upload_records(client, names[-1], [rng.randbytes(100) for _ in range(300)])
+    # in the first run, the client's three sample reads meet in flight, and
+    # so do each node's three shuffle sends: every executor then has as many
+    # threads as one fan-out of the job, whichever of its calls ends first
+    fan_outs = {}
+    lock = threading.Lock()
+    dispatch = cluster.network.dispatch
+
+    def meeting(local, peer, request):
+        if request.kind in (MessageKind.READ, MessageKind.SHUFFLE_APPEND):
+            with lock:
+                barrier, calls = fan_outs.setdefault(local, (threading.Barrier(3, timeout=5), []))
+                calls.append(request.kind)
+            if len(calls) <= 3:
+                barrier.wait()
+        return dispatch(local, peer, request)
+
+    monkeypatch.setattr(cluster.network, "dispatch", meeting)
+    first, _ = benchmarks.terasort(client, names, job_id="first")
+    assert sorted(fan_outs) == sorted([client.address, *cluster.nodes])
+    monkeypatch.undo()
+    started = count_threads(monkeypatch)
+    second, _ = benchmarks.terasort(client, names, job_id="second")
+    # the sample reads, shuffle sends and finalizes run on the executors
+    # that the first run started, of the client and of each node; the new
+    # threads are the two jobs' workers, one per SPE
+    assert len(started) == 2 * len(cluster.nodes)
+    assert list(client.iter_records(second.names)) == list(client.iter_records(first.names))
+
+
 def test_an_ack_never_connects_to_the_client_in_the_segment_thread(make_cluster,
                                                                   monkeypatch):
     sleeps = []
@@ -352,8 +407,6 @@ def test_an_ack_never_connects_to_the_client_in_the_segment_thread(make_cluster,
 
 @pytest.mark.parametrize("rtt_ms", [0.0, 1.0])
 def test_sample_reads_overlap_only_over_links_that_wait(make_cluster, monkeypatch, rtt_ms):
-    from sectorsphere.sphere import LANES
-
     cluster = make_cluster(3, profile=LinkProfile(default=rtt_ms))
     client = cluster.client()
     records = [bytes([(7 * i) % 251]) * 100 for i in range(108)]
@@ -364,14 +417,16 @@ def test_sample_reads_overlap_only_over_links_that_wait(make_cluster, monkeypatc
         upload_records(client, name, records[9 * i:9 * (i + 1)])
     stream = client.resolve_stream(names)
     started = count_threads(monkeypatch)
+    running = track_running(monkeypatch, client, "read_runs")
     held = meet_on_reads(monkeypatch, cluster, LANES) if rtt_ms else []
     sent = count_messages(monkeypatch, cluster)
     boundaries = benchmarks.sample_boundaries(client, stream, 4, sample_target=len(records))
     keys = sorted(r[:benchmarks.KEY_SIZE] for r in records)
     assert boundaries == [keys[i * len(keys) // 4] for i in range(1, 4)]
     assert sent == {MessageKind.READ: len(stream.files)}  # each file's three runs in one
+    assert running == []  # no read outlives the sample
     if rtt_ms:  # the first read of every lane met the others in flight
-        assert len(started) == LANES
+        assert len(started) <= LANES  # the client transport's executor alone
         assert {peer for peer, _ in held} == set(cluster.nodes)
     else:
         assert started == []
@@ -497,13 +552,15 @@ def test_iter_batches_yields_in_stream_order_while_first_reads_overlap(make_clus
         upload_records(client, name, records)
     client.resolve_stream(names)  # caches each file's holder and header
     started = count_threads(monkeypatch)
+    running = track_running(monkeypatch, client, "_against_header")
     held = meet_on_reads(monkeypatch, cluster, len(names), first_only=True) if rtt_ms else []
     batches = [list(batch) for batch in client.iter_batches(names, batch_rows=2)]
     assert batches == [records[i:i + 2] for records in files
                        for i in range(0, len(records), 2)]
+    assert running == []  # no read outlives the iteration
     if rtt_ms:
         assert sorted(name for _, name in held) == sorted(names)
-        assert len(started) == len(names)
+        assert len(started) <= LANES  # the client transport's executor alone
     else:
         assert started == []
 
@@ -511,40 +568,42 @@ def test_iter_batches_yields_in_stream_order_while_first_reads_overlap(make_clus
 def test_stream_names_are_looked_up_in_a_bounded_number_of_lanes(make_cluster, monkeypatch):
     cluster = make_cluster(2, profile=LinkProfile(default=1.0))
     writer = cluster.client()
-    names = ["lanes/%02d.dat" % i for i in range(sphere.LANES + 5)]
+    names = ["lanes/%02d.dat" % i for i in range(LANES + 5)]
     for i, name in enumerate(names):
         upload_records(writer, name, [b"r"] * (i + 1))
     client = cluster.client("client-1")  # knows no name, so it looks each one up
     client.members()
     started = count_threads(monkeypatch)
-    held = meet_on_reads(monkeypatch, cluster, sphere.LANES, kind=MessageKind.LOOKUP)
+    running = track_running(monkeypatch, client, "_lookup")
+    held = meet_on_reads(monkeypatch, cluster, LANES, kind=MessageKind.LOOKUP)
     sent = count_messages(monkeypatch, cluster)
     stream = client.resolve_stream(names)
     assert stream.names == tuple(names)
     assert [f.records for f in stream.files] == list(range(1, len(names) + 1))
-    assert len(started) == sphere.LANES  # the first LANES LOOKUPs met in flight
-    assert sorted(name for _, name in held) == names[:sphere.LANES]
+    assert running == []  # no LOOKUP outlives the stream's resolution
+    assert len(started) <= LANES  # the client transport's executor alone
+    assert sorted(name for _, name in held) == names[:LANES]  # they met in flight
     assert sent == {MessageKind.LOOKUP: len(names)}  # each at its owner, none relayed
 
 
 def test_first_reads_of_names_not_looked_up_overlap(make_cluster, monkeypatch):
     cluster = make_cluster(3, profile=LinkProfile(default=1.0))
     writer = cluster.client()
-    names = ["fresh/%02d.dat" % i for i in range(sphere.LANES)]
+    names = ["fresh/%02d.dat" % i for i in range(LANES)]
     files = [[b"%d-%d" % (i, j) for j in range(4)] for i in range(len(names))]
     for name, records in zip(names, files):
         upload_records(writer, name, records)
     reader = cluster.client("client-1")  # no name looked up, and no ring yet
     started = count_threads(monkeypatch)
+    running = track_running(monkeypatch, reader, "_against_header")
     held = meet_on_reads(monkeypatch, cluster, len(names), kind=MessageKind.LOOKUP)
     sent = count_messages(monkeypatch, cluster)
     assert [list(batch) for batch in reader.iter_batches(names)] == files
     assert sorted(name for _, name in held) == names  # every LOOKUP met the others in flight
-    # the ring's first MEMBERS reply starts a connect-ahead lane for each
-    # member other than the entry; the rest are the reads'
-    ahead = [thread for thread in started if thread.name == "connect-ahead"]
-    assert len(ahead) == len(cluster.nodes) - 1
-    assert len(started) - len(ahead) == len(names)
+    assert running == []  # no read outlives the iteration
+    # the connects ahead, queued by the ring's first MEMBERS reply, and
+    # the reads share the client transport's executor
+    assert len(started) <= LANES
     assert sent == {MessageKind.MEMBERS: 1, MessageKind.LOOKUP: len(names),
                     MessageKind.READ: len(names)}
 
@@ -598,7 +657,7 @@ def test_a_fresh_clients_connects_to_the_members_overlap(make_cluster, monkeypat
 
 
 def test_closing_a_client_stops_its_connect_ahead_lanes(make_cluster, monkeypatch):
-    cluster = make_cluster(sphere.LANES + 3, profile=LinkProfile(default=1.0))
+    cluster = make_cluster(LANES + 3, profile=LinkProfile(default=1.0))
     client = cluster.client()
     entered, release = threading.Semaphore(0), threading.Event()
     connects = []
@@ -614,7 +673,7 @@ def test_closing_a_client_stops_its_connect_ahead_lanes(make_cluster, monkeypatc
     monkeypatch.setattr(cluster.network, "connect", held)
     started = count_threads(monkeypatch)
     members = client.members()
-    for _ in range(sphere.LANES):  # every lane holds a connect; two members wait
+    for _ in range(LANES):  # every lane holds a connect; two members wait
         assert entered.acquire(timeout=5)
     closing = threading.Thread(target=client.close)
     closing.start()
@@ -623,9 +682,10 @@ def test_closing_a_client_stops_its_connect_ahead_lanes(make_cluster, monkeypatc
     release.set()
     closing.join(5)
     assert not closing.is_alive()
-    # close() returned after its lanes: none cached a channel or went on
-    assert not any(thread.is_alive() for thread in started if thread.name == "connect-ahead")
-    assert len(connects) == sphere.LANES
+    # close() returned after the executor's threads: none cached a channel
+    # or went on to a queued member
+    assert not any(thread.is_alive() for thread in started)
+    assert len(connects) == LANES
     assert not any(client.transport.has_channel(peer) for peer in members)
 
 
@@ -643,13 +703,21 @@ def test_a_dead_member_fails_only_the_calls_that_need_it(make_cluster):
         client.transport.open_channel(dead)
 
 
+class Link(Transport):
+    """A transport whose every call waits on a network, or none does."""
+
+    def __init__(self, waits: bool):
+        super().__init__("link")
+        self.waits = waits
+
+    def waits_on(self, peer):
+        return self.waits
+
+
 @pytest.mark.parametrize("waits", [False, True], ids=["no-wait", "wait"])
 def test_overlap_keeps_order_bounds_lanes_and_raises_the_first_failure(waits):
-    class Link:
-        def waits_on(self, peer):
-            return waits
-
-    lanes = sphere.LANES
+    link = Link(waits)
+    lanes = LANES
     barrier = threading.Barrier(lanes, timeout=5)
     lock = threading.Lock()
     running, taken, threads = [], [], set()  # calls in flight; results taken; callers
@@ -673,19 +741,79 @@ def test_overlap_keeps_order_bounds_lanes_and_raises_the_first_failure(waits):
         return [t for t in threads if t.is_alive() and t is not threading.current_thread()]
 
     with pytest.raises(ValueError) as failure:
-        for result in sphere.overlap(Link(), ["peer"], half, range(3 * lanes)):
+        for result in link.overlap(["peer"], half, range(3 * lanes)):
             taken.append(result)
     assert failure.value.args == (lanes + 5,)
     assert taken == [n // 2 for n in range(lanes + 5)]
     assert max(in_flight) == (lanes if waits else 1)
     assert max(ahead) <= lanes
     assert (threading.current_thread() in threads) != waits
-    assert left_running() == []  # no call outlives the fan-out
-    results = sphere.overlap(Link(), ["peer"], half, range(3 * lanes))
+    assert running == []  # no call outlives the fan-out
+    assert len(threads - {threading.current_thread()}) <= lanes  # the executor's threads
+    results = link.overlap(["peer"], half, range(3 * lanes))
     assert next(results) == 0
     results.close()  # left early, it still waits for the calls in flight
-    assert running == [] and left_running() == []
-    assert list(sphere.overlap(Link(), ["peer"], half, [])) == []
+    assert running == []
+    assert list(link.overlap(["peer"], half, [])) == []
+    link.close()  # which waits for the executor's threads
+    assert left_running() == []
+
+
+def test_concurrent_fan_outs_share_one_executor():
+    link = Link(waits=True)
+    lock = threading.Lock()
+    running, served = [], set()
+
+    def tagged(item):
+        with lock:
+            running.append(item)
+            served.add(threading.current_thread())
+        with lock:
+            running.remove(item)
+        return item
+
+    def fan_out(caller):
+        items = [(caller, n) for n in range(40)]
+        return list(link.overlap(["peer"], tagged, items)) == items
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(16) as callers:
+            assert all(callers.map(fan_out, range(16), timeout=30))
+    finally:
+        sys.setswitchinterval(interval)
+    assert running == [] and len(served) <= LANES  # one executor served all 16
+    link.close()
+    assert not any(thread.is_alive() for thread in served)
+
+
+def test_a_call_that_close_cancels_raises_transport_error():
+    link = Link(waits=True)
+    entered, release = threading.Semaphore(0), threading.Event()
+
+    def hold(n):
+        entered.release()
+        return release.wait(5)
+
+    busy = threading.Thread(target=lambda: list(link.overlap(["peer"], hold, range(LANES))))
+    busy.start()
+    for _ in range(LANES):  # every thread of the executor holds a call
+        assert entered.acquire(timeout=5)
+    closing = threading.Thread(target=link.close)
+
+    def queued():  # starts closing the link once the three calls are queued
+        yield from range(3)
+        closing.start()
+
+    with pytest.raises(TransportError):
+        list(link.overlap(["peer"], str, queued()))
+    release.set()  # close() waits for the running calls, which then end
+    closing.join(5)
+    busy.join(5)
+    assert not closing.is_alive() and not busy.is_alive()
+    with pytest.raises(TransportError):
+        list(link.overlap(["peer"], str, range(3)))
 
 
 def test_concurrent_stores_and_stats_keep_every_header(make_cluster):

@@ -365,6 +365,26 @@ def test_tcp_connect_that_finishes_after_close_leaves_no_open_socket(tcp_server,
         client.close()
 
 
+def test_a_closed_tcp_server_stops_answering_the_connections_it_accepted(tcp_server,
+                                                                         started_threads):
+    address, server = tcp_server
+    client = TcpTransport("127.0.0.1:0")
+    try:
+        channel = client.open_channel(address)
+        header, _ = channel.call(MessageKind.PING, {})
+        assert header["echo"]
+        server.close()
+        with pytest.raises(TransportError):
+            channel.call(MessageKind.PING, {}, timeout=5)
+        # the server's connection thread ends, and so does the client's
+        # receiver, which reads the end of the stream
+        for thread in started_threads:
+            thread.join(5)
+        assert not any(thread.is_alive() for thread in started_threads)
+    finally:
+        client.close()
+
+
 def test_a_closed_tcp_transport_opens_no_channel(tcp_server):
     address, _ = tcp_server
     client = TcpTransport("127.0.0.1:0")
