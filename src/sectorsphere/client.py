@@ -30,12 +30,13 @@ through Transport.overlap. The session starts no thread of its own.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 from pathlib import Path
 
 from . import sphere
 from .errors import NotFoundError, TransportError
-from .fileops import fetch_file, first_holder, push_file, read_records_over
+from .fileops import FileSource, fetch_file, first_holder, push_file, read_records_over
 from .records import INDEX_SUFFIX, RecordBatch, RecordIndex
 from .routing import RingView
 from .transport import Transport
@@ -145,23 +146,25 @@ class ClientSession:
     def upload(self, source, name: str, index: RecordIndex | None = None) -> list[str]:
         """Store a file (and its index) on the node responsible for the name.
 
-        `source` is a path or a bytes object. When a path is given without
-        an explicit index, a sibling .idx file is used if present.
+        `source` is a path or a bytes object. A path is read one piece at a
+        time as it is sent (fileops.FileSource). When a path is given
+        without an explicit index, a sibling .idx file is used if present.
         """
-        if isinstance(source, (bytes, bytearray)):
-            data = bytes(source)
-        else:
-            path = Path(source)
-            data = path.read_bytes()
-            if index is None:
-                sibling = path.with_name(path.name + INDEX_SUFFIX)
-                if sibling.exists():
-                    index = RecordIndex.from_bytes(sibling.read_bytes())
-        if index is not None:
-            index.validate(len(data))
-        index_bytes = index.to_bytes() if index is not None else None
-        target, stat = self._at_owner(
-            name, lambda channel: push_file(channel, name, data, index_bytes))
+        with contextlib.ExitStack() as opened:
+            if isinstance(source, (bytes, bytearray)):
+                data = bytes(source)
+            else:
+                path = Path(source)
+                data = opened.enter_context(FileSource(path))
+                if index is None:
+                    sibling = path.with_name(path.name + INDEX_SUFFIX)
+                    if sibling.exists():
+                        index = RecordIndex.from_bytes(sibling.read_bytes())
+            if index is not None:
+                index.validate(len(data))
+            index_bytes = index.to_bytes() if index is not None else None
+            target, stat = self._at_owner(
+                name, lambda channel: push_file(channel, name, data, index_bytes))
         self.remember(sphere.StreamFile(name, stat, (target,)))
         return [target]
 

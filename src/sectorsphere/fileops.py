@@ -5,10 +5,13 @@ ways. A store cuts it into TRANSFER_CHUNK pieces that each travel as a
 STORE_DATA call. Every piece repeats the store's header and a token
 chosen by the sender, so a file that fits one chunk is stored by a
 single message; the reply to the piece that completes the stream is the
-stored file's STAT header. A fetch reads the stream back in FETCH
-ranges, so arbitrarily large files fit under the frame payload cap.
-Both the pieces and the ranges are TRANSFER_CHUNK bytes, as the module
-has it when the transfer starts. A READ names runs of a file's records,
+stored file's STAT header. The sender reads a file it stores from disk
+one piece at a time (FileSource), and the node writes each piece to a
+temp file as it arrives and renames the temp files into place when the
+stream is complete, so neither side holds a whole store in memory. A
+fetch reads the stream back in FETCH ranges, so arbitrarily large files
+fit under the frame payload cap. Both the pieces and the ranges are
+TRANSFER_CHUNK bytes, as the module has it when the transfer starts. A READ names runs of a file's records,
 [[offset, rows], ...], and its reply holds them in run order, cut
 before the record that takes the records and their ENTRY_SIZE index
 entries past TRANSFER_CHUNK bytes, as the node module has it; the
@@ -24,6 +27,7 @@ in order through first_holder.
 
 from __future__ import annotations
 
+import os
 import uuid
 
 import numpy as np
@@ -35,10 +39,44 @@ from .wire import MessageKind
 TRANSFER_CHUNK = 8 * 1024 * 1024
 
 
-def push_file(channel, name: str, data: bytes, index_bytes: bytes | None,
-              internal: bool = False) -> dict:
+class FileSource:
+    """A file's bytes as push_file takes them, read from disk on demand:
+    len() is the size of the file when it was opened, and a slice is one
+    seek and read of the open file, so no more of the file than a slice is
+    in memory. The handle is held to the end of the with block, so a
+    rename over the path meanwhile does not change what is read. Not an mmap: a file truncated meanwhile gives IntegrityError,
+    where a mapping would kill the process with SIGBUS."""
+
+    def __init__(self, path):
+        self._file = open(path, "rb")
+        self._size = os.fstat(self._file.fileno()).st_size
+
+    def __enter__(self) -> "FileSource":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._file.close()
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, span: slice) -> bytes:
+        start, stop, _ = span.indices(self._size)
+        if start >= stop:
+            return b""
+        self._file.seek(start)
+        data = self._file.read(stop - start)
+        if len(data) != stop - start:
+            raise IntegrityError("%s shrank to %d bytes while it was read"
+                                 % (self._file.name, start + len(data)))
+        return data
+
+
+def push_file(channel, name: str, data, index_bytes, internal: bool = False) -> dict:
     """Store a file (and optional index) on the channel's peer. Returns
-    the peer's STAT header of the stored file."""
+    the peer's STAT header of the stored file. `data` and `index_bytes`
+    (None: no index) are bytes or a FileSource; each piece slices out
+    only its own part of them."""
     index = index_bytes or b""
     header = {
         "name": name,

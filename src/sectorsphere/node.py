@@ -26,13 +26,26 @@ and a holder whose header differs refuses them with StaleError. A FETCH
 serves a range of the store stream, data then index. A shuffle bucket's
 home indexes, at FINALIZE_JOB, only the batches of the attempt that
 completed each segment.
+
+A store is never held in memory. Each STORE_DATA piece is written to
+temp files under data_dir/.stores, named by the node, as it arrives; the
+piece that completes the stream validates the index, and _commit renames
+the data and the index into place under the name's lock. A job output
+(store_file) commits through the same _commit, so a file is never
+rewritten in place, and a store that fails or stops half-way leaves the
+previous version as it was. A store that waits longer than
+STORE_DEADLINE for its next piece is dropped with its temp files.
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
+import os
 import random
+import shutil
 import threading
+import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -48,8 +61,8 @@ from .errors import (
     StaleError,
     TransportError,
 )
-from .fileops import (TRANSFER_CHUNK, cut_runs, file_header, push_file, split_rows,
-                      stream_size)
+from .fileops import (TRANSFER_CHUNK, FileSource, cut_runs, file_header, push_file,
+                      split_rows, stream_size)
 from .records import ENTRY_SIZE, RecordBatch, RecordIndex, index_path
 from .routing import RingView, name_owned_by
 from .transport import Transport, error_reply, reply
@@ -58,6 +71,8 @@ from .wire import Message, MessageKind, unpack_payload
 log = logging.getLogger(__name__)
 
 DAY_SECONDS = 86400.0
+STORES_DIR = ".stores"  # under data_dir: the temp files of the stores in progress
+STORE_DEADLINE = 300.0  # seconds a store may wait for its next piece before it is dropped
 
 
 @dataclass
@@ -75,18 +90,42 @@ class NodeConfig:
 
 
 @dataclass
-class _StoreBuffer:
+class _Store:
+    """A store in progress, its stream written to temp files as it arrives."""
     name: str
     data_size: int
     index_size: int      # -1: the file has no index
     sender: str          # transport origin; what access control judges
-    internal: bool
-    pieces: list = field(default_factory=list)
+    temps: tuple         # the temp paths of the data and of the index (None: no index)
+    deadline: float      # on the node's clock; the store is dropped after it
     received: int = 0
+    done: bool = False   # complete, failed or expired: whoever set it owns the temps
+    lock: threading.Lock = field(default_factory=threading.Lock)
 
     @property
     def total(self) -> int:
         return self.data_size + max(self.index_size, 0)
+
+
+def _is_size(n) -> bool:
+    return type(n) is int and n >= 0
+
+
+def _write_piece(store: _Store, body) -> None:
+    """Append a piece's data bytes and index bytes to the store's temp
+    files, which the first piece creates."""
+    mode = "ab" if store.received else "xb"
+    cut = max(0, store.data_size - store.received)
+    for temp, part in zip(store.temps, (body[:cut], body[cut:])):
+        if temp is not None and (part or mode == "xb"):
+            with open(temp, mode) as fh:
+                fh.write(part)
+
+
+def _discard(temps) -> None:
+    for temp in temps:
+        if temp is not None:
+            temp.unlink(missing_ok=True)
 
 
 def _checked_runs(runs, records: int, name: str) -> list[tuple[int, int]]:
@@ -113,12 +152,16 @@ class StorageNode:
         self.address = config.address
         self.data_dir = Path(config.data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
+        # the temp files of a store that a stopped node never finished
+        shutil.rmtree(self.data_dir / STORES_DIR, ignore_errors=True)
+        (self.data_dir / STORES_DIR).mkdir()
+        self.clock = transport.clock
         self.files: dict[str, dict] = {}  # name -> STAT header, never changed in place
         self.registry: dict[str, list[str]] = {}
         self.stats: dict[str, dict] = {}   # owned name -> its last registered STAT header
         self._meta_lock = threading.RLock()
         self._name_locks: dict[str, threading.Lock] = {}
-        self._stores: dict[str, _StoreBuffer] = {}
+        self._stores: dict[str, _Store] = {}  # sender's token -> its store in progress
         # (job, bucket) -> (file name, [(ordinal, attempt, index entries)
         # per batch, in file order])
         self._shuffle: dict[tuple[str, int], tuple[str, list[tuple[int, int, np.ndarray]]]] = {}
@@ -166,9 +209,16 @@ class StorageNode:
 
     def _path_for(self, name: str) -> Path:
         relative = Path(name)
-        if relative.is_absolute() or ".." in relative.parts:
+        if (not relative.parts or relative.is_absolute() or ".." in relative.parts
+                or relative.parts[0] == STORES_DIR):
             raise IntegrityError("illegal file name %r" % name)
         return self.data_dir / relative
+
+    def _temp_paths(self, indexed: bool) -> tuple[Path, Path | None]:
+        """New temp paths for a store's data and index (None: no index).
+        The node names them; a sender's token never becomes a path."""
+        stem = self.data_dir / STORES_DIR / uuid.uuid4().hex
+        return stem.with_suffix(".dat"), stem.with_suffix(".idx") if indexed else None
 
     def _lock_for(self, name: str) -> threading.Lock:
         with self._meta_lock:
@@ -196,19 +246,43 @@ class StorageNode:
 
     def store_file(self, sender: str, name: str, data: bytes,
                    index: RecordIndex | None, internal: bool = False) -> dict:
+        """Store a file held in memory (a job output) through temp files
+        and _commit, as a streamed store is. Returns its STAT header."""
         self._check_write_access(sender, internal)
         if index is not None:
             index.validate(len(data))
-        path = self._path_for(name)
-        with self._lock_for(name):
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_bytes(data)
+        self._path_for(name)  # an illegal name is refused before a byte is written
+        temps = self._temp_paths(index is not None)
+        try:
+            temps[0].write_bytes(data)
             if index is not None:
-                index_path(path).write_bytes(index.to_bytes())
-            stat = file_header(len(index) if index is not None else 1, len(data),
-                               index is not None)
-            with self._meta_lock:
-                self.files[name] = stat
+                temps[1].write_bytes(index.to_bytes())
+        except BaseException:
+            _discard(temps)
+            raise
+        return self._commit(name, temps, index, len(data))
+
+    def _commit(self, name: str, temps, index: RecordIndex | None, size: int) -> dict:
+        """Rename a store's temp files, the data and the index that it was
+        checked against, into place as the file `name` under the name's
+        lock, record its STAT header and register it. A commit that fails
+        deletes the temp files and leaves the previous version."""
+        data, index_temp = temps
+        stat = file_header(len(index) if index is not None else 1, size, index is not None)
+        try:
+            path = self._path_for(name)
+            with self._lock_for(name):
+                path.parent.mkdir(parents=True, exist_ok=True)
+                os.replace(data, path)
+                if index_temp is None:  # an index of another version indexes nothing here
+                    index_path(path).unlink(missing_ok=True)
+                else:
+                    os.replace(index_temp, index_path(path))
+                with self._meta_lock:
+                    self.files[name] = stat
+        except BaseException:
+            _discard(temps)
+            raise
         self._register([(name, stat)])
         return stat
 
@@ -370,13 +444,17 @@ class StorageNode:
             channel.call(MessageKind.REPLICATE, {"name": name, "dest": dest})
 
     def push_replica(self, name: str, dest: str) -> None:
-        """Copy a local file and its index to another node."""
-        stat = self.meta(name)
+        """Copy a local file and its index to another node, read from disk a
+        piece at a time. Both are opened under the name's lock, so they are
+        one version even if a store commits another meanwhile."""
         path = self._path_for(name)
-        data = path.read_bytes()
-        index_bytes = index_path(path).read_bytes() if stat["indexed"] else None
-        channel = self.transport.open_channel(dest)
-        push_file(channel, name, data, index_bytes, internal=True)
+        with contextlib.ExitStack() as opened:
+            with self._lock_for(name):
+                stat = self.meta(name)
+                data = opened.enter_context(FileSource(path))
+                index = (opened.enter_context(FileSource(index_path(path)))
+                         if stat["indexed"] else None)
+            push_file(self.transport.open_channel(dest), name, data, index, internal=True)
 
     # ------------------------------------------------------------ job output
 
@@ -453,7 +531,7 @@ class StorageNode:
             log.exception("internal error handling kind=%s", msg.kind)
             return error_reply(msg, "internal", str(exc))
 
-    def _dispatch(self, origin: str, msg: Message, header: dict, body: bytes) -> Message:
+    def _dispatch(self, origin: str, msg: Message, header: dict, body) -> Message:
         kind = msg.kind
         if kind == MessageKind.PING:
             return reply(msg, MessageKind.OK, {"pong": True, "node": self.address})
@@ -487,39 +565,85 @@ class StorageNode:
             return reply(msg, MessageKind.OK, {"files": files})
         raise SectorError("unsupported message kind %s" % kind)
 
-    def _op_store_data(self, origin: str, msg: Message, header: dict, body: bytes) -> Message:
-        """One piece of a store's data-then-index stream. The first piece
-        opens the store, and the piece that completes it commits the file."""
-        token = header["token"]
+    def _op_store_data(self, origin: str, msg: Message, header: dict, body) -> Message:
+        """One piece of a store's data-then-index stream, written to the
+        store's temp files. The first piece opens the store (_open_store);
+        the piece that completes it validates the index and commits the
+        file. Each piece first drops the stores whose deadline has passed."""
+        token, offset = header.get("token"), header.get("offset")
+        if not isinstance(token, str) or not _is_size(offset):
+            raise IntegrityError("store piece of token %.80r at offset %.80r" % (token, offset))
+        self._expire_stores()
         with self._meta_lock:
-            buffer = self._stores.get(token)
-        if buffer is None:
-            internal = bool(header.get("internal"))
-            self._check_write_access(origin, internal)
-            if header["data_size"] < 0 or header["index_size"] < -1:
-                raise IntegrityError("store of %s announces a negative size" % header["name"])
-            buffer = _StoreBuffer(name=header["name"], data_size=header["data_size"],
-                                  index_size=header["index_size"], sender=origin,
-                                  internal=internal)
-        if buffer.sender != origin:
-            raise AccessDeniedError("the store of %s was opened by another sender" % buffer.name)
-        if header["offset"] != buffer.received or buffer.received + len(body) > buffer.total:
-            raise IntegrityError("store piece at %d of %s is out of order or past its %d bytes"
-                                 % (header["offset"], buffer.name, buffer.total))
-        buffer.pieces.append(body)
-        buffer.received += len(body)
-        with self._meta_lock:
-            if buffer.received < buffer.total:
-                self._stores[token] = buffer
+            store = self._stores.get(token)
+            if store is None:
+                store = self._stores[token] = self._open_store(origin, header)
+        with store.lock:
+            if store.done:
+                raise IntegrityError("the store of %s has ended" % store.name)
+            if store.sender != origin:
+                raise AccessDeniedError("the store of %s was opened by another sender"
+                                        % store.name)
+            if offset != store.received or offset + len(body) > store.total:
+                raise IntegrityError("store piece at %d of %s is out of order or past its "
+                                     "%d bytes" % (offset, store.name, store.total))
+            try:
+                _write_piece(store, body)
+            except BaseException:
+                store.done = True
+                _discard(store.temps)
+                raise
+            store.received += len(body)
+            store.deadline = self.clock.now() + STORE_DEADLINE
+            if store.received < store.total:
                 return reply(msg, MessageKind.OK, {})
+            store.done = True
+        with self._meta_lock:
             self._stores.pop(token, None)
-        stream = b"".join(buffer.pieces)
         index = None
-        if buffer.index_size >= 0:
-            index = RecordIndex.from_bytes(stream[buffer.data_size:])
-        stat = self.store_file(buffer.sender, buffer.name, stream[:buffer.data_size],
-                               index, internal=buffer.internal)
-        return reply(msg, MessageKind.OK, stat)
+        if store.index_size >= 0:
+            try:
+                index = RecordIndex.from_bytes(store.temps[1].read_bytes())
+                index.validate(store.data_size)
+            except BaseException:
+                _discard(store.temps)
+                raise
+        return reply(msg, MessageKind.OK,
+                     self._commit(store.name, store.temps, index, store.data_size))
+
+    def _open_store(self, origin: str, header: dict) -> _Store:
+        """The store that a first piece opens: refused, before a byte is
+        written, unless the sender may write, the piece is at offset 0,
+        the sizes are ints of at least 0 (an index size -1, for no index,
+        or a multiple of ENTRY_SIZE) and the name is legal."""
+        self._check_write_access(origin, bool(header.get("internal")))
+        name, data_size, index_size = (header.get(key) for key in
+                                       ("name", "data_size", "index_size"))
+        if header["offset"]:
+            raise IntegrityError("piece at %d of a store of %.80r that is not open"
+                                 % (header["offset"], name))
+        indexed = _is_size(index_size) and not index_size % ENTRY_SIZE
+        unindexed = type(index_size) is int and index_size == -1
+        if not _is_size(data_size) or not (indexed or unindexed):
+            raise IntegrityError("store of %.80r announces data size %.80r and index size %.80r"
+                                 % (name, data_size, index_size))
+        if not isinstance(name, str):
+            raise IntegrityError("store of the name %.80r" % (name,))
+        self._path_for(name)
+        return _Store(name=name, data_size=data_size, index_size=index_size, sender=origin,
+                      temps=self._temp_paths(indexed), deadline=self.clock.now() + STORE_DEADLINE)
+
+    def _expire_stores(self) -> None:
+        """Drop every store whose deadline has passed, with its temp files."""
+        now = self.clock.now()
+        with self._meta_lock:
+            expired = [token for token, store in self._stores.items() if store.deadline < now]
+            dropped = [self._stores.pop(token) for token in expired]
+        for store in dropped:
+            with store.lock:
+                if not store.done:
+                    store.done = True
+                    _discard(store.temps)
 
     def _op_read(self, msg: Message, header: dict) -> Message:
         """Index entries in the .idx layout, then the records' bytes, of the

@@ -96,8 +96,9 @@ class Channel:
         raise NotImplementedError
 
     def call(self, kind: int, header: dict | None = None, body: bytes = b"",
-             timeout: float | None = None) -> tuple[dict, bytes]:
-        """Send a structured request; unpack the response, raising remote errors."""
+             timeout: float | None = None) -> tuple[dict, memoryview | bytes]:
+        """Send a structured request; unpack the response, raising remote
+        errors. The reply's body is a view of its payload (unpack_payload)."""
         request = Message(kind=kind, request_id=self.next_request_id(),
                           payload=pack_payload(header or {}, body))
         response = self.rpc(request, timeout=timeout)
@@ -115,10 +116,12 @@ class Channel:
 class Transport:
     """One endpoint's view of the network: listen for requests, open cached
     channels to peers, and run fan-outs and connects ahead on one executor
-    of LANES threads, started at its first use."""
+    of LANES threads, started at its first use. `clock` is the endpoint's
+    time: a RealClock, or the clock of its in-memory network."""
 
     def __init__(self, address: str):
         self.address = address
+        self.clock = RealClock()
         self._channels: dict[str, Channel] = {}
         self._connecting: dict[str, Future] = {}  # peer -> its connect in flight
         self._channels_lock = threading.Lock()  # also guards _closed and _executor
@@ -329,6 +332,7 @@ class InMemoryTransport(Transport):
     def __init__(self, network: InMemoryNetwork, address: str):
         super().__init__(address)
         self.network = network
+        self.clock = network.clock
 
     def listen(self, handler) -> None:
         self.network.listen(self.address, handler)

@@ -2,7 +2,9 @@
 
 Every frame is: 1-byte kind, 8-byte request id, 4-byte payload length,
 payload. All integers little-endian. Structured payloads carry a
-length-prefixed JSON header followed by an opaque binary body.
+length-prefixed JSON header followed by an opaque binary body; an
+unpacked body is a memoryview of its payload, so a large body is never
+copied to be read.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ def pack_payload(header: dict, body: bytes = b"") -> bytes:
     return _PLEN.pack(len(blob)) + blob + body
 
 
-def unpack_payload(payload: bytes) -> tuple[dict, bytes]:
+def unpack_payload(payload: bytes) -> tuple[dict, memoryview]:
     if len(payload) < _PLEN.size:
         raise FrameError("payload too short for header")
     (hlen,) = _PLEN.unpack_from(payload)
@@ -80,4 +82,4 @@ def unpack_payload(payload: bytes) -> tuple[dict, bytes]:
         header = json.loads(payload[_PLEN.size:end])
     except ValueError as exc:
         raise FrameError("bad payload header: %s" % exc) from exc
-    return header, payload[end:]
+    return header, memoryview(payload)[end:]

@@ -231,3 +231,47 @@ def test_a_client_registers_no_handler_on_the_network(make_cluster):
     for node in cluster.nodes.values():
         with pytest.raises(TransportError):
             node.transport.open_channel(client.address)
+
+
+def test_an_upload_and_its_replica_push_hold_at_most_two_pieces(tmp_path, monkeypatch):
+    import tracemalloc
+
+    from sectorsphere.cluster import quick_cluster
+    from sectorsphere.fileops import TRANSFER_CHUNK
+    from sectorsphere.node import StorageNode
+
+    mib = 1 << 20
+    rng = random.Random(25)
+    with quick_cluster(tmp_path / "c", 2, replica_target=2) as cluster:
+        client = cluster.client()
+        client.upload(b"warm", "warm.bin")  # the channels and the ring, before measuring
+        peaks = {}
+
+        def measured(key, fn, *args):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            result = fn(*args)
+            peaks[key] = tracemalloc.get_traced_memory()[1] - before
+            return result
+
+        push_replica = StorageNode.push_replica
+        monkeypatch.setattr(StorageNode, "push_replica", lambda node, name, dest: measured(
+            ("push", name), push_replica, node, name, dest))
+        tracemalloc.start()
+        try:
+            for size in (16, 32):
+                path = tmp_path / ("f%d.dat" % size)
+                path.write_bytes(rng.randbytes(size * mib))
+                path.with_name(path.name + ".idx").write_bytes(
+                    RecordIndex.uniform(size * mib // 4096, 4096).to_bytes())
+                measured(("upload", "f%d" % size), client.upload, path, "f%d" % size)
+            cluster.replication_cycle()
+        finally:
+            tracemalloc.stop()
+        assert all(node.holds(name) for node in cluster.nodes.values() for name in ("f16", "f32"))
+    assert set(peaks) == {("upload", "f16"), ("upload", "f32"),
+                          ("push", "warm.bin"), ("push", "f16"), ("push", "f32")}
+    for key, peak in peaks.items():
+        assert peak < 2 * TRANSFER_CHUNK + 4 * mib, (key, peak / mib)
+    for kind in ("upload", "push"):
+        assert abs(peaks[kind, "f32"] - peaks[kind, "f16"]) < mib

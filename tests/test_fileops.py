@@ -7,7 +7,7 @@ from sectorsphere.errors import (
     StaleError,
     TransportError,
 )
-from sectorsphere.fileops import first_holder, read_records_over
+from sectorsphere.fileops import FileSource, first_holder, push_file, read_records_over
 from sectorsphere.records import RecordIndex
 
 
@@ -105,3 +105,51 @@ def test_first_holder_raises_the_last_error_when_no_holder_answers():
     with pytest.raises(StaleError) as raised:
         first_holder(transport, ["a", "b"], lambda channel: channel)
     assert raised.value is last
+
+
+class StoreChannel:
+    """Records each STORE_DATA piece and answers it with an empty header."""
+
+    def __init__(self):
+        self.pieces = []
+
+    def call(self, kind, header=None, body=b""):
+        self.pieces.append((header["offset"], bytes(body)))
+        return {}, b""
+
+
+def test_a_file_source_reads_only_the_slices_asked_for(tmp_path):
+    path = tmp_path / "f.dat"
+    path.write_bytes(b"0123456789")
+    with FileSource(path) as source:
+        assert len(source) == 10
+        assert source[2:5] == b"234" and source[8:20] == b"89" and source[12:15] == b""
+        path.write_bytes(b"01")  # truncated while it is read
+        with pytest.raises(IntegrityError, match="shrank"):
+            source[0:10]
+    assert source._file.closed
+
+
+def test_a_file_source_reads_the_version_it_opened(tmp_path):
+    path = tmp_path / "f.dat"
+    path.write_bytes(b"old version")
+    with FileSource(path) as source:
+        (tmp_path / "new").write_bytes(b"NEW VERSION, longer")
+        (tmp_path / "new").replace(path)
+        assert len(source) == 11 and source[0:11] == b"old version"
+
+
+def test_a_pushed_file_source_sends_the_pieces_of_its_bytes(tmp_path, monkeypatch):
+    from sectorsphere import fileops
+
+    monkeypatch.setattr(fileops, "TRANSFER_CHUNK", 7)
+    data, index = bytes(range(40)), RecordIndex.uniform(4, 10).to_bytes()
+    (tmp_path / "f.dat").write_bytes(data)
+    (tmp_path / "f.dat.idx").write_bytes(index)
+    from_bytes, from_files = StoreChannel(), StoreChannel()
+    push_file(from_bytes, "f.dat", data, index)
+    with FileSource(tmp_path / "f.dat") as source, FileSource(tmp_path / "f.dat.idx") as entries:
+        push_file(from_files, "f.dat", source, entries)
+    assert from_files.pieces == from_bytes.pieces
+    assert b"".join(piece for _, piece in from_files.pieces) == data + index
+    assert [offset for offset, _ in from_files.pieces] == list(range(0, 104, 7))

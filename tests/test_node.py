@@ -7,6 +7,7 @@ import pytest
 from sectorsphere.errors import (AccessDeniedError, IntegrityError, NotFoundError,
                                  RangeError, TransportError)
 from sectorsphere.fileops import read_records_over
+from sectorsphere.node import STORES_DIR
 from sectorsphere.records import RecordIndex
 from sectorsphere.wire import Message, MessageKind, unpack_payload
 
@@ -509,3 +510,196 @@ def test_a_node_serves_every_message_kind_but_the_replies(make_cluster):
     answers = {kind.name: answer(kind) for kind in MessageKind
                if kind not in (MessageKind.OK, MessageKind.ERROR)}
     assert not [name for name, said in answers.items() if "unsupported message kind" in said]
+
+
+# ---------------------------------------------------------- streamed stores
+
+def store_piece(channel, offset, body, token="t1", name="s.bin", data_size=10,
+                index_size=-1, **overrides):
+    header = {"name": name, "data_size": data_size, "index_size": index_size,
+              "internal": False, "token": token, "offset": offset, **overrides}
+    return channel.call(MessageKind.STORE_DATA, header, body)
+
+
+def temp_files(node):
+    return sorted(p.name for p in (node.data_dir / STORES_DIR).iterdir())
+
+
+@pytest.mark.parametrize("overrides", [
+    {"data_size": 5.5}, {"data_size": -1}, {"data_size": True}, {"data_size": "10"},
+    {"data_size": None}, {"offset": 1.5}, {"offset": -1}, {"offset": False},
+    {"offset": None}, {"index_size": 5}, {"index_size": -2}, {"index_size": 16.0},
+    {"index_size": -1.0}, {"index_size": True}, {"token": None}, {"token": 7},
+    {"name": 3}, {"name": ""}, {"name": "../up.bin"}, {"name": STORES_DIR + "/x.dat"},
+], ids=repr)
+def test_a_malformed_store_piece_is_refused_before_a_byte_is_written(make_cluster, overrides):
+    cluster = make_cluster(2)
+    client = cluster.client()
+    node = owner_node(cluster, "s.bin")
+    channel = client.transport.open_channel(node.address)
+    with pytest.raises(IntegrityError):
+        store_piece(channel, **{"offset": 0, "body": b"01234", **overrides})
+    assert node._stores == {} and temp_files(node) == []
+    assert not node.holds("s.bin")
+    store_piece(channel, 0, b"01234")  # the token is free for a store that is well formed
+    header, _ = store_piece(channel, 5, b"56789")
+    assert header == {"records": 1, "size": 10, "indexed": False}
+    assert node._stores == {} and temp_files(node) == []
+
+
+def test_an_index_size_that_is_no_multiple_of_an_entry_is_refused_at_the_first_piece(
+        make_cluster):
+    cluster = make_cluster(1)
+    node = next(iter(cluster.nodes.values()))
+    channel = cluster.client().transport.open_channel(node.address)
+    with pytest.raises(IntegrityError, match="index size 5"):
+        store_piece(channel, 0, b"0123456789", data_size=10, index_size=5)
+    assert node._stores == {} and temp_files(node) == []
+
+
+def test_a_store_is_written_to_temp_files_until_its_last_piece(make_cluster):
+    cluster = make_cluster(1)
+    node = next(iter(cluster.nodes.values()))
+    channel = cluster.client().transport.open_channel(node.address)
+    data, index = two_record_file()
+    stream = data + index.to_bytes()
+    def temp_sizes():
+        return sorted((p.suffix, p.stat().st_size) for p in (node.data_dir / STORES_DIR).iterdir())
+
+    store_piece(channel, 0, stream[:15], data_size=20, index_size=32)
+    assert temp_sizes() == [(".dat", 15), (".idx", 0)]
+    assert not node._path_for("s.bin").exists()
+    store_piece(channel, 15, stream[15:30], data_size=20, index_size=32)
+    assert temp_sizes() == [(".dat", 20), (".idx", 10)]  # a piece that spans both
+    header, _ = store_piece(channel, 30, stream[30:], data_size=20, index_size=32)
+    assert header == node.meta("s.bin") == {"records": 2, "size": 20, "indexed": True}
+    path = node._path_for("s.bin")
+    assert path.read_bytes() == data
+    assert path.with_name("s.bin.idx").read_bytes() == index.to_bytes()
+    assert node._stores == {} and temp_files(node) == []
+
+
+def test_an_abandoned_store_expires_with_its_temp_file(tmp_path):
+    from sectorsphere.clock import VirtualClock
+    from sectorsphere.cluster import quick_cluster
+    from sectorsphere.node import STORE_DEADLINE
+
+    clock = VirtualClock()
+    with quick_cluster(tmp_path, 2, clock=clock) as cluster:
+        client = cluster.client()
+        node = owner_node(cluster, "s.bin")
+        channel = client.transport.open_channel(node.address)
+        store_piece(channel, 0, b"01234")  # the first of two pieces
+        assert list(node._stores) == ["t1"] and len(temp_files(node)) == 1
+        clock.sleep(STORE_DEADLINE / 2)
+        store_piece(channel, 0, b"abcde", token="t2", name="s2.bin")
+        assert sorted(node._stores) == ["t1", "t2"]  # neither is past its deadline yet
+        clock.sleep(STORE_DEADLINE / 2 + 1)
+        store_piece(channel, 0, b"x", token="t3", name="s3.bin", data_size=1)
+        assert list(node._stores) == ["t2"] and len(temp_files(node)) == 1
+        with pytest.raises(IntegrityError):  # the late second piece
+            store_piece(channel, 5, b"56789")
+        assert not node.holds("s.bin") and not node._path_for("s.bin").exists()
+        clock.sleep(STORE_DEADLINE + 1)
+        with pytest.raises(IntegrityError):
+            store_piece(channel, 5, b"fghij", token="t2", name="s2.bin")
+        assert node._stores == {} and temp_files(node) == []
+        assert client.read_records("s3.bin", 0, 1) == [b"x"]
+
+
+def test_a_store_that_stops_half_way_leaves_the_old_version(tmp_path, monkeypatch):
+    from sectorsphere import fileops
+    from sectorsphere.clock import VirtualClock
+    from sectorsphere.cluster import quick_cluster
+    from sectorsphere.node import STORE_DEADLINE
+
+    clock = VirtualClock()
+    with quick_cluster(tmp_path / "c", 2, clock=clock) as cluster:
+        client = cluster.client()
+        old = b"old-record" * 8
+        client.upload(old, "v.dat", RecordIndex.uniform(8, 10))
+        node = owner_node(cluster, "v.dat")
+        monkeypatch.setattr(fileops, "TRANSFER_CHUNK", 32)
+        dispatch = cluster.network.dispatch
+
+        def stop_after_the_first_piece(local, peer, request):
+            if (request.kind == MessageKind.STORE_DATA
+                    and unpack_payload(request.payload)[0]["offset"]):
+                raise TransportError("the sender went away")
+            return dispatch(local, peer, request)
+
+        monkeypatch.setattr(cluster.network, "dispatch", stop_after_the_first_piece)
+        with pytest.raises(TransportError):
+            client.upload(b"new-record" * 12, "v.dat", RecordIndex.uniform(12, 10))
+        monkeypatch.undo()
+        assert temp_files(node)  # the stores wait for pieces that never come
+        reader = cluster.client("client-1")
+        assert reader.read_records("v.dat", 0, 8) == [b"old-record"] * 8
+        assert client.download("v.dat", tmp_path / "v.dat") == len(old)
+        assert (tmp_path / "v.dat").read_bytes() == old
+        assert (tmp_path / "v.dat.idx").read_bytes() == RecordIndex.uniform(8, 10).to_bytes()
+        clock.sleep(STORE_DEADLINE + 1)
+        client.upload(b"other", "other.bin")  # a new store drops the expired ones
+        assert node._stores == {} and temp_files(node) == []
+        assert reader.read_records("v.dat", 0, 8) == [b"old-record"] * 8
+
+
+def test_a_store_whose_index_fails_at_commit_leaves_the_old_version(make_cluster, tmp_path):
+    cluster = make_cluster(2, acl=(CLIENT, "client-1"))
+    client = cluster.client()
+    data, index = two_record_file()
+    client.upload(data, "s.bin", index)
+    node = owner_node(cluster, "s.bin")
+    channel = client.transport.open_channel(node.address)
+    overrun = RecordIndex([(0, 10), (10, 999)]).to_bytes()
+    with pytest.raises(IntegrityError):
+        store_piece(channel, 0, b"X" * 20 + overrun, data_size=20, index_size=32)
+    assert node._stores == {} and temp_files(node) == []
+    assert node.meta("s.bin") == {"records": 2, "size": 20, "indexed": True}
+    reader = cluster.client("client-1")
+    assert reader.download("s.bin", tmp_path / "s.bin") == 20
+    assert (tmp_path / "s.bin").read_bytes() == data
+    assert (tmp_path / "s.bin.idx").read_bytes() == index.to_bytes()
+
+
+def test_a_store_denied_by_the_acl_leaves_no_temp_file(make_cluster):
+    cluster = make_cluster(2, acl=("someone-else",))
+    client = cluster.client()
+    data, index = two_record_file()
+    with pytest.raises(AccessDeniedError):
+        client.upload(data, "no.dat", index)
+    for node in cluster.nodes.values():
+        assert node._stores == {} and temp_files(node) == []
+
+
+def test_an_unindexed_rewrite_leaves_no_index_of_the_old_version(make_cluster):
+    cluster = make_cluster(1)
+    client = cluster.client()
+    data, index = two_record_file()
+    client.upload(data, "s.bin", index)
+    node = owner_node(cluster, "s.bin")
+    client.upload(b"plain", "s.bin")
+    assert not node._path_for("s.bin.idx").exists()
+    assert node.meta("s.bin") == {"records": 1, "size": 5, "indexed": False}
+    assert temp_files(node) == []
+
+
+def test_a_job_output_commits_through_a_temp_file(make_cluster, monkeypatch):
+    import os
+
+    cluster = make_cluster(1)
+    node = next(iter(cluster.nodes.values()))
+    renamed = []
+    replace = os.replace
+
+    def recorded(source, target):
+        renamed.append((Path(source).parent.name, Path(target).name))
+        return replace(source, target)
+
+    monkeypatch.setattr(os, "replace", recorded)
+    stat = node.store_file(node.address, "out/o.dat", b"abcdef", RecordIndex.uniform(2, 3),
+                           internal=True)
+    assert stat == {"records": 2, "size": 6, "indexed": True}
+    assert renamed == [(STORES_DIR, "o.dat"), (STORES_DIR, "o.dat.idx")]
+    assert list(node.read_local("out/o.dat", 0, 2)[0]) == [b"abc", b"def"]
+    assert temp_files(node) == []

@@ -57,3 +57,10 @@ def test_payload_header_and_body_round_trip():
     assert back_header == header
     assert back_body == body
     assert unpack_payload(pack_payload({})) == ({}, b"")
+
+
+def test_an_unpacked_body_is_a_view_of_its_payload():
+    payload = pack_payload({"rows": 1}, b"x" * 1000)
+    header, body = unpack_payload(payload)
+    assert header == {"rows": 1} and isinstance(body, memoryview)
+    assert body.obj is payload and body == b"x" * 1000
