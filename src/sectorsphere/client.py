@@ -119,13 +119,8 @@ class ClientSession:
             fallbacks = [self.entry_server]
         else:
             fallbacks = [a for a in self._ring.addresses if a != self.entry_server]
-        for tried, peer in enumerate([self.entry_server, *fallbacks]):
-            try:
-                header, _ = self.transport.open_channel(peer).call(MessageKind.MEMBERS, {})
-                break
-            except TransportError:
-                if tried == len(fallbacks):
-                    raise
+        _, (header, _) = first_holder(self.transport, [self.entry_server, *fallbacks],
+                                      lambda channel: channel.call(MessageKind.MEMBERS, {}))
         self._ring = RingView.from_addresses(header["addresses"])
         self.transport.connect_ahead(header["addresses"])
         return header["addresses"]

@@ -27,14 +27,16 @@ serves a range of the store stream, data then index. A shuffle bucket's
 home indexes, at FINALIZE_JOB, only the batches of the attempt that
 completed each segment.
 
-A store is never held in memory. Each STORE_DATA piece is written to
-temp files under data_dir/.stores, named by the node, as it arrives; the
-piece that completes the stream validates the index, and _commit renames
-the data and the index into place under the name's lock. A job output
-(store_file) commits through the same _commit, so a file is never
-rewritten in place, and a store that fails or stops half-way leaves the
-previous version as it was. A store that waits longer than
-STORE_DEADLINE for its next piece is dropped with its temp files.
+Every file is built in temp files under data_dir/.stores, named by the
+node, and reaches its final name only through _commit, which validates
+the index against the data and renames both into place under the name's
+lock: a store's STORE_DATA pieces as they arrive, a job output
+(store_file) at once, a shuffle bucket's appends until FINALIZE_JOB
+writes its index. So a file is never rewritten in place, a store that
+fails or stops half-way leaves the previous version as it was, and a
+node stopped before FINALIZE_JOB leaves nothing under a bucket's name.
+A store that waits longer than STORE_DEADLINE for its next piece is
+dropped with its temp files.
 """
 
 from __future__ import annotations
@@ -162,10 +164,11 @@ class StorageNode:
         self._meta_lock = threading.RLock()
         self._name_locks: dict[str, threading.Lock] = {}
         self._stores: dict[str, _Store] = {}  # sender's token -> its store in progress
-        # (job, bucket) -> (file name, [(ordinal, attempt, index entries)
-        # per batch, in file order])
-        self._shuffle: dict[tuple[str, int], tuple[str, list[tuple[int, int, np.ndarray]]]] = {}
+        # (job, bucket) -> (file name, its temp paths, [(ordinal, attempt,
+        # index entries) per batch, in file order])
+        self._shuffle: dict[tuple[str, int], tuple[str, tuple, list]] = {}
         self._rng = random.Random(config.seed)
+        self._unannounced = False  # a reannounce failed: replicate_check sends it again
         self.spe_host = sphere.SpeHost(self)
         self._stop = threading.Event()
 
@@ -202,7 +205,9 @@ class StorageNode:
             held = list(self.files.items())
         try:
             self._register(held)
+            self._unannounced = False
         except SectorError as exc:
+            self._unannounced = True
             log.warning("could not re-register every file: %s", exc)
 
     # ----------------------------------------------------------------- paths
@@ -247,10 +252,9 @@ class StorageNode:
     def store_file(self, sender: str, name: str, data: bytes,
                    index: RecordIndex | None, internal: bool = False) -> dict:
         """Store a file held in memory (a job output) through temp files
-        and _commit, as a streamed store is. Returns its STAT header."""
+        and _commit, as a streamed store is, and register it. Returns its
+        STAT header."""
         self._check_write_access(sender, internal)
-        if index is not None:
-            index.validate(len(data))
         self._path_for(name)  # an illegal name is refused before a byte is written
         temps = self._temp_paths(index is not None)
         try:
@@ -260,17 +264,25 @@ class StorageNode:
         except BaseException:
             _discard(temps)
             raise
-        return self._commit(name, temps, index, len(data))
+        stat = self._commit(name, temps)
+        self._register([(name, stat)])
+        return stat
 
-    def _commit(self, name: str, temps, index: RecordIndex | None, size: int) -> dict:
-        """Rename a store's temp files, the data and the index that it was
-        checked against, into place as the file `name` under the name's
-        lock, record its STAT header and register it. A commit that fails
-        deletes the temp files and leaves the previous version."""
+    def _commit(self, name: str, temps) -> dict:
+        """The one way a file reaches its final path: check the index temp
+        (None: no index) against the data temp's size, rename both into
+        place as the file `name` under the name's lock and record their
+        STAT header, which is returned. A commit that fails deletes the
+        temp files and leaves the previous version."""
         data, index_temp = temps
-        stat = file_header(len(index) if index is not None else 1, size, index is not None)
         try:
             path = self._path_for(name)
+            size, records = data.stat().st_size, 1
+            if index_temp is not None:
+                index = RecordIndex.from_bytes(index_temp.read_bytes())
+                index.validate(size)
+                records = len(index)
+            stat = file_header(records, size, index_temp is not None)
             with self._lock_for(name):
                 path.parent.mkdir(parents=True, exist_ok=True)
                 os.replace(data, path)
@@ -283,7 +295,6 @@ class StorageNode:
         except BaseException:
             _discard(temps)
             raise
-        self._register([(name, stat)])
         return stat
 
     def _check_write_access(self, origin: str, internal: bool) -> None:
@@ -409,7 +420,10 @@ class StorageNode:
     # ------------------------------------------------------------ replication
 
     def replicate_check(self) -> list[dict]:
-        """One maintenance cycle: bring every owned name up to the replica target."""
+        """One maintenance cycle: send a failed reannounce again, then bring
+        every owned name up to the replica target."""
+        if self._unannounced:
+            self.reannounce()
         target = self.config.replica_target
         with self._meta_lock:
             owned = [(name, list(holders)) for name, holders in self.registry.items()
@@ -429,19 +443,16 @@ class StorageNode:
             source = self.address if self.holds(name) else holders[0]
             for dest in picks:
                 try:
-                    self._replicate_one(name, source, dest)
+                    if source == self.address:
+                        self.push_replica(name, dest)
+                    else:
+                        self.transport.open_channel(source).call(
+                            MessageKind.REPLICATE, {"name": name, "dest": dest})
                 except (TransportError, SectorError) as exc:
                     log.warning("replica push %s -> %s failed: %s", name, dest, exc)
                     continue
                 actions.append({"name": name, "source": source, "dest": dest})
         return actions
-
-    def _replicate_one(self, name: str, source: str, dest: str) -> None:
-        if source == self.address:
-            self.push_replica(name, dest)
-        else:
-            channel = self.transport.open_channel(source)
-            channel.call(MessageKind.REPLICATE, {"name": name, "dest": dest})
 
     def push_replica(self, name: str, dest: str) -> None:
         """Copy a local file and its index to another node, read from disk a
@@ -458,21 +469,12 @@ class StorageNode:
 
     # ------------------------------------------------------------ job output
 
-    def write_output(self, name: str, data: bytes, index: RecordIndex,
-                     target: str | None = None) -> dict:
-        """Persist a job output file locally or on the target node, registered
-        in the ring either way: with no REGISTER when the target owns the
-        name, as a job names its outputs. Returns the STAT header of the
-        stored copy."""
-        if target is None or target == self.address:
-            return self.store_file(self.address, name, data, index, internal=True)
-        channel = self.transport.open_channel(target)
-        return push_file(channel, name, data, index.to_bytes(), internal=True)
-
     def shuffle_append(self, job: str, bucket: int, sizes, body: bytes,
                        ordinal: int, attempt: int) -> None:
-        """Append one batch to the bucket's file: `body` is its records back
-        to back, `sizes` their sizes, as split_rows checked them."""
+        """Append one batch to the data temp file of the bucket, which
+        finalize_job commits: `body` is its records back to back, `sizes`
+        their sizes, as split_rows checked them. A bucket whose name is
+        illegal is refused before any state or temp path is made."""
         with self._meta_lock:
             state = self._shuffle.get((job, bucket))
             if state is None:
@@ -480,40 +482,36 @@ class StorageNode:
                 # FINALIZE_JOB cannot split the bucket across two names
                 name = name_owned_by(self.ring, sphere.bucket_file_name(job, bucket),
                                      self.address)
-                state = self._shuffle[job, bucket] = (name, [])
-        name, batches = state
-        path = self._path_for(name)
+                self._path_for(name)
+                state = self._shuffle[job, bucket] = (name, self._temp_paths(True), [])
+        name, temps, batches = state
         with self._lock_for(name):
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with path.open("ab") as fh:
+            if self._shuffle.get((job, bucket)) is not state:
+                raise IntegrityError("bucket %d of %s was finalized during the append"
+                                     % (bucket, job))
+            with temps[0].open("ab") as fh:
                 offset = fh.tell()
                 fh.write(body)
             batches.append((ordinal, attempt, RecordIndex.from_sizes(sizes, start=offset).array))
 
     def finalize_job(self, job: str, committed: list[int]) -> list[dict]:
-        """Index the job's bucket files here, each from the batches of
+        """Index the job's buckets here, each from the batches of
         committed[ordinal], the attempt that completed segment `ordinal`
-        (other attempts' bytes stay in the file as gaps), then register
-        them all at once: here, unless the ring changed after a bucket's
-        first append."""
+        (other attempts' bytes stay in the file as gaps), commit each one's
+        temp files through _commit, then register them all at once: here,
+        unless the ring changed after a bucket's first append."""
         with self._meta_lock:
             held = sorted((key[1], state) for key, state in self._shuffle.items()
                           if key[0] == job)
         indexed, results = [], []
-        for bucket, (name, batches) in held:
+        for bucket, (name, temps, batches) in held:
             with self._lock_for(name):  # after any append still writing
                 with self._meta_lock:
                     self._shuffle.pop((job, bucket), None)
-                kept = [entries for ordinal, attempt, entries in batches
-                        if 0 <= ordinal < len(committed) and committed[ordinal] == attempt]
-                index = RecordIndex(np.concatenate(kept) if kept else ())
-                path = self._path_for(name)
-                data_len = path.stat().st_size
-                index.validate(data_len)
-                index_path(path).write_bytes(index.to_bytes())
-                stat = file_header(len(index), data_len, True)
-                with self._meta_lock:
-                    self.files[name] = stat
+            kept = [entries for ordinal, attempt, entries in batches
+                    if 0 <= ordinal < len(committed) and committed[ordinal] == attempt]
+            temps[1].write_bytes(RecordIndex(np.concatenate(kept) if kept else ()).to_bytes())
+            stat = self._commit(name, temps)
             indexed.append((name, stat))
             results.append({"name": name, "bucket": bucket, "stat": stat})
         self._register(indexed)
@@ -600,16 +598,9 @@ class StorageNode:
             store.done = True
         with self._meta_lock:
             self._stores.pop(token, None)
-        index = None
-        if store.index_size >= 0:
-            try:
-                index = RecordIndex.from_bytes(store.temps[1].read_bytes())
-                index.validate(store.data_size)
-            except BaseException:
-                _discard(store.temps)
-                raise
-        return reply(msg, MessageKind.OK,
-                     self._commit(store.name, store.temps, index, store.data_size))
+        stat = self._commit(store.name, store.temps)
+        self._register([(store.name, stat)])
+        return reply(msg, MessageKind.OK, stat)
 
     def _open_store(self, origin: str, header: dict) -> _Store:
         """The store that a first piece opens: refused, before a byte is

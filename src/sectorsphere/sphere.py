@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import JobError, NotFoundError, SectorError
-from .fileops import first_holder, read_records_over, split_rows
+from .fileops import first_holder, push_file, read_records_over, split_rows
 from .records import ENTRY_SIZE, RecordBatch, RecordIndex
 from .routing import name_owned_by
 from .scheduler import Scheduler, SpeHandle
@@ -350,7 +350,12 @@ class SpeHost:
         target = source if output.mode == OutputMode.ORIGIN else node.address
         name = name_owned_by(node.ring, seg_file_name(job, segment.ordinal), target)
         data, index = out.pack()
-        stat = node.write_output(name, data, index, target=target)
+        # registered where it is written, since the target owns the name
+        if target == node.address:
+            stat = node.store_file(node.address, name, data, index, internal=True)
+        else:
+            stat = push_file(node.transport.open_channel(target), name, data,
+                             index.to_bytes(), internal=True)
         return [{"name": name, "target": target, "stat": stat}]
 
     def _send_shuffle(self, job: str, tagged: "TaggedRecords", homes,

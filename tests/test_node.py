@@ -392,9 +392,9 @@ def test_shuffle_batches_finalize_to_the_same_index_bytes(make_cluster):
     name = name_owned_by(cluster.ring, bucket_file_name("job-x", 2), "node-0")
     path = node._path_for(name)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(b"left over")  # appends start after what is there
+    path.write_bytes(b"left over")  # replaced when the bucket commits
     rng = random.Random(11)
-    expected, offset = [], len(b"left over")
+    expected, offset = [], 0
     for batch in range(4):
         sizes = [rng.randrange(0, 50) for _ in range(rng.randrange(1, 30))]
         node.shuffle_append("job-x", 2, sizes, rng.randbytes(sum(sizes)), batch, 1)
@@ -406,6 +406,61 @@ def test_shuffle_batches_finalize_to_the_same_index_bytes(make_cluster):
     assert files[0]["stat"] == node.meta(files[0]["name"])
     assert files[0]["stat"]["records"] == len(expected) and files[0]["stat"]["size"] == offset
     assert path.with_name(path.name + ".idx").read_bytes() == b"".join(expected)
+    assert path.stat().st_size == offset and temp_files(node) == []
+
+
+@pytest.mark.parametrize("job", ["../x", STORES_DIR])
+def test_a_refused_append_leaves_nothing_behind(make_cluster, job):
+    cluster = make_cluster(3)
+    node = cluster.nodes["node-0"]
+    with pytest.raises(IntegrityError, match="illegal file name"):
+        cluster.client().transport.open_channel("node-0").call(
+            MessageKind.SHUFFLE_APPEND, {"job": job, "bucket": 0, "rows": 1, "ordinal": 0,
+                                         "attempt": 1}, RecordIndex([(0, 3)]).to_bytes() + b"abc")
+    assert (job, 0) not in node._shuffle and temp_files(node) == []
+
+
+def test_a_node_rebuilt_before_finalize_keeps_no_bucket_file(make_cluster):
+    from sectorsphere.node import StorageNode
+
+    cluster = make_cluster(3)
+    node = cluster.nodes["node-0"]
+    node.shuffle_append("j", 0, [3], b"abc", 0, 1)
+    assert temp_files(node)  # the batch waits in a temp file for FINALIZE_JOB
+    rebuilt = StorageNode(node.config, node.transport, node.ring)
+    assert [p for p in rebuilt.data_dir.rglob("*") if p.is_file()] == []
+    assert temp_files(rebuilt) == [] and rebuilt.files == {}
+
+
+def test_an_append_that_meets_its_bucket_finalized_is_refused(make_cluster, monkeypatch):
+    cluster = make_cluster(3)
+    node = cluster.nodes["node-0"]
+    node.shuffle_append("j", 0, [3], b"abc", 0, 1)
+    lock_for, finalized = node._lock_for, []
+
+    def finalize_first(name):  # FINALIZE_JOB runs between the append's lookup and its write
+        if not finalized:
+            finalized.append(None)
+            finalized.extend(node.finalize_job("j", [1]))
+        return lock_for(name)
+
+    monkeypatch.setattr(node, "_lock_for", finalize_first)
+    with pytest.raises(IntegrityError, match="finalized during the append"):
+        node.shuffle_append("j", 0, [3], b"def", 1, 1)
+    assert node._shuffle == {} and temp_files(node) == []
+    assert list(node.read_local(finalized[1]["name"], 0, 1)[0]) == [b"abc"]
+
+
+def test_a_rerun_of_a_finalized_job_replaces_its_bucket_file(make_cluster):
+    cluster = make_cluster(3)
+    node = cluster.nodes["node-0"]
+    for run in (b"abcdef", b"ghijkl"):
+        node.shuffle_append("j", 0, [3, 3], run, 0, 1)
+        files = node.finalize_job("j", [1])
+    path = node._path_for(files[0]["name"])
+    assert path.read_bytes() == b"ghijkl" and temp_files(node) == []
+    assert node.meta(files[0]["name"]) == {"records": 2, "size": 6, "indexed": True}
+    assert list(node.read_local(files[0]["name"], 0, 2)[0]) == [b"ghi", b"jkl"]
 
 
 def test_a_bucket_named_before_a_ring_change_registers_at_its_new_owners(make_cluster,

@@ -923,6 +923,36 @@ def test_reannounce_sends_one_register_per_holder_and_owner(make_cluster, monkey
         assert list(client.iter_records([name])) == [name.encode()] * 2
 
 
+def test_a_register_lost_in_reannounce_is_sent_again_by_the_next_cycle(make_cluster,
+                                                                       monkeypatch):
+    cluster = make_cluster(4, replica_target=2)
+    client = cluster.client()
+    names = [scenarios.name_owned_by(cluster.ring, "lost/%02d.dat" % i, "node-3")
+             for i in range(12)]
+    for name in names:
+        upload_records(client, name, [name.encode()] * 2)
+    cluster.replication_cycle()
+    lost = []
+    dispatch = cluster.network.dispatch
+
+    def lose_the_first_register_of_node_0(local, peer, request):
+        if request.kind == MessageKind.REGISTER and local == "node-0" and not lost:
+            lost.append(peer)
+            raise TransportError("REGISTER lost")
+        return dispatch(local, peer, request)
+
+    monkeypatch.setattr(cluster.network, "dispatch", lose_the_first_register_of_node_0)
+    cluster.kill("node-3")  # its names move to one new owner, which node-0 never hears from
+    new_owner = cluster.nodes[cluster.ring.owner(names[0]).address]
+    assert lost == [new_owner.address]
+    unheard = [name for name in names if name not in new_owner.registry]
+    assert unheard and all(cluster.nodes["node-0"].holds(name) for name in unheard)
+    cluster.replication_cycle()
+    for name in names:
+        client.forget(name)
+        assert list(client.iter_records([name])) == [name.encode()] * 2
+
+
 def test_reupload_with_a_new_size_shows_the_new_size(make_cluster):
     cluster = make_cluster(3)
     client = cluster.client()
