@@ -46,7 +46,6 @@ from .sphere import (
     SegmentLimits,
     Stream,
     StreamFile,
-    register_bucket,
     register_operator,
     segment_stream,
 )

@@ -378,6 +378,7 @@ def _cluster_segment(records, params: bytes):
     return [json.dumps(blob).encode()]
 
 
+# no job calls it; registered for ssbench/tracing.py until ROADMAP item 4
 sphere.register_bucket("window-index", _window_bucket)
 sphere.register_operator("window-index", _window_segment, scope="segment")
 sphere.register_operator("window-cluster", _cluster_segment, scope="segment")

@@ -65,7 +65,7 @@ from .errors import (
 )
 from .fileops import (TRANSFER_CHUNK, FileSource, cut_runs, file_header, push_file,
                       split_rows, stream_size)
-from .records import ENTRY_SIZE, RecordBatch, RecordIndex, index_path
+from .records import ENTRY_SIZE, INDEX_SUFFIX, RecordBatch, RecordIndex, index_path
 from .routing import RingView, name_owned_by
 from .transport import Transport, error_reply, reply
 from .wire import Message, MessageKind, unpack_payload
@@ -215,7 +215,7 @@ class StorageNode:
     def _path_for(self, name: str) -> Path:
         relative = Path(name)
         if (not relative.parts or relative.is_absolute() or ".." in relative.parts
-                or relative.parts[0] == STORES_DIR):
+                or relative.parts[0] == STORES_DIR or relative.name.endswith(INDEX_SUFFIX)):
             raise IntegrityError("illegal file name %r" % name)
         return self.data_dir / relative
 
@@ -246,6 +246,20 @@ class StorageNode:
         if expect is not None and stat != expect:
             raise StaleError("%s on %s is %s, not %s" % (name, self.address, stat, expect))
         return stat
+
+    @contextlib.contextmanager
+    def _opened(self, name: str, expect: dict | None = None):
+        """The local file's STAT header (see meta), data and index (None: no
+        index) as FileSources, opened under the name's lock: one version."""
+        path = self._path_for(name)
+        self.meta(name)  # a name not held here gets no lock
+        with contextlib.ExitStack() as opened:
+            with self._lock_for(name):
+                stat = self.meta(name, expect)
+                data = opened.enter_context(FileSource(path))
+                index = (opened.enter_context(FileSource(index_path(path)))
+                         if stat["indexed"] else None)
+            yield stat, data, index
 
     # ----------------------------------------------------------------- store
 
@@ -377,28 +391,23 @@ class StorageNode:
         cut before the first record that takes the records and their
         ENTRY_SIZE entries past it, but never to zero rows. A file without
         an index is one record."""
-        stat = self.meta(name, expect)
-        runs = _checked_runs(runs, stat["records"], name)
-        if max_bytes is not None:  # each row takes ENTRY_SIZE bytes at least
-            runs, _ = cut_runs(runs, max_bytes // ENTRY_SIZE + 1)
-        path = self._path_for(name)
-        if stat["indexed"]:
-            with index_path(path).open("rb") as fh:
-                parts = []
-                for offset, rows in runs:
-                    fh.seek(offset * ENTRY_SIZE)
-                    parts.append(fh.read(rows * ENTRY_SIZE))
-            entries = RecordIndex.from_bytes(b"".join(parts)).array
-            if len(entries) != sum(rows for _, rows in runs):
-                raise IntegrityError("the index of %s is truncated" % name)
-        else:
-            entries = RecordIndex([(0, stat["size"])]).array
-        if max_bytes is not None:
-            weights = np.cumsum(entries[:, 1] + ENTRY_SIZE)
-            entries = entries[:max(1, int(np.searchsorted(weights, max_bytes, side="right")))]
-        # each run's records are one span of the file, gaps included
-        spans, within, start, base = [], [], 0, 0
-        with path.open("rb") as fh:
+        with self._opened(name, expect) as (stat, data, index):
+            runs = _checked_runs(runs, stat["records"], name)
+            if max_bytes is not None:  # each row takes ENTRY_SIZE bytes at least
+                runs, _ = cut_runs(runs, max_bytes // ENTRY_SIZE + 1)
+            if index is not None:
+                entries = RecordIndex.from_bytes(b"".join(
+                    index[offset * ENTRY_SIZE:(offset + rows) * ENTRY_SIZE]
+                    for offset, rows in runs)).array
+                if len(entries) != sum(rows for _, rows in runs):
+                    raise IntegrityError("the index of %s is truncated" % name)
+            else:
+                entries = RecordIndex([(0, stat["size"])]).array
+            if max_bytes is not None:
+                weights = np.cumsum(entries[:, 1] + ENTRY_SIZE)
+                entries = entries[:max(1, int(np.searchsorted(weights, max_bytes, side="right")))]
+            # each run's records are one span of the file, gaps included
+            spans, within, start, base = [], [], 0, 0
             for _, rows in runs:
                 run = entries[start:start + rows]
                 if not len(run):
@@ -406,14 +415,10 @@ class StorageNode:
                 start += len(run)
                 first = int(run[0, 0])
                 length = int(run[-1].sum()) - first
-                fh.seek(first)
-                spans.append(fh.read(length))
+                spans.append(data[first:first + length])
                 if len(spans[-1]) != length:
                     raise IntegrityError("%s is shorter than its index" % name)
-                moved = run.copy()
-                moved[:, 0] -= first
-                moved[:, 0] += base
-                within.append(moved)
+                within.append(np.column_stack((run[:, 0] - first + base, run[:, 1])))
                 base += length
         return RecordBatch(b"".join(spans), np.concatenate(within)), RecordIndex(entries)
 
@@ -455,16 +460,9 @@ class StorageNode:
         return actions
 
     def push_replica(self, name: str, dest: str) -> None:
-        """Copy a local file and its index to another node, read from disk a
-        piece at a time. Both are opened under the name's lock, so they are
-        one version even if a store commits another meanwhile."""
-        path = self._path_for(name)
-        with contextlib.ExitStack() as opened:
-            with self._lock_for(name):
-                stat = self.meta(name)
-                data = opened.enter_context(FileSource(path))
-                index = (opened.enter_context(FileSource(index_path(path)))
-                         if stat["indexed"] else None)
+        """Copy a local file and its index, one version (see _opened), to
+        another node, read from disk a piece at a time."""
+        with self._opened(name) as (_, data, index):
             push_file(self.transport.open_channel(dest), name, data, index, internal=True)
 
     # ------------------------------------------------------------ job output
@@ -503,7 +501,7 @@ class StorageNode:
         with self._meta_lock:
             held = sorted((key[1], state) for key, state in self._shuffle.items()
                           if key[0] == job)
-        indexed, results = [], []
+        results = []
         for bucket, (name, temps, batches) in held:
             with self._lock_for(name):  # after any append still writing
                 with self._meta_lock:
@@ -512,9 +510,8 @@ class StorageNode:
                     if 0 <= ordinal < len(committed) and committed[ordinal] == attempt]
             temps[1].write_bytes(RecordIndex(np.concatenate(kept) if kept else ()).to_bytes())
             stat = self._commit(name, temps)
-            indexed.append((name, stat))
             results.append({"name": name, "bucket": bucket, "stat": stat})
-        self._register(indexed)
+        self._register([(result["name"], result["stat"]) for result in results])
         return results
 
     # -------------------------------------------------------------- dispatch
@@ -645,21 +642,18 @@ class StorageNode:
                      index.to_bytes() + records.pack()[0])
 
     def _op_fetch(self, msg: Message, header: dict) -> Message:
-        """Bytes [offset, offset + length) of the store stream: data, then index."""
+        """Bytes [offset, offset + length) of the store stream of one
+        version (see _opened): data, then index."""
         name, offset, length = header["name"], header["offset"], header["length"]
-        stat = self.meta(name, header.get("expect"))
-        if offset < 0 or not 0 <= length <= TRANSFER_CHUNK:
-            raise RangeError("fetch of %d bytes at %d is negative or over the chunk limit"
-                             % (length, offset))
-        size, end = stat["size"], offset + length
-        if end > stream_size(stat):
-            raise RangeError("fetch range beyond end of %s" % name)
-        path = self._path_for(name)
-        parts = []  # a file shorter than its header gives a short reply
-        for part, start, stop in ((path, offset, min(end, size)),
-                                  (index_path(path), max(0, offset - size), end - size)):
-            if start < stop:
-                with part.open("rb") as fh:
-                    fh.seek(start)
-                    parts.append(fh.read(stop - start))
-        return reply(msg, MessageKind.OK, {}, b"".join(parts))
+        with self._opened(name, header.get("expect")) as (stat, data, index):
+            if offset < 0 or not 0 <= length <= TRANSFER_CHUNK:
+                raise RangeError("fetch of %d bytes at %d is negative or over the chunk limit"
+                                 % (length, offset))
+            size, end = stat["size"], offset + length
+            if end > stream_size(stat):
+                raise RangeError("fetch range beyond end of %s" % name)
+            # a file shorter than its header gives a short reply
+            body = data[offset:min(end, size)]
+            if index is not None:
+                body += index[max(0, offset - size):max(0, end - size)]
+        return reply(msg, MessageKind.OK, {}, body)

@@ -11,11 +11,12 @@ holding it owns the name on the ring (see seg_file_name).
 
 Segments stay columnar through the engine. A segment is read as one
 RecordBatch (its bytes plus an (n, 2) entry array); a segment-scope
-operator gets that batch whole and may set each output record's bucket
-id, and record-scope output is packed into a batch once. A shuffle then
-groups the batch by bucket with one stable argsort and sends slices of
-it, so no step of the engine handles records one Python object at a
-time unless a record-scope operator or bucket function asks for it.
+operator gets that batch whole, and record-scope output is packed into a
+batch once. In a shuffle the operator gives every output record its
+bucket id, as in Sphere; the engine groups the batch by bucket with one
+stable argsort and sends slices of it, so no step of the engine handles
+records one Python object at a time unless a record-scope operator asks
+for it.
 """
 
 from __future__ import annotations
@@ -58,10 +59,12 @@ def register_operator(name: str, fn, scope: str = "record") -> None:
     progress every tenth of its rows. Segment scope: fn(records, params),
     called once per segment with the segment as a RecordBatch (iterating
     it yields the records), returns a RecordBatch or an iterable of output
-    records, and acks once. A returned RecordBatch that carries buckets
-    gives each output record's shuffle bucket, so the job needs no bucket
-    function; used for range partitioning, local sorts and per-window
-    clustering.
+    records, and acks once.
+
+    In a shuffle the operator gives every output record its bucket id: it
+    returns a RecordBatch that carries buckets (RecordBatch.with_buckets),
+    or (bucket, record) pairs where it would return records. A shuffle
+    segment whose operator gives no bucket ids fails.
     """
     if scope not in ("record", "segment"):
         raise ValueError("operator scope must be 'record' or 'segment'")
@@ -69,8 +72,9 @@ def register_operator(name: str, fn, scope: str = "record") -> None:
 
 
 def register_bucket(name: str, fn) -> None:
-    """Register a bucket function fn(record, params) -> non-negative int,
-    applied per output record of a shuffle whose operator sets no buckets."""
+    """Register a reference bucket function fn(record, params). No job calls
+    one; kept for ssbench/tracing.py and its tests only, until ROADMAP item
+    4 deletes this registry and its key-range and window-index entries."""
     _BUCKET_FNS[name] = fn
 
 
@@ -82,6 +86,7 @@ def get_operator(name: str):
 
 
 def get_bucket_fn(name: str):
+    """A registered reference bucket function; see register_bucket."""
     try:
         return _BUCKET_FNS[name]
     except KeyError:
@@ -174,7 +179,6 @@ class OutputMode:
 @dataclass(frozen=True)
 class OutputSpec:
     mode: str = OutputMode.LOCAL
-    bucket: str | None = None
     destinations: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -185,13 +189,14 @@ class OutputSpec:
             raise ValueError("shuffle output needs a destination list")
 
     def to_header(self) -> dict:
-        return {"mode": self.mode, "bucket": self.bucket,
-                "destinations": list(self.destinations)}
+        return {"mode": self.mode, "destinations": list(self.destinations)}
 
     @classmethod
     def from_header(cls, header: dict) -> "OutputSpec":
-        return cls(mode=header["mode"], bucket=header.get("bucket"),
-                   destinations=tuple(header.get("destinations") or ()))
+        unknown = sorted(set(header) - {"mode", "destinations"})
+        if unknown:
+            raise ValueError("unknown output key(s) %s" % ", ".join(map(repr, unknown)))
+        return cls(mode=header["mode"], destinations=tuple(header.get("destinations") or ()))
 
 
 def seg_file_name(job: str, ordinal: int) -> str:
@@ -298,26 +303,26 @@ class SpeHost:
         # step 3: apply the operator into one output batch, acking progress
         # in the segment's report
         acks: list[int] = []
+        shuffle = output.mode == OutputMode.SHUFFLE
         try:
             if scope == "segment":
                 out = fn(records, segment.params)
-                if not isinstance(out, RecordBatch):
-                    out = RecordBatch.from_records(() if out is None else out)
                 acks.append(len(records))
             else:
-                produced: list = []
+                out = []
                 every = max(1, segment.rows // 10)
                 for i, record in enumerate(records, 1):
                     result = fn(record, segment.params)
                     if isinstance(result, (bytes, bytearray)):
-                        produced.append(result)
+                        out.append(result)
                     elif result is not None:
-                        produced.extend(result)
+                        out.extend(result)
                     if i % every == 0 or i == len(records):
                         acks.append(i)
-                out = RecordBatch.from_records(produced)
-            if output.mode == OutputMode.SHUFFLE and out.buckets is None:
-                out = out.with_buckets(_bucket_ids(out, output, segment.params))
+            if not isinstance(out, RecordBatch):
+                out = _packed(() if out is None else out, shuffle)
+            if shuffle and out.buckets is None:
+                raise SectorError("operator %r gives no bucket ids for a shuffle" % operator_name)
         except Exception as exc:
             log.warning("operator %r failed on segment %d of %s: %s",
                         operator_name, segment.ordinal, segment.file, exc)
@@ -406,8 +411,9 @@ def _failed(segment: DataSegment, acks: list[int], error: str) -> dict:
 
 
 class TaggedRecords:
-    """A shuffle's output batch with its bucket ids. The engine reads
-    `batch`; iterating yields (bucket, record) pairs, for observers."""
+    """A shuffle's output batch with its bucket ids; iterating yields
+    (bucket, record) pairs. Kept as _send_shuffle's third argument only for
+    ssbench/tracing.py, until ROADMAP item 4 deletes it."""
 
     def __init__(self, batch: RecordBatch):
         self.batch = batch
@@ -416,14 +422,14 @@ class TaggedRecords:
         return zip(self.batch.buckets.tolist(), self.batch)
 
 
-def _bucket_ids(out: RecordBatch, output: OutputSpec, params: bytes) -> np.ndarray:
-    """Bucket ids from the job's bucket function, one call per record."""
-    if output.bucket is None:
-        raise SectorError("shuffle output needs bucket ids from the operator "
-                          "or a bucket function")
-    bucket_fn = get_bucket_fn(output.bucket)
-    return np.fromiter((bucket_fn(record, params) for record in out),
-                       dtype=np.int64, count=len(out))
+def _packed(produced, shuffle: bool) -> RecordBatch:
+    """An operator's output as one batch: in a shuffle, (bucket, record)
+    pairs give the batch its bucket ids; records give it none."""
+    produced = produced if isinstance(produced, (list, tuple)) else list(produced)
+    if shuffle and all(isinstance(pair, tuple) and len(pair) == 2 for pair in produced):
+        buckets, records = zip(*produced) if produced else ((), ())
+        return RecordBatch.from_records(records).with_buckets(buckets)
+    return RecordBatch.from_records(produced)
 
 
 # --------------------------------------------------------------- job client
@@ -474,8 +480,6 @@ def run_job(session, stream, operator_name: str, params: bytes = b"",
     """
     if not operator_registered(operator_name):
         raise JobError("operator %r is not registered" % operator_name)
-    if output.bucket is not None and output.bucket not in _BUCKET_FNS:
-        raise JobError("bucket function %r is not registered" % output.bucket)
     if not isinstance(stream, Stream):
         stream = session.resolve_stream(stream)
     try:

@@ -1,15 +1,17 @@
 import json
 import socket
 import time
+from pathlib import Path
 
 import pytest
 
 from sectorsphere import cli
-from sectorsphere.benchmarks import KEY_SIZE, RECORD_SIZE
+from sectorsphere.benchmarks import KEY_SIZE, RECORD_SIZE, teragen
 from sectorsphere.client import ClientSession
 from sectorsphere.cluster import ClusterConfig, NodeSpec, parse_cluster_config, tcp_node
 from sectorsphere.errors import ConfigError
 from sectorsphere.records import RecordIndex, read_record_file, write_record_file
+from sectorsphere.transport import TcpTransport
 
 
 def free_port():
@@ -222,6 +224,48 @@ def test_submit_with_no_files_exits_with_an_error(tmp_path, tcp_cluster, capsys)
         "server": addresses[0], "files": [], "operator": "identity"}))
     assert cli.main(["submit", "--job", str(descriptor)]) == 1
     assert "cannot segment an empty stream" in capsys.readouterr().err
+
+
+def readme_job_descriptor() -> dict:
+    """The JSON block under the README's "Job descriptor (JSON)" heading."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    start = text.index("```json", text.index("### Job descriptor (JSON)")) + len("```json")
+    return json.loads(text[start:text.index("\n```", start)])
+
+
+def test_the_readme_job_descriptor_runs_its_shuffle_over_sockets(tmp_path, tcp_cluster,
+                                                                 capsys):
+    addresses, _ = tcp_cluster
+    descriptor = readme_job_descriptor()
+    name, = descriptor["files"]
+    source = teragen(300, 5, tmp_path / "part-0.dat")
+    assert cli.main(["upload", "--server", addresses[0], str(source), name]) == 0
+    descriptor["server"] = addresses[1]
+    descriptor["output"]["destinations"] = addresses
+    (tmp_path / "job.json").write_text(json.dumps(descriptor))
+    assert cli.main(["submit", "--job", str(tmp_path / "job.json")]) == 0
+    line, = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("output files: ")]
+    outputs = line[len("output files: "):].split(", ")
+    with ClientSession(TcpTransport("0.0.0.0:0"), addresses[0]) as session:
+        buckets = [session.read_records(f.name, 0, f.records)
+                   for f in session.resolve_stream(outputs).files]
+    data, _ = read_record_file(source)
+    records = [data[i:i + RECORD_SIZE] for i in range(0, len(data), RECORD_SIZE)]
+    assert len(buckets) == 2 and sum(map(len, buckets)) == len(records) == 300
+    assert sorted(buckets[0] + buckets[1]) == sorted(records)
+    assert all(r[0] < 0x80 for r in buckets[0]) and all(r[0] >= 0x80 for r in buckets[1])
+
+
+def test_submit_refuses_an_output_that_names_a_bucket_function(tmp_path, tcp_cluster,
+                                                               capsys):
+    addresses, _ = tcp_cluster
+    descriptor = tmp_path / "bucket.json"
+    descriptor.write_text(json.dumps({
+        "server": addresses[0], "files": ["whatever"], "operator": "identity",
+        "output": {"mode": "shuffle", "bucket": "key-range", "destinations": addresses}}))
+    assert cli.main(["submit", "--job", str(descriptor)]) == cli.EXIT_CONFIG
+    assert "unknown output key(s) 'bucket'" in capsys.readouterr().err
 
 
 def test_submit_unknown_operator_is_job_error(tmp_path, tcp_cluster, monkeypatch):

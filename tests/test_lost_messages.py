@@ -64,12 +64,11 @@ def run_identity_shuffle(uploader, client):
     rng = random.Random(32)
     records = [rng.randbytes(16) for _ in range(600)]
     upload_records(uploader, "lost/shuffle.dat", records)
-    sphere.register_bucket("lost-mod3", lambda record, params: record[0] % 3)
-    spec = OutputSpec(mode=OutputMode.SHUFFLE, bucket="lost-mod3",
-                      destinations=tuple(sorted(uploader.members())))
+    sphere.register_operator("lost-mod3", lambda record, params: ((record[0] % 3, record),))
+    spec = OutputSpec(mode=OutputMode.SHUFFLE, destinations=tuple(sorted(uploader.members())))
 
     def run():
-        out, _ = client.run_job(["lost/shuffle.dat"], "identity", output=spec,
+        out, _ = client.run_job(["lost/shuffle.dat"], "lost-mod3", output=spec,
                                 limits=SegmentLimits(2000, 3000), job_id="lost-shuffle")
         return read_back(client, out)
 

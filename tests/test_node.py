@@ -1,14 +1,15 @@
 import random
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sectorsphere.errors import (AccessDeniedError, IntegrityError, NotFoundError,
-                                 RangeError, TransportError)
-from sectorsphere.fileops import read_records_over
+                                 RangeError, StaleError, TransportError)
+from sectorsphere.fileops import fetch_file, read_records_over
 from sectorsphere.node import STORES_DIR
-from sectorsphere.records import RecordIndex
+from sectorsphere.records import RecordIndex, index_path
 from sectorsphere.wire import Message, MessageKind, unpack_payload
 
 CLIENT = "client-0"
@@ -586,6 +587,7 @@ def temp_files(node):
     {"offset": None}, {"index_size": 5}, {"index_size": -2}, {"index_size": 16.0},
     {"index_size": -1.0}, {"index_size": True}, {"token": None}, {"token": 7},
     {"name": 3}, {"name": ""}, {"name": "../up.bin"}, {"name": STORES_DIR + "/x.dat"},
+    {"name": "s.bin.idx"},
 ], ids=repr)
 def test_a_malformed_store_piece_is_refused_before_a_byte_is_written(make_cluster, overrides):
     cluster = make_cluster(2)
@@ -734,7 +736,7 @@ def test_an_unindexed_rewrite_leaves_no_index_of_the_old_version(make_cluster):
     client.upload(data, "s.bin", index)
     node = owner_node(cluster, "s.bin")
     client.upload(b"plain", "s.bin")
-    assert not node._path_for("s.bin.idx").exists()
+    assert not index_path(node._path_for("s.bin")).exists()
     assert node.meta("s.bin") == {"records": 1, "size": 5, "indexed": False}
     assert temp_files(node) == []
 
@@ -758,3 +760,77 @@ def test_a_job_output_commits_through_a_temp_file(make_cluster, monkeypatch):
     assert renamed == [(STORES_DIR, "o.dat"), (STORES_DIR, "o.dat.idx")]
     assert list(node.read_local("out/o.dat", 0, 2)[0]) == [b"abc", b"def"]
     assert temp_files(node) == []
+
+
+def commit_after_meta(monkeypatch, node, name, data, index) -> list:
+    """Commit another version of `name` on `node` just after the first
+    check of its header against an `expect` (node.meta) returns, as soon as
+    the name's lock lets a commit in: at once if the lock is free, else in
+    a thread that waits for it. Returns the list that gets that thread, to
+    join."""
+    meta, threads = node.meta, []
+
+    def racing(asked, expect=None):
+        stat = meta(asked, expect)
+        if asked == name and expect is not None and not threads:
+            def commit():
+                node.store_file(node.address, name, data, index, internal=True)
+            lock = node._lock_for(name)
+            if lock.acquire(blocking=False):
+                lock.release()
+                threads.append(None)
+                commit()
+            else:
+                threads.append(threading.Thread(target=commit))
+                threads[-1].start()
+        return stat
+
+    monkeypatch.setattr(node, "meta", racing)
+    return threads
+
+
+READERS = {
+    "read_local": lambda client, node, name, v1: list(node.read_local(name, 0, 3, expect=v1)[0]),
+    "READ": lambda client, node, name, v1: list(read_records_over(
+        client.transport.open_channel(node.address), name, [(0, 3)], v1)[0]),
+    "FETCH": lambda client, node, name, v1: fetch_file(
+        client.transport.open_channel(node.address), name, v1),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_a_commit_after_the_header_check_is_not_served_as_the_old_version(
+        make_cluster, monkeypatch, reader):
+    cluster = make_cluster(1)
+    client = cluster.client()
+    node = next(iter(cluster.nodes.values()))
+    v1_data, v1_index = b"aaaabbbbcccc", RecordIndex.uniform(3, 4)
+    client.upload(v1_data, "v.dat", v1_index)
+    v1 = node.meta("v.dat")
+    threads = commit_after_meta(monkeypatch, node, "v.dat", b"D" * 20, RecordIndex.uniform(4, 5))
+    got = READERS[reader](client, node, "v.dat", v1)
+    for thread in threads:
+        if thread is not None:
+            thread.join(5)
+    assert threads and node.meta("v.dat") == {"records": 4, "size": 20, "indexed": True}
+    if reader == "FETCH":
+        assert got == (v1_data, v1_index.to_bytes())
+    else:
+        assert got == [b"aaaa", b"bbbb", b"cccc"]
+    with pytest.raises(StaleError):
+        node.read_local("v.dat", 0, 3, expect=v1)
+
+
+def test_a_store_under_an_index_name_is_refused(make_cluster):
+    cluster = make_cluster(1)
+    client = cluster.client()
+    node = next(iter(cluster.nodes.values()))
+    client.upload(b"aaaabbbbcccc", "x.dat", RecordIndex.uniform(3, 4))
+    with pytest.raises(IntegrityError, match="illegal file name"):
+        client.upload(b"0123456789abcdef", "x.dat.idx")
+    assert node._stores == {} and temp_files(node) == []
+    assert not node.holds("x.dat.idx")
+    assert index_path(node._path_for("x.dat")).read_bytes() == RecordIndex.uniform(3, 4).to_bytes()
+    assert client.read_records("x.dat", 0, 3) == [b"aaaa", b"bbbb", b"cccc"]
+    with pytest.raises(IntegrityError):
+        node.store_file(node.address, "j/out.idx", b"x", None, internal=True)

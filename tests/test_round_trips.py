@@ -197,12 +197,11 @@ def test_finalize_calls_are_sent_at_once(make_cluster, monkeypatch, rtt_ms):
                 barrier.wait()  # breaks unless every node's call is in flight together
                 return finalize(job, committed)
             monkeypatch.setattr(node, "finalize_job", meet_then_finalize)
-    spec = OutputSpec(mode=OutputMode.SHUFFLE, bucket="fin-bucket",
-                      destinations=tuple(cluster.nodes))
-    sphere.register_bucket("fin-bucket", lambda record, params: record[0] % 3)
+    spec = OutputSpec(mode=OutputMode.SHUFFLE, destinations=tuple(cluster.nodes))
+    sphere.register_operator("fin-bucket", lambda record, params: ((record[0] % 3, record),))
     stream = client.resolve_stream(["fin.dat"])
     started = count_threads(monkeypatch)
-    out, report = client.run_job(stream, "identity", output=spec)
+    out, report = client.run_job(stream, "fin-bucket", output=spec)
     assert report.ok and sorted(f["bucket"] for f in report.output_files) == [0, 1, 2]
     assert sum(f.records for f in out.files) == 30
     if not rtt_ms:

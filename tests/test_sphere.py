@@ -374,14 +374,13 @@ def test_shuffle_job_writes_indexed_bucket_files(make_cluster):
     cluster = make_cluster(2)
     client = cluster.client()
 
-    sphere.register_bucket("test-first-byte", lambda record, params: record[0])
+    sphere.register_operator("test-first-byte", lambda record, params: ((record[0], record),))
     rng = random.Random(10)
     records = [rng.randbytes(12) for _ in range(400)]
     upload_records(client, "shuf.dat", records)
     out, report = client.run_job(
-        ["shuf.dat"], "identity",
-        output=OutputSpec(mode=OutputMode.SHUFFLE, bucket="test-first-byte",
-                          destinations=tuple(sorted(cluster.nodes))),
+        ["shuf.dat"], "test-first-byte",
+        output=OutputSpec(mode=OutputMode.SHUFFLE, destinations=tuple(sorted(cluster.nodes))),
         limits=SegmentLimits(1000, 2000))
     assert report.ok
     destinations = sorted(cluster.nodes)
@@ -399,7 +398,7 @@ def test_shuffle_job_writes_indexed_bucket_files(make_cluster):
 def test_shuffle_homes_leave_out_a_destination_that_is_no_member(make_cluster):
     cluster = make_cluster(3)
     client = cluster.client()
-    sphere.register_bucket("test-mod3", lambda record, params: record[0] % 3)
+    sphere.register_operator("test-mod3", lambda record, params: ((record[0] % 3, record),))
     rng = random.Random(50)
     records = [rng.randbytes(16) for _ in range(300)]
     upload_records(client, "redir.dat", records)
@@ -408,9 +407,8 @@ def test_shuffle_homes_leave_out_a_destination_that_is_no_member(make_cluster):
                   if a != client.entry_server and not cluster.nodes[a].files)
     cluster.kill(victim)
     out, report = client.run_job(
-        ["redir.dat"], "identity",
-        output=OutputSpec(mode=OutputMode.SHUFFLE, bucket="test-mod3",
-                          destinations=tuple(destinations)),
+        ["redir.dat"], "test-mod3",
+        output=OutputSpec(mode=OutputMode.SHUFFLE, destinations=tuple(destinations)),
         limits=SegmentLimits(2000, 3000))
     assert report.ok
     got = []
@@ -489,14 +487,40 @@ def test_segment_operator_sets_buckets_and_acks_once(make_cluster):
     assert got == {b: [r for r in records if r[0] % 3 == b] for b in range(3)}
 
 
-def test_shuffle_without_bucket_ids_or_bucket_function_fails(make_cluster):
-    cluster = make_cluster(1)
+@pytest.mark.parametrize("operator", ["identity", "test-unbucketed-segment"])
+def test_a_shuffle_whose_operator_gives_no_bucket_ids_fails(make_cluster, operator):
+    sphere.register_operator("test-unbucketed-segment", lambda records, params: records,
+                             scope="segment")
+    cluster = make_cluster(2)
     client = cluster.client()
     upload_records(client, "plain.dat", [b"a", b"b"])
-    with pytest.raises(JobError):
-        client.run_job(["plain.dat"], "identity",
+    with pytest.raises(JobError) as caught:
+        client.run_job(["plain.dat"], operator,
                        output=OutputSpec(mode=OutputMode.SHUFFLE,
-                                         destinations=tuple(cluster.nodes)))
+                                         destinations=tuple(sorted(cluster.nodes))))
+    errors = [failure["error"] for failure in caught.value.failed_segments]
+    assert errors and all("operator %r gives no bucket ids" % operator in error
+                          for error in errors)
+    assert all(not node._shuffle for node in cluster.nodes.values())
+
+
+def test_a_shuffle_operator_that_drops_every_record_writes_no_bucket(make_cluster):
+    sphere.register_operator("test-drop-all", lambda record, params: ())
+    cluster = make_cluster(2)
+    client = cluster.client()
+    upload_records(client, "dropped.dat", [b"a", b"b", b"c"])
+    out, report = client.run_job(
+        ["dropped.dat"], "test-drop-all",
+        output=OutputSpec(mode=OutputMode.SHUFFLE, destinations=tuple(sorted(cluster.nodes))))
+    assert report.ok and out.files == () and report.output_files == []
+
+
+def test_an_output_header_that_names_a_bucket_function_is_refused():
+    header = {"mode": OutputMode.SHUFFLE, "bucket": "key-range", "destinations": ["n0"]}
+    with pytest.raises(ValueError, match="'bucket'"):
+        OutputSpec.from_header(header)
+    spec = OutputSpec(mode=OutputMode.SHUFFLE, destinations=("n0",))
+    assert OutputSpec.from_header(spec.to_header()) == spec
 
 
 def test_shuffle_batches_cut_after_the_record_that_fills_them(make_cluster, monkeypatch):
@@ -513,12 +537,12 @@ def test_shuffle_batches_cut_after_the_record_that_fills_them(make_cluster, monk
     monkeypatch.setattr(StorageNode, "shuffle_append", recording)
     cluster = make_cluster(2)
     client = cluster.client()
-    sphere.register_bucket("test-parity", lambda record, params: record[0] % 2)
+    sphere.register_operator("test-parity", lambda record, params: ((record[0] % 2, record),))
     rng = random.Random(6)
     records = [rng.randbytes(rng.randrange(1, 25)) for _ in range(120)]
     upload_records(client, "cuts.dat", records)
-    client.run_job(["cuts.dat"], "identity",
-                   output=OutputSpec(mode=OutputMode.SHUFFLE, bucket="test-parity",
+    client.run_job(["cuts.dat"], "test-parity",
+                   output=OutputSpec(mode=OutputMode.SHUFFLE,
                                      destinations=tuple(sorted(cluster.nodes))),
                    limits=sphere.WHOLE_FILE_LIMITS)
     for bucket in (0, 1):
@@ -550,9 +574,9 @@ def test_a_shuffle_of_empty_records_is_cut_by_their_index_entries(make_cluster,
         return dispatch(local, peer, request)
 
     monkeypatch.setattr(cluster.network, "dispatch", recording)
-    sphere.register_bucket("test-zero", lambda record, params: 0)
-    out, report = client.run_job(["empty.dat"], "identity",
-                                 output=OutputSpec(mode=OutputMode.SHUFFLE, bucket="test-zero",
+    sphere.register_operator("test-zero", lambda record, params: ((0, record),))
+    out, report = client.run_job(["empty.dat"], "test-zero",
+                                 output=OutputSpec(mode=OutputMode.SHUFFLE,
                                                    destinations=tuple(sorted(cluster.nodes))),
                                  limits=sphere.WHOLE_FILE_LIMITS)
     assert report.ok and [(f.records, f.size) for f in out.files] == [(95, 0)]
@@ -584,7 +608,8 @@ def test_shuffle_sends_at_once_only_over_links_that_wait(make_cluster, monkeypat
             return dispatch(local, peer, request)
 
         monkeypatch.setattr(cluster.network, "dispatch", meeting)
-    sphere.register_bucket("test-parity-at-once", lambda record, params: record[0] % 2)
+    sphere.register_operator("test-parity-at-once",
+                             lambda record, params: ((record[0] % 2, record),))
     rng = random.Random(9)
     records = [rng.randbytes(rng.randrange(1, 20)) for _ in range(80)]
     upload_records(client, "once.dat", records)
@@ -598,9 +623,8 @@ def test_shuffle_sends_at_once_only_over_links_that_wait(make_cluster, monkeypat
 
     monkeypatch.setattr(threading.Thread, "start", recorded)
     out, report = client.run_job(
-        stream, "identity",
-        output=OutputSpec(mode=OutputMode.SHUFFLE, bucket="test-parity-at-once",
-                          destinations=("node-0", "node-1")),
+        stream, "test-parity-at-once",
+        output=OutputSpec(mode=OutputMode.SHUFFLE, destinations=("node-0", "node-1")),
         limits=sphere.WHOLE_FILE_LIMITS)
     assert report.ok
     assert sorted(read_stream_records(client, out)) == sorted(records)
